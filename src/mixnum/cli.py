@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,12 +27,11 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, PRESETS, ScenarioConfig, get_preset,
-                     load_scenario, scenario_hash, with_gap, F0_HZ)
+                     load_scenario, scenario_hash)
 from .link import LinkError, calibrate
-from .metrics import (MetricsError, ebn0_for_target, monte_carlo_ber,
-                      semianalytic_ber, semianalytic_run, welch_psd)
-from .modem import qam_modulate
-from .waveform import build_composite, payload_symbols
+from .metrics import (MetricsError, ebn0_at_target_ber, monte_carlo_ber,
+                      semianalytic_run, welch_psd)
+from .waveform import build_composite, random_payload
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -108,7 +110,13 @@ def _parse_grid(spec):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be a:step:b, got {spec!r}")
-    a, step, b = (float(p) for p in parts)
+    try:
+        a, step, b = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"grid values must be numbers, got {spec!r}") \
+            from None
+    if not all(math.isfinite(v) for v in (a, step, b)):
+        raise ConfigError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"bad grid {spec!r}")
     n = int(round((b - a) / step))
@@ -132,9 +140,7 @@ def cmd_psd(args):
                             n_symbols=max(args.symbols or 0, PSD_MIN_SYMBOLS))
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed,
                                                        spawn_key=(0x5D,)))
-    k = int(np.log2(sc.mod_order))
-    payloads = [qam_modulate(rng.integers(0, 2, k * payload_symbols(sc, i),
-                                          dtype=np.uint8), sc.mod_order)
+    payloads = [random_payload(sc, i, rng)[1]
                 for i in range(len(sc.subbands))]
     sig, _ = build_composite(sc, payloads)
     curve = welch_psd(sig)
@@ -156,13 +162,14 @@ def cmd_ber(args):
         cal = calibrate(sc, i)
         if method == "semi-analytic":
             run = semianalytic_run(sc, i, cal)
-        for db in grid:
-            if method == "monte-carlo":
+            n_bits = len(run.rx_points) * int(np.log2(sc.mod_order))
+            rows += [(i + 1, db, run.ber(db), method, n_bits, 0)
+                     for db in grid]
+        else:
+            for db in grid:
                 pt = monte_carlo_ber(sc, i, db, cal=cal)
-            else:
-                pt = semianalytic_ber(sc, i, db, cal=cal)
-            rows.append((i + 1, pt.ebn0_db, pt.ber, pt.method, pt.n_bits,
-                         pt.n_errors))
+                rows.append((i + 1, pt.ebn0_db, pt.ber, pt.method, pt.n_bits,
+                             pt.n_errors))
     _write_csv(args.out, ["band", "ebn0_db", "ber", "method", "n_bits",
                           "n_errors"], rows)
     manifest = _write_manifest(args.out, "ber", sc, sc.seed, [args.out])
@@ -170,13 +177,10 @@ def cmd_ber(args):
     return EXIT_OK
 
 
-def _sweep_point(sc_m: ScenarioConfig, band: int, m: int, target: float,
-                 seed: int):
-    try:
-        run = semianalytic_run(sc_m, band, seed=seed)
-        return m, ebn0_for_target(run, target)
-    except MetricsError:
-        return m, float("nan")
+def _sweep_workers(requested, n_points):
+    """Worker processes worth starting: no more than asked for, than CPUs,
+    or than points evaluated at once."""
+    return max(1, min(requested, os.cpu_count() or 1, n_points))
 
 
 def cmd_sweep(args):
@@ -189,21 +193,20 @@ def cmd_sweep(args):
     band = (args.band if args.band is not None else len(base.subbands)) - 1
     if not (0 <= band < len(base.subbands)):
         raise ConfigError(f"band {args.band} out of range")
-    jobs = []
-    for wf in waveforms:
-        sc = replace(base, waveform=wf)
-        for m in m_values:
-            jobs.append((wf, with_gap(sc, 12.0 * m * F0_HZ), m))
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futs = [pool.submit(_sweep_point, sc_m, band, m, args.target_ber,
-                                sc_m.seed) for _, sc_m, m in jobs]
-            results = [f.result() for f in futs]
-    else:
-        results = [_sweep_point(sc_m, band, m, args.target_ber, sc_m.seed)
-                   for _, sc_m, m in jobs]
-    rows = [(m, wf, base.mod_order, band + 1, val)
-            for (wf, _, _), (m, val) in zip(jobs, results)]
+    if not (0.0 < args.target_ber < 0.5):
+        raise ConfigError(
+            f"--target-ber must lie in (0, 0.5), got {args.target_ber}")
+    workers = _sweep_workers(args.threads, len(m_values))
+    with ExitStack() as stack:
+        pool_map = map
+        if workers > 1:
+            pool_map = stack.enter_context(ProcessPoolExecutor(
+                workers, multiprocessing.get_context("spawn"))).map
+        rows = [(m, wf, base.mod_order, band + 1, val)
+                for wf in waveforms
+                for m, val in ebn0_at_target_ber(
+                    replace(base, waveform=wf), band, args.target_ber,
+                    m_values, map=pool_map)]
     _write_csv(args.out, ["m", "waveform", "mod_order", "band", "ebn0_db"],
                rows)
     manifest = _write_manifest(args.out, "sweep", base, base.seed, [args.out])

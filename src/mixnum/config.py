@@ -102,7 +102,6 @@ class ScenarioConfig:
     mod_order: int = 4
     n_symbols: int = 16
     seed: int = 0
-    f0_hz: float = F0_HZ
     f1_hz: float | None = None
     rx_filter: bool = True
     eq_mode: str = "scalar"
@@ -185,7 +184,7 @@ def center_frequencies(sc: ScenarioConfig):
 _SUBBAND_FIELDS = {"n_fft", "n_cp", "scs_hz", "n_used", "n_guard",
                    "filter_len", "transition_hz", "n_prefix", "n_transition"}
 _SCENARIO_FIELDS = {"subbands", "waveform", "mod_order", "n_symbols", "seed",
-                    "f0_hz", "f1_hz", "rx_filter", "eq_mode"}
+                    "f1_hz", "rx_filter", "eq_mode"}
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:

@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-
-_DIRECT_CONV_MAX_TAPS = 512
+from scipy import signal
 
 
 class DspError(ValueError):
@@ -66,25 +64,6 @@ class FilterTaps:
         nu = np.atleast_1d(np.asarray(freqs_cycles_per_sample, dtype=float))
         n = np.arange(len(self.taps)) - self.group_delay
         return np.exp(-2j * np.pi * np.outer(nu, n)) @ self.taps
-
-
-def dft(x, n=None, inverse=False):
-    """Unitary-pair DFT on a power-of-two length.
-
-    Accepts an array or a ComplexSignal; returns the same kind.
-    """
-    sig = x if isinstance(x, ComplexSignal) else None
-    a = sig.samples if sig is not None else np.asarray(x, dtype=np.complex128)
-    if n is None:
-        n = len(a)
-    if n != len(a):
-        raise DspError("n must equal the signal length")
-    if n < 1 or (n & (n - 1)) != 0:
-        raise DspError(f"DFT size must be a power of two, got {n}")
-    out = np.fft.ifft(a) if inverse else np.fft.fft(a)
-    if sig is not None:
-        return ComplexSignal(out, sig.rate_hz)
-    return out
 
 
 def _windowed_sinc(cutoff_two_sided_bins, n_fft, filter_len):
@@ -195,14 +174,8 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
 
 
 def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
-    """Full linear convolution; output length len(x) + L - 1.
-
-    Direct for short filters, FFT-based above _DIRECT_CONV_MAX_TAPS.
-    """
+    """Full linear convolution (overlap-add); output length len(x) + L - 1."""
     if len(x) == 0:
         raise DspError("cannot convolve an empty signal")
-    if len(h) <= _DIRECT_CONV_MAX_TAPS:
-        y = np.convolve(x.samples, h.taps, mode="full")
-    else:
-        y = fftconvolve(x.samples, h.taps.astype(np.complex128), mode="full")
+    y = signal.oaconvolve(x.samples, h.taps, mode="full")
     return ComplexSignal(y, x.rate_hz)

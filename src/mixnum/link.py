@@ -18,9 +18,8 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_rate,
                      scenario_hash, symbols_per_band, upsampling_factor)
 from .dsp import ComplexSignal, FilterTaps, convolve_full, design_subband_filter
-from .modem import qam_modulate, random_bits
-from .waveform import (BurstMeta, build_burst, build_composite, compose,
-                       payload_symbols, used_subcarrier_bins)
+from .waveform import (BurstMeta, build_burst, compose, payload_symbols,
+                       random_payload, used_subcarrier_bins)
 
 CAL_MIN_SYMBOLS = 256
 
@@ -29,28 +28,11 @@ class LinkError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    noise_variance_per_sample: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_variance_per_sample < 0:
-            raise LinkError("noise variance must be non-negative")
-
-
-def awgn(x: ComplexSignal, ch: ChannelSpec) -> ComplexSignal:
-    """Add circular complex Gaussian noise, deterministic per seed."""
-    if ch.noise_variance_per_sample == 0:
-        return x
-    rng = np.random.default_rng(ch.seed)
-    s = np.sqrt(ch.noise_variance_per_sample / 2.0)
-    noise = s * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-    return ComplexSignal(x.samples + noise, x.rate_hz)
-
-
 def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
-    """awgn() with a caller-managed generator (for substreamed trials)."""
+    """Add circular complex Gaussian noise of the given per-sample variance,
+    drawn from a caller-managed generator (one substream per trial)."""
+    if variance < 0:
+        raise LinkError("noise variance must be non-negative")
     if variance == 0:
         return x
     s = np.sqrt(variance / 2.0)
@@ -137,13 +119,11 @@ def _single_band_burst(sc, i, rng):
     bursts = []
     tx = None
     for k, nm in enumerate(sc.subbands):
-        n = payload_symbols(sc, k)
         if k == i:
-            bits = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
-            qam = qam_modulate(bits, 4)
+            _, qam = random_payload(sc, k, rng, mod_order=4)
             tx = qam.reshape(-1, nm.n_used)
         else:
-            qam = np.zeros(n, dtype=np.complex128)
+            qam = np.zeros(payload_symbols(sc, k), dtype=np.complex128)
         bursts.append(build_burst(qam, nm, sc.waveform))
     return compose(bursts, sc), bursts[i][1], tx
 
@@ -174,10 +154,8 @@ def calibrate(sc: ScenarioConfig, i: int,
         h = 1.0 / eq
         eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
     es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
-    noise = ComplexSignal(
-        (rng_noise.standard_normal(len(sig))
-         + 1j * rng_noise.standard_normal(len(sig))) / np.sqrt(2.0),
-        sig.rate_hz)
+    noise = awgn_from_rng(ComplexSignal(np.zeros(len(sig)), sig.rate_hz),
+                          1.0, rng_noise)
     out = receive_subband(noise, sc_cal, i, meta) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)
     return ReceiverCalibration(eq_coeffs=eq, es_per_subcarrier=es,

@@ -12,6 +12,7 @@ counts errors, serving as the oracle for the semi-analytic result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.signal import welch as _scipy_welch
@@ -20,8 +21,8 @@ from .config import (F0_HZ, ScenarioConfig, with_gap)
 from .dsp import ComplexSignal
 from .link import (ReceiverCalibration, awgn_from_rng, calibrate,
                    noise_variance_for_ebn0, receive_subband)
-from .modem import (bit_error_probabilities, qam_demodulate, qam_modulate)
-from .waveform import build_composite, payload_symbols
+from .modem import bit_error_probabilities, qam_demodulate
+from .waveform import build_composite, random_payload
 
 DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 2_000_000
@@ -107,13 +108,8 @@ def _trial_rngs(seed, trial, n_bands):
 
 def _random_burst(sc: ScenarioConfig, rng_list):
     """Composite burst with random payloads on every band."""
-    k = int(np.log2(sc.mod_order))
-    payloads, bits = [], []
-    for i in range(len(sc.subbands)):
-        b = rng_list[i].integers(0, 2, size=k * payload_symbols(sc, i),
-                                 dtype=np.uint8)
-        bits.append(b)
-        payloads.append(qam_modulate(b, sc.mod_order))
+    bits, payloads = zip(*(random_payload(sc, i, rng)
+                           for i, rng in enumerate(rng_list)))
     sig, metas = build_composite(sc, payloads)
     return sig, metas, payloads, bits
 
@@ -229,22 +225,28 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, seed, m):
+    """Eb/N0 (dB) reaching the target BER at a separation of m resource
+    blocks, or NaN when the target is not bracketed."""
+    run = semianalytic_run(with_gap(sc, 12.0 * m * F0_HZ), i, seed=seed)
+    try:
+        return ebn0_for_target(run, target)
+    except MetricsError:
+        return float("nan")
+
+
 def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target=0.05,
-                       m_grid=range(5), seed: int | None = None):
+                       m_grid=range(5), seed: int | None = None, map=map):
     """(m, Eb/N0 dB) pairs: for each separation of m resource blocks the
     scenario is rebuilt with gap = 12*m*f0 and one-sided transition gap/2,
     recalibrated and bisected to the target BER.
 
-    Unreachable targets (distortion floor above target) yield NaN.
+    Unreachable targets (distortion floor above target) yield NaN. The
+    points are evaluated through ``map``; pass an executor's map to run them
+    in parallel.
     """
     if not (0.0 < target < 0.5):
         raise MetricsError("target must be in (0, 0.5)")
-    out = []
-    for m in m_grid:
-        sc_m = with_gap(sc, 12.0 * m * F0_HZ)
-        run = semianalytic_run(sc_m, i, seed=seed)
-        try:
-            out.append((m, ebn0_for_target(run, target)))
-        except MetricsError:
-            out.append((m, float("nan")))
-    return out
+    m_grid = list(m_grid)
+    values = map(partial(_ebn0_at_separation, sc, i, target, seed), m_grid)
+    return list(zip(m_grid, values))

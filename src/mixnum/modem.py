@@ -1,5 +1,4 @@
-"""Gray-mapped square QAM, random bit generation and the per-point analytic
-bit-error kernel.
+"""Gray-mapped square QAM and the per-point analytic bit-error kernel.
 
 Mapping convention (fixed so every numeric example is reproducible):
 per-dimension PAM levels are {+-1, +-3, ...} scaled to unit average symbol
@@ -8,9 +7,6 @@ binary-reflected Gray code of j, so the all-zero label sits at (+1+1j)/sqrt(2)
 for QPSK. A symbol's bits are the I-dimension bits (MSB first) followed by
 the Q-dimension bits. Ties at a decision boundary decode toward the lower
 (more negative) level.
-
-Randomness comes from numpy's PCG64 generator; per-trial substreams are
-spawned with SeedSequence so parallel Monte Carlo stays reproducible.
 """
 
 from __future__ import annotations
@@ -79,29 +75,9 @@ def constellation(M: int) -> ConstellationMap:
                             level_bits=level_bits.astype(np.uint8))
 
 
-@dataclass(frozen=True)
-class BitStream:
-    bits: np.ndarray
-    seed: int
-
-
-def random_bits(seed: int, n: int) -> BitStream:
-    """Deterministic fair bits from PCG64."""
-    if n < 0:
-        raise ModemError("n must be non-negative")
-    rng = np.random.default_rng(seed)
-    return BitStream(rng.integers(0, 2, size=n, dtype=np.uint8), seed)
-
-
-def _bits_array(bits):
-    if isinstance(bits, BitStream):
-        bits = bits.bits
-    return np.asarray(bits, dtype=np.uint8)
-
-
 def bits_to_symbols(bits, M: int) -> np.ndarray:
     """Pack bits (MSB first) into integer labels."""
-    b = _bits_array(bits)
+    b = np.asarray(bits, dtype=np.uint8)
     k = int(np.log2(M))
     if len(b) % k != 0:
         raise ModemError(f"bit count {len(b)} not divisible by {k}")
@@ -152,21 +128,13 @@ def _dim_bit_error(coords, tx_idx, sigma, cm):
     return np.einsum("nm,nmk->n", cell_p, wrong)
 
 
-def bit_error_probability(rx_point, tx_point, M, sigma_per_dim):
-    """Probability that AWGN of the given per-dimension std flips each Gray
-    bit, averaged over the symbol's bits.
-
-    rx_point is the noiseless demapper input; tx_point identifies the
-    transmitted constellation point (its bits are the reference).
-    """
-    res = bit_error_probabilities(np.atleast_1d(np.asarray(rx_point)),
-                                  np.atleast_1d(np.asarray(tx_point)),
-                                  M, sigma_per_dim)
-    return float(res[0])
-
-
 def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
-    """Vectorized form of :func:`bit_error_probability`."""
+    """Per-point probability that AWGN of the given per-dimension std flips
+    each Gray bit, averaged over the symbol's bits.
+
+    rx_points are the noiseless demapper inputs; tx_points identify the
+    transmitted constellation points (their bits are the reference).
+    """
     cm = constellation(M)
     rx = np.asarray(rx_points, dtype=np.complex128)
     tx = np.asarray(tx_points, dtype=np.complex128)

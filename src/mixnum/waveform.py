@@ -4,17 +4,17 @@ multirate combiner that produces the composite baseband signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
-                     composite_rate, scenario_hash, subband_sample_rate,
+                     composite_rate, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, convolve_full, design_interpolation_filter,
                   design_subband_filter, frequency_shift, upsample_zero_stuff,
                   wofdm_window)
+from .modem import qam_modulate
 
 MAX_INTERP_TAPS = 1025
 
@@ -66,11 +66,6 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> SubcarrierGrid:
     grid = np.zeros((n_sym, nm.n_fft), dtype=np.complex128)
     grid[:, mask] = qam.reshape(n_sym, nm.n_used)
     return SubcarrierGrid(grid, mask)
-
-
-def extract_from_grid(grid: SubcarrierGrid) -> np.ndarray:
-    """Inverse of map_to_subcarriers (row-major payload order)."""
-    return grid.symbols[:, grid.used_mask].reshape(-1)
 
 
 def _ifft_symbols(grid):
@@ -197,15 +192,12 @@ def payload_symbols(sc: ScenarioConfig, i: int) -> int:
     return symbols_per_band(sc, i) * sc.subbands[i].n_used
 
 
-def export_signal(path, sig: ComplexSignal, sc: ScenarioConfig):
-    """Write interleaved little-endian float64 I/Q plus a JSON sidecar."""
-    inter = np.empty(2 * len(sig), dtype="<f8")
-    inter[0::2] = sig.samples.real
-    inter[1::2] = sig.samples.imag
-    inter.tofile(path)
-    sidecar = {"rate_hz": sig.rate_hz, "n_samples": len(sig),
-               "format": "interleaved-f64le-iq",
-               "scenario_hash": scenario_hash(sc)}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+def random_payload(sc: ScenarioConfig, i: int, rng, mod_order=None):
+    """Fair random bits for band i's burst and their QAM symbols.
+
+    mod_order defaults to the scenario's. Returns (bits, qam).
+    """
+    M = sc.mod_order if mod_order is None else mod_order
+    k = int(np.log2(M))
+    bits = rng.integers(0, 2, k * payload_symbols(sc, i), dtype=np.uint8)
+    return bits, qam_modulate(bits, M)

@@ -4,7 +4,7 @@ import pytest
 
 from mixnum import config
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, _parse_grid,
-                        _parse_m_range, main)
+                        _parse_m_range, _sweep_workers, main)
 from mixnum.config import ConfigError
 
 
@@ -15,7 +15,8 @@ class TestParsers:
     def test_grid_single_point(self):
         assert _parse_grid("3:1:3") == [3.0]
 
-    @pytest.mark.parametrize("bad", ["0:2", "0:-1:4", "4:1:0", "a:b:c"])
+    @pytest.mark.parametrize("bad", ["0:2", "0:-1:4", "4:1:0", "a:b:c",
+                                     "0:1:inf", "nan:1:2"])
     def test_grid_rejects(self, bad):
         with pytest.raises((ConfigError, ValueError)):
             _parse_grid(bad)
@@ -114,6 +115,24 @@ class TestSweepCommand:
                    "--m", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("target", ["0.7", "0", "-0.1", "nan"])
+    def test_target_out_of_range(self, tmp_path, capsys, target):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", "single-band", "--m", "0",
+                   "--target-ber", target, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _sweep_workers(1, 5) == 1
+        assert _sweep_workers(8, 5) == 4
+        assert _sweep_workers(8, 2) == 2
+        assert _sweep_workers(0, 5) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _sweep_workers(8, 5) == 1
+
 
 class TestErrorPaths:
     def test_missing_scenario_file(self, tmp_path):
@@ -135,6 +154,21 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+
+    def test_scenario_f0_hz_is_unknown(self, tmp_path):
+        d = config.scenario_to_dict(config.single_band_scenario())
+        d["f0_hz"] = 30000.0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:2", "a:b:c"])
+    def test_malformed_grid_numbers(self, tmp_path, grid):
+        rc = main(["ber", "--scenario", "bypass", "--ebn0", grid,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         blackman_transition, convolve_full,
                         design_interpolation_filter, design_subband_filter,
-                        dft, frequency_shift, upsample_zero_stuff,
+                        frequency_shift, upsample_zero_stuff,
                         wofdm_window)
 
 
@@ -45,30 +45,6 @@ class TestFilterTaps:
     def test_response_at_dc_is_tap_sum(self):
         taps = design_subband_filter(64, 12, 1.0, 33)
         assert taps.response_at(0.0)[0] == pytest.approx(taps.taps.sum())
-
-
-class TestDft:
-    def test_matches_numpy(self):
-        x = rand_signal(0, 64)
-        np.testing.assert_allclose(dft(x).samples, np.fft.fft(x.samples))
-
-    def test_inverse_round_trip(self):
-        x = rand_signal(1, 128)
-        back = dft(dft(x), inverse=True)
-        np.testing.assert_allclose(back.samples, x.samples, atol=1e-12)
-
-    def test_rejects_non_pow2(self):
-        with pytest.raises(DspError):
-            dft(np.zeros(48))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2 ** 16), p=st.integers(4, 10))
-    def test_parseval(self, seed, p):
-        x = rand_signal(seed, 2 ** p)
-        X = dft(x)
-        time_e = np.sum(np.abs(x.samples) ** 2)
-        freq_e = np.sum(np.abs(X.samples) ** 2) / len(x)
-        assert time_e == pytest.approx(freq_e)
 
 
 class TestSubbandFilter:

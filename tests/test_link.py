@@ -4,43 +4,39 @@ import pytest
 from mixnum import config
 from mixnum.config import composite_rate, scenario_hash, symbols_per_band
 from mixnum.dsp import ComplexSignal
-from mixnum.link import (CAL_MIN_SYMBOLS, ChannelSpec, LinkError, awgn,
-                         awgn_from_rng, calibrate, noise_variance_for_ebn0,
+from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, awgn_from_rng,
+                         calibrate, noise_variance_for_ebn0,
                          receive_filter, receive_subband)
 from mixnum.metrics import evm_db
-from mixnum.modem import qam_modulate, random_bits
-from mixnum.waveform import build_composite, payload_symbols
+from mixnum.waveform import build_composite, random_payload
 
 
 def seeded_payloads(sc, seed=0, M=None):
-    M = sc.mod_order if M is None else M
-    k = int(np.log2(M))
     rng = np.random.default_rng(seed)
-    return [qam_modulate(rng.integers(0, 2, k * payload_symbols(sc, i),
-                                      dtype=np.uint8), M)
-            for i in range(len(sc.subbands))]
+    return [random_payload(sc, i, rng, M)[1] for i in range(len(sc.subbands))]
 
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
         x = ComplexSignal(np.ones(8), 1e6)
-        assert awgn(x, ChannelSpec(0.0)) is x
+        assert awgn_from_rng(x, 0.0, np.random.default_rng(0)) is x
 
     def test_empirical_variance(self):
         x = ComplexSignal(np.zeros(10 ** 6), 1e6)
-        y = awgn(x, ChannelSpec(1.0, seed=4))
+        y = awgn_from_rng(x, 1.0, np.random.default_rng(4))
         assert np.mean(np.abs(y.samples) ** 2) == pytest.approx(1.0,
                                                                 abs=0.005)
 
     def test_same_seed_same_noise(self):
         x = ComplexSignal(np.zeros(64), 1e6)
-        a = awgn(x, ChannelSpec(0.5, seed=9))
-        b = awgn(x, ChannelSpec(0.5, seed=9))
+        a = awgn_from_rng(x, 0.5, np.random.default_rng(9))
+        b = awgn_from_rng(x, 0.5, np.random.default_rng(9))
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(LinkError):
-            ChannelSpec(-1.0)
+            awgn_from_rng(ComplexSignal(np.zeros(4), 1e6), -1.0,
+                          np.random.default_rng(0))
 
     def test_rng_variant_matches_convention(self):
         x = ComplexSignal(np.zeros(10 ** 5), 1e6)

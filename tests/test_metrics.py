@@ -183,3 +183,18 @@ class TestTargetSearch:
         sc = config.single_band_scenario(n_symbols=4)
         with pytest.raises(MetricsError):
             ebn0_at_target_ber(sc, 0, target=0.7)
+
+    def test_sweep_points_go_through_map(self):
+        calls = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            calls.append(items)
+            return map(fn, items)
+
+        sc = config.single_band_scenario(n_symbols=4, seed=11)
+        # above the BER at the -5 dB bracket edge: unreachable, so NaN
+        out = ebn0_at_target_ber(sc, 0, target=0.4999, m_grid=range(1),
+                                 map=recording_map)
+        assert calls == [[0]]
+        assert len(out) == 1 and out[0][0] == 0 and np.isnan(out[0][1])

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixnum.config import table1_scenario
 from mixnum.modem import (ModemError, bit_error_probabilities,
-                          bit_error_probability, bits_to_symbols,
-                          constellation, qam_ber_awgn, qam_demodulate,
-                          qam_modulate, qfunc, random_bits)
+                          bits_to_symbols, constellation, qam_ber_awgn,
+                          qam_demodulate, qam_modulate, qfunc)
+from mixnum.waveform import random_payload
 
 ORDERS = (4, 16, 64, 256)
+
+
+def random_bits(seed, n):
+    return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
 
 
 class TestConstellation:
@@ -44,14 +49,12 @@ class TestConstellation:
 
 
 class TestBits:
-    def test_random_bits_deterministic(self):
-        a = random_bits(7, 1000)
-        b = random_bits(7, 1000)
-        np.testing.assert_array_equal(a.bits, b.bits)
-
     def test_random_bits_fair(self):
-        bits = random_bits(0, 100000).bits
+        sc = table1_scenario(mod_order=16, n_symbols=64)
+        bits, qam = random_payload(sc, 0, np.random.default_rng(0))
+        assert len(bits) == 4 * 128 * 180
         assert abs(np.mean(bits) - 0.5) < 0.01
+        np.testing.assert_array_equal(qam, qam_modulate(bits, 16))
 
     def test_bits_to_symbols_msb_first(self):
         np.testing.assert_array_equal(
@@ -65,14 +68,14 @@ class TestBits:
 class TestModDemod:
     @pytest.mark.parametrize("M", ORDERS)
     def test_round_trip(self, M):
-        bits = random_bits(3, 1200 * int(np.log2(M))).bits
+        bits = random_bits(3, 1200 * int(np.log2(M)))
         pts = qam_modulate(bits, M)
         np.testing.assert_array_equal(qam_demodulate(pts, M), bits)
 
     @pytest.mark.parametrize("M", ORDERS)
     def test_empirical_energy(self, M):
         bits = random_bits(11, 100000 // int(np.log2(M))
-                           * int(np.log2(M))).bits
+                           * int(np.log2(M)))
         pts = qam_modulate(bits, M)
         assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0, abs=0.02)
 
@@ -95,32 +98,34 @@ class TestModDemod:
     @given(seed=st.integers(0, 2 ** 16),
            M=st.sampled_from(ORDERS))
     def test_round_trip_property(self, seed, M):
-        bits = random_bits(seed, 60 * int(np.log2(M))).bits
+        bits = random_bits(seed, 60 * int(np.log2(M)))
         np.testing.assert_array_equal(
             qam_demodulate(qam_modulate(bits, M), M), bits)
 
 
 class TestBitErrorKernel:
     def test_zero_sigma_noiseless_is_zero(self):
-        pts = qam_modulate(random_bits(0, 200).bits, 4)
+        pts = qam_modulate(random_bits(0, 200), 4)
         p = bit_error_probabilities(pts, pts, 4, 0.0)
         np.testing.assert_array_equal(p, 0.0)
 
     def test_zero_sigma_counts_hard_errors(self):
         tx = qam_modulate([0, 0], 4)
         rx = -tx  # diagonally opposite: both bits wrong
-        assert bit_error_probability(rx[0], tx[0], 4, 0.0) == 1.0
+        np.testing.assert_array_equal(
+            bit_error_probabilities(rx, tx, 4, 0.0), [1.0])
 
     def test_qpsk_on_point_matches_qfunc(self):
-        tx = qam_modulate([0, 0], 4)[0]
+        tx = qam_modulate([0, 0], 4)
         sigma = 0.2
         expect = qfunc(np.abs(tx.real) / sigma)
-        assert bit_error_probability(tx, tx, 4, sigma) == pytest.approx(
-            float(expect), rel=1e-12)
+        np.testing.assert_allclose(bit_error_probabilities(tx, tx, 4, sigma),
+                                   expect, rtol=1e-12)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ModemError):
-            bit_error_probability(1 + 1j, 1 + 1j, 4, -0.1)
+            bit_error_probabilities(np.array([1 + 1j]), np.array([1 + 1j]),
+                                    4, -0.1)
 
     @pytest.mark.parametrize("M", ORDERS)
     def test_kernel_average_equals_closed_form(self, M):
@@ -136,18 +141,18 @@ class TestBitErrorKernel:
                 float(qam_ber_awgn(M, gamma)), rel=1e-10)
 
     def test_displaced_point_moves_probability_up(self):
-        tx = qam_modulate([0, 0], 4)[0]
+        tx = qam_modulate([0, 0], 4)
         nudged = tx - 0.2 * (1 + 1j)  # toward the decision boundaries
-        assert (bit_error_probability(nudged, tx, 4, 0.1)
-                > bit_error_probability(tx, tx, 4, 0.1))
+        assert (bit_error_probabilities(nudged, tx, 4, 0.1)
+                > bit_error_probabilities(tx, tx, 4, 0.1)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(re=st.floats(-2, 2), im=st.floats(-2, 2),
            sigma=st.floats(0.01, 1.0), M=st.sampled_from(ORDERS))
     def test_probability_bounds(self, re, im, sigma, M):
-        tx = constellation(M).points[0]
-        p = bit_error_probability(re + 1j * im, tx, M, sigma)
-        assert 0.0 <= p <= 1.0
+        tx = constellation(M).points[:1]
+        p = bit_error_probabilities(np.array([re + 1j * im]), tx, M, sigma)
+        assert p.shape == (1,) and 0.0 <= p[0] <= 1.0
 
 
 class TestClosedForm:

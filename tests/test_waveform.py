@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from mixnum import config
 from mixnum.config import ScenarioConfig, SubbandNumerology, composite_rate
 from mixnum.dsp import design_subband_filter, wofdm_window
-from mixnum.modem import qam_modulate, random_bits
+from mixnum.modem import qam_modulate
 from mixnum.waveform import (SubcarrierGrid, WaveformError, build_burst,
                              build_composite, build_cp_ofdm, build_f_ofdm,
-                             build_w_ofdm, compose, export_signal,
-                             extract_from_grid, map_to_subcarriers,
+                             build_w_ofdm, compose, map_to_subcarriers,
                              payload_symbols, used_subcarrier_bins)
 
 
@@ -23,7 +20,8 @@ def small_band(**kw):
 
 
 def payload(nm, n_sym, seed=0, M=4):
-    bits = random_bits(seed, n_sym * nm.n_used * int(np.log2(M))).bits
+    bits = np.random.default_rng(seed).integers(
+        0, 2, n_sym * nm.n_used * int(np.log2(M)), dtype=np.uint8)
     return qam_modulate(bits, M)
 
 
@@ -36,7 +34,8 @@ class TestSubcarrierMapping:
         nm = small_band()
         qam = payload(nm, 3)
         grid = map_to_subcarriers(qam, nm)
-        np.testing.assert_array_equal(extract_from_grid(grid), qam)
+        np.testing.assert_array_equal(
+            grid.symbols[:, grid.used_mask].reshape(-1), qam)
 
     def test_unused_bins_are_zero(self):
         nm = small_band()
@@ -250,19 +249,3 @@ class TestPayloadSymbols:
         sc = config.table1_scenario(n_symbols=8)
         assert [payload_symbols(sc, i) for i in range(3)] == [
             16 * 180, 32 * 180, 8 * 180]
-
-
-class TestExport:
-    def test_round_trip(self, tmp_path):
-        sc = config.single_band_scenario(n_symbols=1)
-        nm = sc.subbands[0]
-        sig, _ = build_burst(payload(nm, config.symbols_per_band(sc, 0)),
-                             nm, "cp-ofdm")
-        path = tmp_path / "iq.bin"
-        export_signal(path, sig, sc)
-        raw = np.fromfile(path, dtype="<f8")
-        rec = raw[0::2] + 1j * raw[1::2]
-        np.testing.assert_array_equal(rec, sig.samples)
-        sidecar = json.loads((tmp_path / "iq.bin.json").read_text())
-        assert sidecar["n_samples"] == len(sig)
-        assert sidecar["rate_hz"] == sig.rate_hz
