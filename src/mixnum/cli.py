@@ -241,7 +241,10 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--symbols", type=int, default=None,
                         help="OFDM symbols in the slowest band")
-        sp.add_argument("--threads", type=int, default=_default_threads())
+        sp.add_argument("--threads", type=int, default=_default_threads(),
+                        help="worker processes for sweep (capped at the CPU "
+                             "and separation counts); psd and ber accept "
+                             "it and run in one process")
         sp.add_argument("--out", required=True, help="output CSV path")
 
     sp = sub.add_parser("psd", help="composite-signal PSD")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 F0_HZ = 15000.0          # base subcarrier spacing
@@ -181,10 +182,44 @@ def center_frequencies(sc: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # serialization
 
-_SUBBAND_FIELDS = {"n_fft", "n_cp", "scs_hz", "n_used", "n_guard",
-                   "filter_len", "transition_hz", "n_prefix", "n_transition"}
-_SCENARIO_FIELDS = {"subbands", "waveform", "mod_order", "n_symbols", "seed",
-                    "f1_hz", "rx_filter", "eq_mode"}
+# field -> JSON type it must have (float: any finite number)
+_SUBBAND_FIELDS = {"n_fft": int, "n_cp": int, "scs_hz": float, "n_used": int,
+                   "n_guard": int, "filter_len": int, "transition_hz": float,
+                   "n_prefix": int, "n_transition": int}
+_SUBBAND_REQUIRED = {"n_fft", "n_cp", "scs_hz", "n_used"}
+_SCENARIO_FIELDS = {"subbands": list, "waveform": str, "mod_order": int,
+                    "n_symbols": int, "seed": int, "f1_hz": float,
+                    "rx_filter": bool, "eq_mode": str}
+_OPTIONAL = {"f1_hz"}  # may also be null
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", list: "a list"}
+
+
+def _has_type(v, kind):
+    """JSON typing: true/false is not a number, an integer is a valid float
+    and a float must be finite."""
+    if kind is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+        try:
+            return math.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            return False
+    if kind is int:
+        return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, kind)
+
+
+def _check_fields(d, fields, where):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    for name, v in d.items():
+        if not (_has_type(v, fields[name]) or (v is None and name in _OPTIONAL)):
+            raise ConfigError(f"{where}: {name} must be "
+                              f"{_TYPE_NAMES[fields[name]]}, got {v!r:.40}")
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
@@ -194,16 +229,16 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    unknown = set(d) - _SCENARIO_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+    """Scenario from its JSON form; any malformed input raises ConfigError."""
+    _check_fields(d, _SCENARIO_FIELDS, "scenario")
     if "subbands" not in d:
         raise ConfigError("scenario is missing 'subbands'")
     subbands = []
     for k, sb in enumerate(d["subbands"]):
-        unknown = set(sb) - _SUBBAND_FIELDS
-        if unknown:
-            raise ConfigError(f"sub-band {k}: unknown fields {sorted(unknown)}")
+        _check_fields(sb, _SUBBAND_FIELDS, f"sub-band {k}")
+        missing = _SUBBAND_REQUIRED - set(sb)
+        if missing:
+            raise ConfigError(f"sub-band {k}: missing fields {sorted(missing)}")
         subbands.append(SubbandNumerology(**sb))
     rest = {k: v for k, v in d.items() if k != "subbands"}
     return ScenarioConfig(subbands=tuple(subbands), **rest)

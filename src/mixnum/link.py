@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import (ScenarioConfig, center_frequencies, composite_rate,
                      scenario_hash, symbols_per_band, upsampling_factor)
-from .dsp import ComplexSignal, FilterTaps, convolve_full, design_subband_filter
+from .dsp import (ComplexSignal, FilterTaps, convolve_full,
+                  design_subband_filter, frequency_shift)
 from .waveform import (BurstMeta, build_burst, compose, payload_symbols,
                        random_payload, used_subcarrier_bins)
 
@@ -81,9 +82,7 @@ def receive_subband(y: ComplexSignal, sc: ScenarioConfig, i: int,
     if y.rate_hz != fs:
         raise LinkError(f"signal rate {y.rate_hz} != composite rate {fs}")
     u = upsampling_factor(sc, i)
-    f_i = center_frequencies(sc)[i]
-    n = np.arange(len(y))
-    x = y.samples * np.exp(-2j * np.pi * f_i * n / fs)
+    x = frequency_shift(y, -center_frequencies(sc)[i]).samples
     if sc.rx_filter:
         taps = receive_filter(sc, i)
         x = convolve_full(ComplexSignal(x, fs), taps).samples

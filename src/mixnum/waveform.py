@@ -146,30 +146,31 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
 
     Group delays (band filter and interpolation filter) are compensated by
     discarding leading samples, so symbol 0 of every band starts at
-    composite sample 0.
+    composite sample 0. An all-zero burst (calibration silences every band
+    but one) adds nothing: it sets only its share of the composite length
+    and is never interpolated or shifted.
     """
     if len(bursts) != len(sc.subbands):
         raise WaveformError("one burst per sub-band required")
     fs = composite_rate(sc)
     freqs = center_frequencies(sc)
     aligned = []
+    total = 0
     for i, (sig, meta) in enumerate(bursts):
         nm = sc.subbands[i]
         u = upsampling_factor(sc, i)
+        n_taps = interpolation_filter_len(u, nm.n_cp)
+        skip = (n_taps - 1) // 2 + u * meta.leading_delay
+        total = max(total, u * len(sig) + n_taps - 1 - skip)
+        if not np.any(sig.samples):
+            continue
         up = upsample_zero_stuff(sig, u)
         if u > 1:
-            taps = design_interpolation_filter(
-                u, nm.n_used + nm.n_guard, u * nm.n_fft,
-                interpolation_filter_len(u, nm.n_cp))
-            up = convolve_full(up, taps)
-            gd = taps.group_delay
-        else:
-            gd = 0
-        skip = gd + u * meta.leading_delay
+            up = convolve_full(up, design_interpolation_filter(
+                u, nm.n_used + nm.n_guard, u * nm.n_fft, n_taps))
         shifted = frequency_shift(ComplexSignal(up.samples[skip:], fs),
                                   freqs[i])
         aligned.append(shifted.samples)
-    total = max(len(a) for a in aligned)
     out = np.zeros(total, dtype=np.complex128)
     for a in aligned:
         out[:len(a)] += a

@@ -166,6 +166,24 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["subbands"][0].update(n_fft="1024"),
+        lambda d: d.update(subbands=5),
+        lambda d: d.update(n_symbols="16"),
+        lambda d: d.update(subbands=[5]),
+    ], ids=["n_fft-string", "subbands-number", "n_symbols-string",
+            "subband-number"])
+    def test_wrongly_typed_scenario(self, tmp_path, capsys, mutate):
+        d = config.scenario_to_dict(config.single_band_scenario())
+        mutate(d)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:2", "a:b:c"])
     def test_malformed_grid_numbers(self, tmp_path, grid):
         rc = main(["ber", "--scenario", "bypass", "--ebn0", grid,

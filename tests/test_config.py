@@ -154,7 +154,54 @@ class TestFrequencies:
         assert default_f1(sc) == pytest.approx(0.0)
 
 
+_DROP = object()
+_FIELD_NAMES = sorted(set(scenario_to_dict(table1()))
+                      | set(scenario_to_dict(table1())["subbands"][0]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+# (where, key, new value or _DROP); where is the scenario, a sub-band
+# index or "root" (the value replaces the whole dict)
+_MUTATIONS = st.tuples(st.sampled_from(["root", "scenario", 0, 1, 2]),
+                       st.sampled_from(_FIELD_NAMES) | st.text(max_size=4),
+                       st.just(_DROP) | _JSON_VALUES)
+
+
+def _mutated(d, mutations):
+    for where, key, value in mutations:
+        if where == "root":
+            if value is not _DROP:
+                d = value
+            continue
+        if where == "scenario":
+            obj = d
+        else:
+            sbs = d.get("subbands") if isinstance(d, dict) else None
+            obj = sbs[where] if isinstance(sbs, list) and where < len(sbs) \
+                else None
+        if not isinstance(obj, dict):
+            continue
+        if value is _DROP:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return d
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_dict_loads_or_raises_config_error(self, mutations):
+        d = _mutated(scenario_to_dict(table1()), mutations)
+        try:
+            sc = scenario_from_dict(d)
+        except ConfigError:
+            return
+        assert isinstance(sc, ScenarioConfig)
+
     def test_round_trip(self, tmp_path):
         sc = config.table1_scenario(waveform="w-ofdm", mod_order=64,
                                     n_symbols=5, seed=99)

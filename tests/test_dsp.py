@@ -199,6 +199,36 @@ class TestResampling:
         with pytest.raises(DspError):
             frequency_shift(x, 0.6 * x.rate_hz)
 
+    @staticmethod
+    def _exp_mixer(x, f_hz):
+        """Direct reference: one exp per sample."""
+        n = np.arange(len(x))
+        return x.samples * np.exp(2j * np.pi * f_hz * n / x.rate_hz)
+
+    def test_frequency_shift_matches_exp_reference_at_length(self):
+        # 1234567.891 Hz is no multiple of fs/8192, so the phasor has no
+        # short period; 2**20 + 7 samples is not a perfect square
+        x = ComplexSignal(np.ones(2 ** 20 + 7), 61.44e6)
+        y = frequency_shift(x, 1234567.891)
+        np.testing.assert_allclose(y.samples, self._exp_mixer(x, 1234567.891),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 99, 1000, 1001])
+    def test_frequency_shift_short_and_non_square_lengths(self, n):
+        x = rand_signal(n, n)
+        y = frequency_shift(x, -0.3217 * x.rate_hz)
+        assert len(y) == n and y.rate_hz == x.rate_hz
+        np.testing.assert_allclose(y.samples,
+                                   self._exp_mixer(x, -0.3217 * x.rate_hz),
+                                   rtol=0, atol=1e-12)
+
+    def test_frequency_shift_round_trip(self):
+        x = rand_signal(7, 100_003)
+        back = frequency_shift(frequency_shift(x, 0.1734 * x.rate_hz),
+                               -0.1734 * x.rate_hz)
+        np.testing.assert_allclose(back.samples, x.samples, rtol=0,
+                                   atol=1e-12)
+
 
 class TestConvolveFull:
     def _direct(self, x, h):

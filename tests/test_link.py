@@ -78,6 +78,16 @@ class TestBypassCalibration:
                                       again.noise_gain_per_subcarrier)
 
 
+@pytest.mark.parametrize("band", range(3))
+def test_table1_calibration_repeats_bit_for_bit(band):
+    sc = config.table1_scenario()
+    a, b = calibrate(sc, band), calibrate(sc, band)
+    np.testing.assert_array_equal(a.eq_coeffs, b.eq_coeffs)
+    np.testing.assert_array_equal(a.es_per_subcarrier, b.es_per_subcarrier)
+    np.testing.assert_array_equal(a.noise_gain_per_subcarrier,
+                                  b.noise_gain_per_subcarrier)
+
+
 class TestNoiseGainLinearity:
     def test_doubling_variance_doubles_output(self):
         sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=8, seed=2)

@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixnum import config
-from mixnum.config import ScenarioConfig, SubbandNumerology, composite_rate
-from mixnum.dsp import design_subband_filter, wofdm_window
+from mixnum.config import (ScenarioConfig, SubbandNumerology,
+                           center_frequencies, composite_rate,
+                           upsampling_factor)
+from mixnum.dsp import (ComplexSignal, convolve_full,
+                        design_interpolation_filter, design_subband_filter,
+                        frequency_shift, upsample_zero_stuff, wofdm_window)
 from mixnum.modem import qam_modulate
 from mixnum.waveform import (SubcarrierGrid, WaveformError, build_burst,
                              build_composite, build_cp_ofdm, build_f_ofdm,
-                             build_w_ofdm, compose, map_to_subcarriers,
-                             payload_symbols, used_subcarrier_bins)
+                             build_w_ofdm, compose, interpolation_filter_len,
+                             map_to_subcarriers, payload_symbols,
+                             used_subcarrier_bins)
 
 
 def small_band(**kw):
@@ -234,6 +239,41 @@ class TestCompose:
             p_sum += np.sum(np.abs(compose(solo, sc).samples) ** 2)
         p_both = np.sum(np.abs(both.samples) ** 2)
         assert 10 * abs(np.log10(p_both / p_sum)) < 0.1
+
+    @staticmethod
+    def _compose_every_band(bursts, sc):
+        """Reference: interpolate and shift every band, silent or not."""
+        fs = composite_rate(sc)
+        parts = []
+        for i, (sig, meta) in enumerate(bursts):
+            nm = sc.subbands[i]
+            u = upsampling_factor(sc, i)
+            taps = design_interpolation_filter(
+                u, nm.n_used + nm.n_guard, u * nm.n_fft,
+                interpolation_filter_len(u, nm.n_cp))
+            up = upsample_zero_stuff(sig, u)
+            if u > 1:
+                up = convolve_full(up, taps)
+            skip = taps.group_delay + u * meta.leading_delay
+            parts.append(frequency_shift(ComplexSignal(up.samples[skip:], fs),
+                                         center_frequencies(sc)[i]).samples)
+        out = np.zeros(max(len(p) for p in parts), dtype=np.complex128)
+        for p in parts:
+            out[:len(p)] += p
+        return out
+
+    @pytest.mark.parametrize("silent", [None, 0, 1, 2])
+    def test_silent_band_skips_work_not_length(self, silent):
+        # table1 has u = 2, 1, 4, so each silent index takes another branch
+        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=2)
+        bursts = []
+        for i, nm in enumerate(sc.subbands):
+            pl = payload(nm, config.symbols_per_band(sc, i), seed=i)
+            bursts.append(build_burst(pl * (i != silent), nm, "f-ofdm"))
+        out = compose(bursts, sc)
+        ref = self._compose_every_band(bursts, sc)
+        assert len(out) == len(ref)
+        np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12)
 
     def test_composite_rate(self):
         sc = config.table1_scenario(n_symbols=1)
