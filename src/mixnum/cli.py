@@ -38,6 +38,7 @@ EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 
 PSD_MIN_SYMBOLS = 64
+MAX_GRID_POINTS = 1000
 
 
 def _fmt(x):
@@ -119,7 +120,11 @@ def _parse_grid(spec):
         raise ConfigError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"bad grid {spec!r}")
-    n = int(round((b - a) / step))
+    # clamped before rounding: a tiny step can overflow the quotient to inf
+    n = round(min((b - a) / step, MAX_GRID_POINTS))
+    if n + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} "
+                          "points")
     return [a + k * step for k in range(n + 1)]
 
 

@@ -18,6 +18,12 @@ PRB_SUBCARRIERS = 12     # resource-block granularity
 
 WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
 MOD_ORDERS = (4, 16, 64, 256)
+# Upper bound on n_symbols. It bounds memory only for numerologies like
+# table1, where peak memory grew by about 0.55 MB per symbol between 64 and
+# 128 symbols (psd, ber and sweep alike): about 1.2 GB at the cap, an
+# extrapolation. Longer symbols or larger upsampling factors cost more per
+# symbol (about 2 MB with every n_fft 4096).
+MAX_SYMBOLS = 2048
 
 
 class ConfigError(ValueError):
@@ -115,8 +121,9 @@ class ScenarioConfig:
             raise ConfigError(f"waveform must be one of {WAVEFORMS}")
         if self.mod_order not in MOD_ORDERS:
             raise ConfigError(f"mod_order must be one of {MOD_ORDERS}")
-        if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be positive")
+        if not (1 <= self.n_symbols <= MAX_SYMBOLS):
+            raise ConfigError(
+                f"n_symbols must lie in 1..{MAX_SYMBOLS}, got {self.n_symbols}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
         if self.eq_mode not in ("scalar", "per-subcarrier"):

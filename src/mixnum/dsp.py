@@ -7,10 +7,12 @@ unscaled, inverse scaled by 1/N, so Parseval reads sum|x|^2 = sum|X|^2 / N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log2
 
 import numpy as np
-from scipy import signal
+
+# Smallest overlap-add FFT: below it a block is all per-FFT overhead.
+_OLA_MIN_FFT = 64
 
 
 class DspError(ValueError):
@@ -189,9 +191,45 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     return ComplexSignal(out, x.rate_hz)
 
 
+def _ola_fft_len(n_taps):
+    """Power-of-two overlap-add FFT length >= 2L-1 with the least FFT work
+    per output sample, nfft*log2(nfft)/(nfft-L+1); that cost falls and then
+    rises as nfft doubles."""
+    nfft = max(_OLA_MIN_FFT, 1 << (2 * n_taps - 2).bit_length())
+
+    def cost(n):
+        return n * log2(n) / (n - n_taps + 1)
+
+    while cost(2 * nfft) < cost(nfft):
+        nfft *= 2
+    return nfft
+
+
 def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
-    """Full linear convolution (overlap-add); output length len(x) + L - 1."""
-    if len(x) == 0:
+    """Full linear convolution (overlap-add); output length len(x) + L - 1.
+
+    The input is cut into blocks of nfft-L+1 samples, zero-padded to nfft,
+    and every block goes through one batched FFT, the tap spectrum and one
+    batched inverse FFT; the L-1 sample tails then add onto the heads of
+    the next blocks.
+    """
+    n = len(x)
+    if n == 0:
         raise DspError("cannot convolve an empty signal")
-    y = signal.oaconvolve(x.samples, h.taps, mode="full")
-    return ComplexSignal(y, x.rate_hz)
+    n_taps = len(h)
+    n_out = n + n_taps - 1
+    nfft = _ola_fft_len(n_taps)
+    step = nfft - n_taps + 1
+    n_blocks = -(-n // step)
+    last = (n_blocks - 1) * step
+    blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
+    blocks[:-1, :step] = x.samples[:last].reshape(-1, step)
+    blocks[-1, :n - last] = x.samples[last:]
+    # in place: the block array is the largest buffer of the call
+    np.fft.fft(blocks, axis=1, out=blocks)
+    blocks *= np.fft.fft(h.taps, nfft)
+    np.fft.ifft(blocks, axis=1, out=blocks)
+    y = np.zeros((n_blocks + 1) * step, dtype=np.complex128)
+    y[:n_blocks * step].reshape(n_blocks, step)[:] = blocks[:, :step]
+    y[step:].reshape(n_blocks, step)[:, :n_taps - 1] += blocks[:, step:]
+    return ComplexSignal(y[:n_out], x.rate_hz)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.signal import welch as _scipy_welch
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (F0_HZ, ScenarioConfig, with_gap)
 from .dsp import ComplexSignal
@@ -27,6 +27,7 @@ from .waveform import build_composite, random_payload
 DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 2_000_000
 EVM_FLOOR_DB = -300.0
+WELCH_CHUNK_SEGMENTS = 64   # segments per FFT batch; bounds welch_psd memory
 
 
 class MetricsError(ValueError):
@@ -59,20 +60,28 @@ class BerCurve:
     points: tuple = field(default_factory=tuple)
 
 
-def welch_psd(x: ComplexSignal, segment_len=4096, overlap_fraction=0.5,
-              window_kind="hann") -> PsdCurve:
-    """Averaged-periodogram PSD, FFT-shifted to span (-fs/2, fs/2]."""
+def welch_psd(x: ComplexSignal, segment_len=4096,
+              overlap_fraction=0.5) -> PsdCurve:
+    """Averaged-periodogram PSD, FFT-shifted to span (-fs/2, fs/2].
+
+    Welch's method with a periodic Hann window, no detrending and density
+    scaling 1/(fs * sum(w^2)); segments start every
+    segment_len - overlap samples and a partial last segment is dropped.
+    """
     if len(x) < segment_len:
         raise MetricsError(
             f"signal ({len(x)} samples) shorter than one segment "
             f"({segment_len})")
-    noverlap = int(segment_len * overlap_fraction)
-    f, p = _scipy_welch(x.samples, fs=x.rate_hz, window=window_kind,
-                        nperseg=segment_len, noverlap=noverlap,
-                        detrend=False, return_onesided=False,
-                        scaling="density")
-    f = np.fft.fftshift(f)
-    p = np.fft.fftshift(p)
+    step = segment_len - int(segment_len * overlap_fraction)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
+                             / segment_len)
+    segs = sliding_window_view(x.samples, segment_len)[::step]
+    acc = np.zeros(segment_len)
+    for k in range(0, len(segs), WELCH_CHUNK_SEGMENTS):
+        spec = np.fft.fft(segs[k:k + WELCH_CHUNK_SEGMENTS] * win, axis=1)
+        acc += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+    p = np.fft.fftshift(acc / (len(segs) * x.rate_hz * np.sum(win ** 2)))
+    f = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / x.rate_hz))
     peak = p.max()
     with np.errstate(divide="ignore"):
         rel_db = 10.0 * np.log10(p / peak)

@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixnum
 from mixnum import config
-from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, _parse_grid,
-                        _parse_m_range, _sweep_workers, main)
-from mixnum.config import ConfigError
+from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_POINTS,
+                        _parse_grid, _parse_m_range, _sweep_workers, main)
+from mixnum.config import MAX_SYMBOLS, ConfigError
 
 
 class TestParsers:
@@ -190,6 +194,57 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make any burst build or calibration fail the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the input was checked")
+        for name in ("build_composite", "calibrate", "ebn0_at_target_ber"):
+            monkeypatch.setattr(f"mixnum.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("grid", [f"0:1:{MAX_GRID_POINTS}", "0:1e-9:1",
+                                      "0:1e-320:1"])
+    def test_long_grid_rejected_up_front(self, tmp_path, capsys, no_work,
+                                         grid):
+        out = tmp_path / "x.csv"
+        rc = main(["ber", "--scenario", "bypass", "--ebn0", grid,
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_grid_at_the_cap_is_accepted(self):
+        assert len(_parse_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == \
+            MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("argv", [
+        ["psd"], ["ber", "--ebn0", "0:1:2"], ["sweep", "--m", "0"]],
+        ids=["psd", "ber", "sweep"])
+    def test_too_many_symbols_rejected_up_front(self, tmp_path, capsys,
+                                                no_work, argv):
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--scenario", "table1",
+                          "--symbols", str(MAX_SYMBOLS + 1), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_scenario_file_with_too_many_symbols(self, tmp_path, no_work):
+        d = config.scenario_to_dict(config.single_band_scenario())
+        d["n_symbols"] = 10 ** 9
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d))
+        rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+
+    def test_symbol_cap_keeps_the_psd_workload(self):
+        # psd --symbols 512 is the benchmark's PSD job
+        assert MAX_SYMBOLS >= 512
+        config.table1_scenario(n_symbols=MAX_SYMBOLS)
+        with pytest.raises(ConfigError):
+            config.table1_scenario(n_symbols=MAX_SYMBOLS + 1)
+
     def test_bad_grid(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--ebn0", "4:1:0",
                    "--out", str(tmp_path / "x.csv")])
@@ -199,3 +254,18 @@ class TestErrorPaths:
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",
                    "--ebn0", "0:1:0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    """Every CLI call and sweep worker pays the import; scipy.signal drags
+    in stats, interpolate and optimize."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixnum.cli; "
+            "mixnum.cli.build_parser(); "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))))")
+    src = str(Path(mixnum.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout.split()
+    for heavy in ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                  "scipy.optimize"):
+        assert heavy not in out

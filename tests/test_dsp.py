@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
-                        blackman_transition, convolve_full,
+                        _ola_fft_len, blackman_transition, convolve_full,
                         design_interpolation_filter, design_subband_filter,
                         frequency_shift, upsample_zero_stuff,
                         wofdm_window)
@@ -251,12 +252,28 @@ class TestConvolveFull:
                                    atol=1e-12)
 
     def test_long_filter_uses_same_math(self):
-        # above the direct/FFT switchover the result must not change
+        # a filter longer than the signal fits in one overlap-add block
         x = rand_signal(5, 256)
         taps = design_subband_filter(4096, 720, 24.0, 1025)
         y = convolve_full(x, taps)
         ref = np.convolve(x.samples, taps.taps, mode="full")
         np.testing.assert_allclose(y.samples, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("n_taps", [1, 89, 177, 353, 1025, 1409])
+    @pytest.mark.parametrize("length", ["short", "one-block", "block+1",
+                                        "blocks"])
+    def test_matches_scipy_oaconvolve(self, n_taps, length):
+        step = _ola_fft_len(n_taps) - n_taps + 1
+        n = {"short": max(1, n_taps // 2), "one-block": step,
+             "block+1": step + 1, "blocks": 5 * step + 17}[length]
+        r = np.random.default_rng(n_taps).standard_normal(n_taps)
+        taps = FilterTaps(r + r[::-1], (n_taps - 1) // 2)
+        x = rand_signal(n, n)
+        ref = signal.oaconvolve(x.samples, taps.taps, mode="full")
+        y = convolve_full(x, taps).samples
+        assert y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
     def test_output_length(self):
         x = rand_signal(6, 100)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from mixnum import config
 from mixnum.dsp import ComplexSignal
@@ -56,6 +57,26 @@ class TestWelchPsd:
         both_lo = band_max(a + b, -220e3, -180e3)
         alone_lo = band_max(a, -220e3, -180e3)
         assert abs(both_lo - alone_lo) < 0.5
+
+    @pytest.mark.parametrize("n, segment_len, overlap", [
+        (4096, 4096, 0.5),           # exactly one segment
+        (3 * 4096 + 17, 4096, 0.5),  # partial last segment dropped
+        (2 ** 16, 4096, 0.5),
+        (10_000, 1024, 0.25),
+    ])
+    def test_matches_scipy_welch(self, n, segment_len, overlap):
+        rng = np.random.default_rng(n)
+        fs = 61.44e6
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f, p = signal.welch(x, fs=fs, window="hann", nperseg=segment_len,
+                            noverlap=int(segment_len * overlap),
+                            detrend=False, return_onesided=False,
+                            scaling="density")
+        curve = welch_psd(ComplexSignal(x, fs), segment_len, overlap)
+        np.testing.assert_allclose(curve.freq_hz, np.fft.fftshift(f),
+                                   rtol=1e-12)
+        linear = 10.0 ** ((curve.peak_db + curve.psd_db) / 10.0)
+        np.testing.assert_allclose(linear, np.fft.fftshift(p), rtol=1e-12)
 
     def test_short_signal_rejected(self):
         with pytest.raises(MetricsError):
