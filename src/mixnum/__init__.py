@@ -14,14 +14,14 @@ from .config import (ScenarioConfig, SubbandNumerology, composite_rate,
 from .dsp import ComplexSignal, FilterTaps
 from .link import ReceiverCalibration, awgn_from_rng, calibrate, \
     receive_subband
-from .metrics import (BerCurve, BerPoint, PsdCurve, ebn0_at_target_ber,
+from .metrics import (BerPoint, PsdCurve, ebn0_at_target_ber,
                       evm_db, monte_carlo_ber, semianalytic_ber, welch_psd)
 from .modem import constellation, qam_demodulate, qam_modulate
 from .waveform import build_burst, build_composite, compose
 
 __all__ = [
     "ScenarioConfig", "SubbandNumerology", "ComplexSignal", "FilterTaps",
-    "ReceiverCalibration", "BerCurve", "BerPoint", "PsdCurve",
+    "ReceiverCalibration", "BerPoint", "PsdCurve",
     "composite_rate", "center_frequencies", "subband_sample_rate",
     "upsampling_factor", "scenario_hash", "get_preset", "load_scenario",
     "save_scenario", "with_gap", "awgn_from_rng", "calibrate",

@@ -77,33 +77,17 @@ def _write_manifest(out_path, command, sc, seed, outputs):
 def _load_scenario_arg(name, waveform=None, mod_order=None, seed=None,
                        n_symbols=None) -> ScenarioConfig:
     if name in PRESETS:
-        kwargs = {}
-        if name != "bypass" and waveform is not None:
-            kwargs["waveform"] = waveform
-        if mod_order is not None:
-            kwargs["mod_order"] = mod_order
-        if seed is not None:
-            kwargs["seed"] = seed
-        if n_symbols is not None:
-            kwargs["n_symbols"] = n_symbols
-        sc = get_preset(name, **kwargs)
         if name == "bypass" and waveform not in (None, "cp-ofdm"):
             raise ConfigError("the bypass preset is CP-OFDM only")
-        return sc
-    path = Path(name)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    sc = load_scenario(path)
-    updates = {}
-    if waveform is not None:
-        updates["waveform"] = waveform
-    if mod_order is not None:
-        updates["mod_order"] = mod_order
-    if seed is not None:
-        updates["seed"] = seed
-    if n_symbols is not None:
-        updates["n_symbols"] = n_symbols
-    return replace(sc, **updates) if updates else sc
+        sc = get_preset(name)
+    else:
+        path = Path(name)
+        if not path.exists():
+            raise FileNotFoundError(f"scenario file not found: {path}")
+        sc = load_scenario(path)
+    updates = {"waveform": waveform, "mod_order": mod_order, "seed": seed,
+               "n_symbols": n_symbols}
+    return replace(sc, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _parse_grid(spec):
@@ -130,11 +114,15 @@ def _parse_grid(spec):
 
 def _parse_m_range(spec):
     """'a..b' or a single integer."""
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(spec)
+    try:
+        if ".." in spec:
+            a, b = spec.split("..", 1)
+            lo, hi = int(a), int(b)
+        else:
+            lo = hi = int(spec)
+    except ValueError:
+        raise ConfigError(
+            f"m range must be a..b or one integer, got {spec!r}") from None
     if not (0 <= lo <= hi <= 8):
         raise ConfigError(f"m range must lie within 0..8, got {spec!r}")
     return list(range(lo, hi + 1))
@@ -142,13 +130,13 @@ def _parse_m_range(spec):
 
 def cmd_psd(args):
     sc = _load_scenario_arg(args.scenario, args.waveform, args.mod, args.seed,
-                            n_symbols=max(args.symbols or 0, PSD_MIN_SYMBOLS))
+                            n_symbols=args.symbols)
+    sc = replace(sc, n_symbols=max(sc.n_symbols, PSD_MIN_SYMBOLS))
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed,
                                                        spawn_key=(0x5D,)))
     payloads = [random_payload(sc, i, rng)[1]
                 for i in range(len(sc.subbands))]
-    sig, _ = build_composite(sc, payloads)
-    curve = welch_psd(sig)
+    curve = welch_psd(build_composite(sc, payloads))
     rows = zip(curve.freq_hz.tolist(), curve.psd_db.tolist())
     _write_csv(args.out, ["freq_hz", "psd_db"], rows)
     manifest = _write_manifest(args.out, "psd", sc, sc.seed, [args.out])
@@ -237,7 +225,7 @@ def build_parser():
                     "(CP-OFDM / f-OFDM / w-OFDM)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, waveform_default=None):
+    def common(sp, symbols_help="OFDM symbols in the slowest band"):
         sp.add_argument("--scenario", required=True,
                         help="preset name (table1, single-band, bypass) or "
                              "JSON scenario path")
@@ -245,7 +233,7 @@ def build_parser():
                         default=None, help="modulation order")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--symbols", type=int, default=None,
-                        help="OFDM symbols in the slowest band")
+                        help=symbols_help)
         sp.add_argument("--threads", type=int, default=_default_threads(),
                         help="worker processes for sweep (capped at the CPU "
                              "and separation counts); psd and ber accept "
@@ -254,7 +242,8 @@ def build_parser():
 
     sp = sub.add_parser("psd", help="composite-signal PSD")
     sp.add_argument("--waveform", choices=["cp-ofdm", "f-ofdm", "w-ofdm"])
-    common(sp)
+    common(sp, "OFDM symbols in the slowest band; psd runs at least "
+               f"{PSD_MIN_SYMBOLS}, whether from this flag or the scenario")
     sp.set_defaults(func=cmd_psd)
 
     sp = sub.add_parser("ber", help="BER curves per sub-band")

@@ -19,8 +19,8 @@ from .config import (ScenarioConfig, center_frequencies, composite_rate,
                      scenario_hash, symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, convolve_full,
                   design_subband_filter, frequency_shift)
-from .waveform import (BurstMeta, build_burst, compose, payload_symbols,
-                       random_payload, used_subcarrier_bins)
+from .waveform import (build_burst, compose, random_payload,
+                       used_subcarrier_bins)
 
 CAL_MIN_SYMBOLS = 256
 
@@ -66,7 +66,7 @@ def receive_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
 
 
 def receive_subband(y: ComplexSignal, sc: ScenarioConfig, i: int,
-                    meta: BurstMeta, cal: ReceiverCalibration | None = None):
+                    cal: ReceiverCalibration | None = None):
     """Recover the equalized used-subcarrier points of band i.
 
     y must be at the composite rate with symbol 0 starting at sample 0 (the
@@ -113,20 +113,6 @@ def _calibration_scenario(sc: ScenarioConfig, i: int) -> ScenarioConfig:
     return replace(sc, n_symbols=n_needed)
 
 
-def _single_band_burst(sc, i, rng):
-    """Composite signal with only band i active (known random QPSK)."""
-    bursts = []
-    tx = None
-    for k, nm in enumerate(sc.subbands):
-        if k == i:
-            _, qam = random_payload(sc, k, rng, mod_order=4)
-            tx = qam.reshape(-1, nm.n_used)
-        else:
-            qam = np.zeros(payload_symbols(sc, k), dtype=np.complex128)
-        bursts.append(build_burst(qam, nm, sc.waveform))
-    return compose(bursts, sc), bursts[i][1], tx
-
-
 def calibrate(sc: ScenarioConfig, i: int,
               seed: int | None = None) -> ReceiverCalibration:
     """One-tap equalizer, symbol energy and noise gain for band i.
@@ -141,8 +127,12 @@ def calibrate(sc: ScenarioConfig, i: int,
     ss = np.random.SeedSequence(sc.seed if seed is None else seed,
                                 spawn_key=(0xCA1, i))
     rng_sym, rng_noise = [np.random.default_rng(s) for s in ss.spawn(2)]
-    sig, meta, tx = _single_band_burst(sc_cal, i, rng_sym)
-    rx = receive_subband(sig, sc_cal, i, meta)
+    nm = sc_cal.subbands[i]
+    _, qam = random_payload(sc_cal, i, rng_sym, mod_order=4)
+    sig = compose([build_burst(qam, nm, sc_cal.waveform) if k == i else None
+                   for k in range(len(sc_cal.subbands))], sc_cal)
+    tx = qam.reshape(-1, nm.n_used)
+    rx = receive_subband(sig, sc_cal, i)
     small = np.abs(rx).min(axis=0) < 1e-12
     if np.any(small):
         bad = int(np.argmax(small))
@@ -155,7 +145,7 @@ def calibrate(sc: ScenarioConfig, i: int,
     es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
     noise = awgn_from_rng(ComplexSignal(np.zeros(len(sig)), sig.rate_hz),
                           1.0, rng_noise)
-    out = receive_subband(noise, sc_cal, i, meta) * eq[None, :]
+    out = receive_subband(noise, sc_cal, i) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)
     return ReceiverCalibration(eq_coeffs=eq, es_per_subcarrier=es,
                                noise_gain_per_subcarrier=gain,

@@ -11,7 +11,7 @@ counts errors, serving as the oracle for the semi-analytic result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -50,14 +50,6 @@ class BerPoint:
     n_bits: int
     n_errors: int = 0
     note: str = ""
-
-
-@dataclass(frozen=True)
-class BerCurve:
-    band: int
-    waveform: str
-    mod_order: int
-    points: tuple = field(default_factory=tuple)
 
 
 def welch_psd(x: ComplexSignal, segment_len=4096,
@@ -119,8 +111,7 @@ def _random_burst(sc: ScenarioConfig, rng_list):
     """Composite burst with random payloads on every band."""
     bits, payloads = zip(*(random_payload(sc, i, rng)
                            for i, rng in enumerate(rng_list)))
-    sig, metas = build_composite(sc, payloads)
-    return sig, metas, payloads, bits
+    return build_composite(sc, payloads), payloads, bits
 
 
 def _sigma_per_dim(sc, cal, ebn0_db, n_symbols):
@@ -155,8 +146,8 @@ def semianalytic_run(sc: ScenarioConfig, i: int,
         cal = calibrate(sc, i)
     rngs, _ = _trial_rngs(sc.seed if seed is None else seed, 0,
                           len(sc.subbands))
-    sig, metas, payloads, _ = _random_burst(sc, rngs)
-    rx = receive_subband(sig, sc, i, metas[i], cal)
+    sig, payloads, _ = _random_burst(sc, rngs)
+    rx = receive_subband(sig, sc, i, cal)
     return SemiAnalyticRun(sc=sc, band=i, cal=cal,
                            rx_points=rx.reshape(-1),
                            tx_points=payloads[i],
@@ -190,9 +181,9 @@ def monte_carlo_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
     trial = 0
     while n_err < min_errors and n_bits < max_bits:
         rngs, rng_noise = _trial_rngs(seed, trial, len(sc.subbands))
-        sig, metas, _, bits = _random_burst(sc, rngs)
+        sig, _, bits = _random_burst(sc, rngs)
         noisy = awgn_from_rng(sig, var_inj, rng_noise)
-        rx = receive_subband(noisy, sc, i, metas[i], cal)
+        rx = receive_subband(noisy, sc, i, cal)
         rx_bits = qam_demodulate(rx.reshape(-1), sc.mod_order)
         n_err += int(np.sum(rx_bits != bits[i]))
         n_bits += len(bits[i])

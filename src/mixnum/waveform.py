@@ -4,8 +4,6 @@ multirate combiner that produces the composite baseband signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
@@ -23,32 +21,6 @@ class WaveformError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SubcarrierGrid:
-    """Frequency-domain payload: one row per OFDM symbol, natural FFT bin
-    order, zeros outside used_mask."""
-
-    symbols: np.ndarray
-    used_mask: np.ndarray
-
-    @property
-    def n_symbols(self):
-        return self.symbols.shape[0]
-
-    @property
-    def n_fft(self):
-        return self.symbols.shape[1]
-
-
-@dataclass(frozen=True)
-class BurstMeta:
-    waveform: str
-    samples_per_symbol_stride: int
-    leading_delay: int
-    total_len: int
-    n_symbols: int
-
-
 def used_subcarrier_bins(n_fft, n_used):
     """FFT bin indices of the used subcarriers: contiguous block centered on
     DC (shifted indices -n_used/2 .. n_used/2-1, DC included)."""
@@ -56,7 +28,9 @@ def used_subcarrier_bins(n_fft, n_used):
     return d % n_fft
 
 
-def map_to_subcarriers(qam, nm: SubbandNumerology) -> SubcarrierGrid:
+def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
+    """Frequency-domain payload as an (n_sym, n_fft) array: one row per OFDM
+    symbol, natural FFT bin order, zeros outside the used bins."""
     qam = np.asarray(qam, dtype=np.complex128)
     if len(qam) % nm.n_used != 0:
         raise WaveformError(
@@ -65,36 +39,25 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> SubcarrierGrid:
     mask = used_subcarrier_bins(nm.n_fft, nm.n_used)
     grid = np.zeros((n_sym, nm.n_fft), dtype=np.complex128)
     grid[:, mask] = qam.reshape(n_sym, nm.n_used)
-    return SubcarrierGrid(grid, mask)
+    return grid
 
 
-def _ifft_symbols(grid):
-    return np.fft.ifft(grid.symbols, axis=1)
-
-
-def build_cp_ofdm(grid: SubcarrierGrid, nm: SubbandNumerology):
+def build_cp_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended."""
-    t = _ifft_symbols(grid)
+    t = np.fft.ifft(grid, axis=1)
     with_cp = np.concatenate([t[:, -nm.n_cp:] if nm.n_cp else t[:, :0], t],
                              axis=1)
-    burst = with_cp.reshape(-1)
-    stride = nm.n_fft + nm.n_cp
-    meta = BurstMeta("cp-ofdm", stride, 0, len(burst), grid.n_symbols)
-    return ComplexSignal(burst, subband_sample_rate(nm)), meta
+    return ComplexSignal(with_cp.reshape(-1), subband_sample_rate(nm))
 
 
-def build_f_ofdm(grid: SubcarrierGrid, nm: SubbandNumerology):
+def build_f_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """CP-OFDM convolved with the band's windowed-sinc lowpass."""
-    cp_sig, cp_meta = build_cp_ofdm(grid, nm)
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    sig = convolve_full(cp_sig, taps)
-    meta = BurstMeta("f-ofdm", cp_meta.samples_per_symbol_stride,
-                     taps.group_delay, len(sig), grid.n_symbols)
-    return sig, meta
+    return convolve_full(build_cp_ofdm(grid, nm), taps)
 
 
-def build_w_ofdm(grid: SubcarrierGrid, nm: SubbandNumerology):
+def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """Windowed OFDM with prefix/suffix extension and overlap-add.
 
     The CP budget is split into a prefix of n_prefix samples and an
@@ -105,18 +68,17 @@ def build_w_ofdm(grid: SubcarrierGrid, nm: SubbandNumerology):
     if not (0 < nm.n_prefix < nm.n_cp):
         raise WaveformError("w-ofdm needs 0 < n_prefix < n_cp")
     n_cp_star = nm.n_cp - nm.n_prefix
-    t = _ifft_symbols(grid)
+    t = np.fft.ifft(grid, axis=1)
     ext = np.concatenate(
         [t[:, -(n_cp_star + nm.n_prefix):], t, t[:, :nm.n_prefix + 1]], axis=1)
     win = wofdm_window(nm.n_fft, n_cp_star, nm.n_prefix, nm.n_transition)
     ext = ext * win[None, :]
     stride = nm.n_fft + nm.n_cp
-    total = grid.n_symbols * stride + nm.n_prefix + 1
-    burst = np.zeros(total, dtype=np.complex128)
-    for k in range(grid.n_symbols):
+    burst = np.zeros(len(grid) * stride + nm.n_prefix + 1,
+                     dtype=np.complex128)
+    for k in range(len(grid)):
         burst[k * stride:k * stride + ext.shape[1]] += ext[k]
-    meta = BurstMeta("w-ofdm", stride, 0, total, grid.n_symbols)
-    return ComplexSignal(burst, subband_sample_rate(nm)), meta
+    return ComplexSignal(burst, subband_sample_rate(nm))
 
 
 _BUILDERS = {
@@ -126,7 +88,7 @@ _BUILDERS = {
 }
 
 
-def build_burst(qam, nm: SubbandNumerology, waveform: str):
+def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
     grid = map_to_subcarriers(qam, nm)
     try:
         builder = _BUILDERS[waveform]
@@ -141,14 +103,26 @@ def interpolation_filter_len(u, n_cp):
     return min(8 * u * max(n_cp, 8) + 1, MAX_INTERP_TAPS)
 
 
+def _burst_layout(sc: ScenarioConfig, i: int):
+    """Leading delay and length in samples of band i's burst, from the
+    numerology and the scenario's waveform."""
+    nm = sc.subbands[i]
+    n = symbols_per_band(sc, i) * (nm.n_fft + nm.n_cp)
+    if sc.waveform == "f-ofdm":
+        return (nm.filter_len - 1) // 2, n + nm.filter_len - 1
+    if sc.waveform == "w-ofdm":
+        return 0, n + nm.n_prefix + 1
+    return 0, n
+
+
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     """Zero-stuff, interpolate, shift and sum the per-band bursts.
 
-    Group delays (band filter and interpolation filter) are compensated by
+    bursts holds one signal per sub-band, or None for a silent band, which
+    adds nothing but still sets its share of the composite length. Group
+    delays (band filter and interpolation filter) are compensated by
     discarding leading samples, so symbol 0 of every band starts at
-    composite sample 0. An all-zero burst (calibration silences every band
-    but one) adds nothing: it sets only its share of the composite length
-    and is never interpolated or shifted.
+    composite sample 0.
     """
     if len(bursts) != len(sc.subbands):
         raise WaveformError("one burst per sub-band required")
@@ -156,14 +130,19 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     freqs = center_frequencies(sc)
     aligned = []
     total = 0
-    for i, (sig, meta) in enumerate(bursts):
+    for i, sig in enumerate(bursts):
         nm = sc.subbands[i]
         u = upsampling_factor(sc, i)
         n_taps = interpolation_filter_len(u, nm.n_cp)
-        skip = (n_taps - 1) // 2 + u * meta.leading_delay
-        total = max(total, u * len(sig) + n_taps - 1 - skip)
-        if not np.any(sig.samples):
+        delay, length = _burst_layout(sc, i)
+        skip = (n_taps - 1) // 2 + u * delay
+        total = max(total, u * length + n_taps - 1 - skip)
+        if sig is None:
             continue
+        if len(sig) != length:
+            raise WaveformError(
+                f"band {i}: burst has {len(sig)} samples, a {sc.waveform} "
+                f"burst of this scenario has {length}")
         up = upsample_zero_stuff(sig, u)
         if u > 1:
             up = convolve_full(up, design_interpolation_filter(
@@ -177,15 +156,10 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     return ComplexSignal(out, fs)
 
 
-def build_composite(sc: ScenarioConfig, payloads):
-    """Build all per-band bursts from QAM payloads and combine them.
-
-    Returns (composite ComplexSignal, list of BurstMeta).
-    """
-    bursts = [build_burst(payloads[i], nm, sc.waveform)
-              for i, nm in enumerate(sc.subbands)]
-    sig = compose(bursts, sc)
-    return sig, [m for _, m in bursts]
+def build_composite(sc: ScenarioConfig, payloads) -> ComplexSignal:
+    """Build every band's burst from its QAM payload and combine them."""
+    return compose([build_burst(payloads[i], nm, sc.waveform)
+                    for i, nm in enumerate(sc.subbands)], sc)
 
 
 def payload_symbols(sc: ScenarioConfig, i: int) -> int:

@@ -86,8 +86,8 @@ class TestCriterion3PerfectReconstruction:
         sc = config.bypass_scenario(n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
-        sig, metas = build_composite(sc, payloads)
-        rx = receive_subband(sig, sc, 0, metas[0], cal)
+        sig = build_composite(sc, payloads)
+        rx = receive_subband(sig, sc, 0, cal)
         evm = evm_db(rx.reshape(-1), payloads[0])
 
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=30e3, n_used=180,
@@ -95,9 +95,9 @@ class TestCriterion3PerfectReconstruction:
         rng = np.random.default_rng(1)
         qam = qam_modulate(rng.integers(0, 2, 2 * 4 * nm.n_used,
                                         dtype=np.uint8), 4)
-        w_sig, w_meta = build_burst(qam, nm, "w-ofdm")
-        cp_sig, _ = build_burst(qam, nm, "cp-ofdm")
-        stride = w_meta.samples_per_symbol_stride
+        w_sig = build_burst(qam, nm, "w-ofdm")
+        cp_sig = build_burst(qam, nm, "cp-ofdm")
+        stride = nm.n_fft + nm.n_cp
         dev = 0.0
         for k in range(4):
             lo = k * stride + nm.n_cp
@@ -168,7 +168,7 @@ class TestCriterion6PsdOrdering:
                 rng.integers(0, 2, k * payload_symbols(sc, i),
                              dtype=np.uint8), sc.mod_order)
                 for i in range(3)]
-            sig, _ = build_composite(sc, payloads)
+            sig = build_composite(sc, payloads)
             curve = welch_psd(sig)
             sel = np.abs(curve.freq_hz - probe) <= 50e3
             levels[wf] = float(np.mean(curve.psd_db[sel]))

@@ -52,6 +52,16 @@ class TestPsdCommand:
         assert manifest["scenario_hash"] == config.scenario_hash(sc)
         assert "wrote" in capsys.readouterr().out
 
+    def test_scenario_file_symbols_are_used(self, tmp_path):
+        sc = config.single_band_scenario(n_symbols=128, seed=2)
+        path = tmp_path / "scn.json"
+        config.save_scenario(sc, path)
+        out = tmp_path / "psd.csv"
+        assert main(["psd", "--scenario", str(path),
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "psd.csv.manifest.json").read_text())
+        assert manifest["scenario_hash"] == config.scenario_hash(sc)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -249,6 +259,14 @@ class TestErrorPaths:
         rc = main(["ber", "--scenario", "bypass", "--ebn0", "4:1:0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("m", ["x", "1..y", "1.5"])
+    def test_malformed_m_range(self, tmp_path, capsys, no_work, m):
+        rc = main(["sweep", "--scenario", "table1", "--m", m,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bypass_is_cp_ofdm_only(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",

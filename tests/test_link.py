@@ -92,15 +92,15 @@ class TestNoiseGainLinearity:
     def test_doubling_variance_doubles_output(self):
         sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=8, seed=2)
         cal = calibrate(sc, 0)
-        _, metas = build_composite(sc, seeded_payloads(sc, seed=1))
-        n = metas[0].total_len * 2 + 10000
+        nm = sc.subbands[0]
+        n = symbols_per_band(sc, 0) * (nm.n_fft + nm.n_cp) * 2 + 10000
         rng = np.random.default_rng(77)
         base = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         out = []
         for scale in (1.0, np.sqrt(2.0)):
             sig = ComplexSignal(scale * base / np.sqrt(2.0),
                                 composite_rate(sc))
-            pts = receive_subband(sig, sc, 0, metas[0], cal)
+            pts = receive_subband(sig, sc, 0, cal)
             out.append(np.mean(np.abs(pts) ** 2))
         assert out[1] / out[0] == pytest.approx(2.0, rel=0.03)
 
@@ -110,8 +110,8 @@ class TestReceiveSubband:
         sc = config.bypass_scenario(n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
-        sig, metas = build_composite(sc, payloads)
-        rx = receive_subband(sig, sc, 0, metas[0], cal)
+        sig = build_composite(sc, payloads)
+        rx = receive_subband(sig, sc, 0, cal)
         assert evm_db(rx.reshape(-1), payloads[0]) < -100
 
     def test_single_active_band_has_no_aci(self):
@@ -124,8 +124,8 @@ class TestReceiveSubband:
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
             payloads[k] = np.zeros_like(payloads[k])
-        sig, metas = build_composite(sc, payloads)
-        rx = receive_subband(sig, sc, 2, metas[2], cal)
+        sig = build_composite(sc, payloads)
+        rx = receive_subband(sig, sc, 2, cal)
         assert evm_db(rx.reshape(-1), payloads[2]) < -60
 
     def test_receive_filter_self_distortion_pinned(self):
@@ -136,48 +136,48 @@ class TestReceiveSubband:
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
             payloads[k] = np.zeros_like(payloads[k])
-        sig, metas = build_composite(sc, payloads)
-        rx = receive_subband(sig, sc, 2, metas[2], cal)
+        sig = build_composite(sc, payloads)
+        rx = receive_subband(sig, sc, 2, cal)
         assert evm_db(rx.reshape(-1), payloads[2]) == pytest.approx(-37.3,
                                                                     abs=0.5)
 
     def test_rate_mismatch_rejected(self):
         sc = config.bypass_scenario(n_symbols=2)
-        sig, metas = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc))
         wrong = ComplexSignal(sig.samples, sig.rate_hz / 2)
         with pytest.raises(LinkError):
-            receive_subband(wrong, sc, 0, metas[0])
+            receive_subband(wrong, sc, 0)
 
     def test_short_burst_rejected(self):
         sc = config.bypass_scenario(n_symbols=2)
-        sig, metas = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc))
         short = ComplexSignal(sig.samples[:100], sig.rate_hz)
         with pytest.raises(LinkError):
-            receive_subband(short, sc, 0, metas[0])
+            receive_subband(short, sc, 0)
 
     def test_calibration_hash_mismatch_rejected(self):
         sc = config.table1_scenario(n_symbols=4)
         other = config.table1_scenario(n_symbols=4, seed=1)
         cal = calibrate(other, 0)
-        sig, metas = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc))
         with pytest.raises(LinkError):
-            receive_subband(sig, sc, 0, metas[0], cal)
+            receive_subband(sig, sc, 0, cal)
 
     def test_calibration_band_mismatch_rejected(self):
         sc = config.table1_scenario(n_symbols=4)
         cal = calibrate(sc, 1)
-        sig, metas = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc))
         with pytest.raises(LinkError):
-            receive_subband(sig, sc, 0, metas[0], cal)
+            receive_subband(sig, sc, 0, cal)
 
     def test_timing_fault_destroys_constellation(self):
         sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=4, seed=8)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=8)
-        sig, metas = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads)
         off = ComplexSignal(np.concatenate([np.zeros(2 * 70), sig.samples]),
                             sig.rate_hz)
-        rx = receive_subband(off, sc, 0, metas[0], cal)
+        rx = receive_subband(off, sc, 0, cal)
         assert evm_db(rx.reshape(-1), payloads[0]) > -10
 
 

@@ -10,11 +10,10 @@ from mixnum.dsp import (ComplexSignal, convolve_full,
                         design_interpolation_filter, design_subband_filter,
                         frequency_shift, upsample_zero_stuff, wofdm_window)
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (SubcarrierGrid, WaveformError, build_burst,
-                             build_composite, build_cp_ofdm, build_f_ofdm,
-                             build_w_ofdm, compose, interpolation_filter_len,
-                             map_to_subcarriers, payload_symbols,
-                             used_subcarrier_bins)
+from mixnum.waveform import (WaveformError, _burst_layout, build_burst,
+                             build_composite, compose,
+                             interpolation_filter_len, map_to_subcarriers,
+                             payload_symbols, used_subcarrier_bins)
 
 
 def small_band(**kw):
@@ -39,14 +38,16 @@ class TestSubcarrierMapping:
         nm = small_band()
         qam = payload(nm, 3)
         grid = map_to_subcarriers(qam, nm)
-        np.testing.assert_array_equal(
-            grid.symbols[:, grid.used_mask].reshape(-1), qam)
+        used = used_subcarrier_bins(nm.n_fft, nm.n_used)
+        np.testing.assert_array_equal(grid[:, used].reshape(-1), qam)
 
     def test_unused_bins_are_zero(self):
         nm = small_band()
         grid = map_to_subcarriers(payload(nm, 2), nm)
-        unused = np.setdiff1d(np.arange(nm.n_fft), grid.used_mask)
-        assert np.all(grid.symbols[:, unused] == 0)
+        assert grid.shape == (2, nm.n_fft)
+        unused = np.setdiff1d(np.arange(nm.n_fft),
+                              used_subcarrier_bins(nm.n_fft, nm.n_used))
+        assert np.all(grid[:, unused] == 0)
 
     def test_indivisible_payload_rejected(self):
         nm = small_band()
@@ -57,14 +58,16 @@ class TestSubcarrierMapping:
 class TestCpOfdm:
     def test_length_formula(self):
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180)
-        sig, meta = build_burst(payload(nm, 3), nm, "cp-ofdm")
+        sig = build_burst(payload(nm, 3), nm, "cp-ofdm")
         assert len(sig) == 3 * (1024 + 64) == 3264
-        assert meta.total_len == 3264 and meta.leading_delay == 0
+        sc = ScenarioConfig(subbands=(nm,), n_symbols=3)
+        assert _burst_layout(sc, 0) == (0, 3264)
 
     def test_cyclic_prefix_is_cyclic(self):
         nm = small_band()
-        sig, meta = build_burst(payload(nm, 4), nm, "cp-ofdm")
-        stride = meta.samples_per_symbol_stride
+        sig = build_burst(payload(nm, 4), nm, "cp-ofdm")
+        stride = nm.n_fft + nm.n_cp
+        assert len(sig) == 4 * stride
         for k in range(4):
             sym = sig.samples[k * stride:(k + 1) * stride]
             np.testing.assert_allclose(sym[:nm.n_cp], sym[-nm.n_cp:],
@@ -73,8 +76,8 @@ class TestCpOfdm:
     def test_fft_recovers_grid(self):
         nm = small_band()
         qam = payload(nm, 2)
-        sig, meta = build_burst(qam, nm, "cp-ofdm")
-        stride = meta.samples_per_symbol_stride
+        sig = build_burst(qam, nm, "cp-ofdm")
+        stride = nm.n_fft + nm.n_cp
         rec = []
         for k in range(2):
             win = sig.samples[k * stride + nm.n_cp:(k + 1) * stride]
@@ -86,22 +89,23 @@ class TestCpOfdm:
     @given(n_sym=st.integers(1, 6), n_cp=st.integers(0, 16))
     def test_length_property(self, n_sym, n_cp):
         nm = small_band(n_cp=n_cp)
-        sig, _ = build_burst(payload(nm, n_sym), nm, "cp-ofdm")
+        sig = build_burst(payload(nm, n_sym), nm, "cp-ofdm")
         assert len(sig) == n_sym * (nm.n_fft + n_cp)
 
 
 class TestFOfdm:
     def test_length_and_delay(self):
         nm = small_band()
-        sig, meta = build_burst(payload(nm, 3), nm, "f-ofdm")
+        sig = build_burst(payload(nm, 3), nm, "f-ofdm")
         assert len(sig) == 3 * (64 + 8) + 33 - 1
-        assert meta.leading_delay == 16
+        sc = ScenarioConfig(subbands=(nm,), waveform="f-ofdm", n_symbols=3)
+        assert _burst_layout(sc, 0) == (16, len(sig))
 
     def test_is_filtered_cp_ofdm(self):
         nm = small_band()
         qam = payload(nm, 2)
-        cp_sig, _ = build_burst(qam, nm, "cp-ofdm")
-        f_sig, _ = build_burst(qam, nm, "f-ofdm")
+        cp_sig = build_burst(qam, nm, "cp-ofdm")
+        f_sig = build_burst(qam, nm, "f-ofdm")
         taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                      nm.filter_len)
         np.testing.assert_allclose(
@@ -110,8 +114,8 @@ class TestFOfdm:
     def test_oob_energy_reduced(self):
         nm = small_band(n_used=12, filter_len=63, transition_hz=30e3)
         qam = payload(nm, 16)
-        cp_sig, _ = build_burst(qam, nm, "cp-ofdm")
-        f_sig, _ = build_burst(qam, nm, "f-ofdm")
+        cp_sig = build_burst(qam, nm, "cp-ofdm")
+        f_sig = build_burst(qam, nm, "f-ofdm")
 
         def oob_power(x):
             spec = np.abs(np.fft.fft(x, 4096)) ** 2
@@ -124,24 +128,27 @@ class TestFOfdm:
     @given(n_sym=st.integers(1, 5), half=st.integers(4, 40))
     def test_length_property(self, n_sym, half):
         nm = small_band(filter_len=2 * half + 1)
-        sig, meta = build_burst(payload(nm, n_sym), nm, "f-ofdm")
+        sig = build_burst(payload(nm, n_sym), nm, "f-ofdm")
         assert len(sig) == n_sym * (64 + 8) + 2 * half
-        assert meta.leading_delay == half
+        sc = ScenarioConfig(subbands=(nm,), waveform="f-ofdm",
+                            n_symbols=n_sym)
+        assert _burst_layout(sc, 0) == (half, len(sig))
 
 
 class TestWOfdm:
     def test_length_formula(self):
         nm = small_band(n_prefix=4, n_transition=4)
-        sig, meta = build_burst(payload(nm, 3), nm, "w-ofdm")
+        sig = build_burst(payload(nm, 3), nm, "w-ofdm")
         assert len(sig) == 3 * (64 + 8) + 4 + 1
-        assert meta.leading_delay == 0
+        sc = ScenarioConfig(subbands=(nm,), waveform="w-ofdm", n_symbols=3)
+        assert _burst_layout(sc, 0) == (0, len(sig))
 
     def test_toy_hand_construction(self):
         # N=16, Ng=4, prefix 2, transition 2, one symbol, built by hand
         nm = SubbandNumerology(n_fft=16, n_cp=4, scs_hz=15e3, n_used=12,
                                n_prefix=2, n_transition=2)
         qam = payload(nm, 1, seed=5)
-        sig, _ = build_burst(qam, nm, "w-ofdm")
+        sig = build_burst(qam, nm, "w-ofdm")
         grid = np.zeros(16, dtype=np.complex128)
         grid[used_subcarrier_bins(16, 12)] = qam
         t = np.fft.ifft(grid)
@@ -155,9 +162,9 @@ class TestWOfdm:
     def test_zero_transition_matches_cp_ofdm_windows(self):
         nm = small_band(n_prefix=4, n_transition=0)
         qam = payload(nm, 4)
-        w_sig, w_meta = build_burst(qam, nm, "w-ofdm")
-        cp_sig, _ = build_burst(qam, nm, "cp-ofdm")
-        stride = w_meta.samples_per_symbol_stride
+        w_sig = build_burst(qam, nm, "w-ofdm")
+        cp_sig = build_burst(qam, nm, "cp-ofdm")
+        stride = nm.n_fft + nm.n_cp
         for k in range(4):
             lo = k * stride + nm.n_cp
             np.testing.assert_allclose(w_sig.samples[lo:lo + nm.n_fft],
@@ -167,8 +174,8 @@ class TestWOfdm:
     def test_overlap_add_stride(self):
         # consecutive symbols overlap by n_prefix + 1 samples
         nm = small_band(n_prefix=4, n_transition=2)
-        sig2, _ = build_burst(payload(nm, 2), nm, "w-ofdm")
-        sig1, _ = build_burst(payload(nm, 2)[:nm.n_used], nm, "w-ofdm")
+        sig2 = build_burst(payload(nm, 2), nm, "w-ofdm")
+        sig1 = build_burst(payload(nm, 2)[:nm.n_used], nm, "w-ofdm")
         stride = nm.n_fft + nm.n_cp
         # first burst's contribution is intact before the overlap region
         np.testing.assert_allclose(sig2.samples[:stride],
@@ -184,8 +191,11 @@ class TestWOfdm:
     def test_length_property(self, n_sym, n_prefix):
         nm = small_band(n_prefix=n_prefix,
                         n_transition=2 * (n_prefix // 2))
-        sig, _ = build_burst(payload(nm, n_sym), nm, "w-ofdm")
+        sig = build_burst(payload(nm, n_sym), nm, "w-ofdm")
         assert len(sig) == n_sym * (64 + 8) + n_prefix + 1
+        sc = ScenarioConfig(subbands=(nm,), waveform="w-ofdm",
+                            n_symbols=n_sym)
+        assert _burst_layout(sc, 0) == (0, len(sig))
 
 
 class TestBuildBurst:
@@ -201,7 +211,7 @@ class TestCompose:
         sc = ScenarioConfig(subbands=(nm,), f1_hz=0.0, n_symbols=2)
         burst = build_burst(payload(nm, 2), nm, "cp-ofdm")
         out = compose([burst], sc)
-        np.testing.assert_allclose(out.samples, burst[0].samples, atol=1e-15)
+        np.testing.assert_allclose(out.samples, burst.samples, atol=1e-15)
 
     def test_band_count_mismatch(self):
         nm = small_band()
@@ -214,8 +224,10 @@ class TestCompose:
         # symbol 0 of a filtered band must still start at composite sample 0
         nm = small_band(filter_len=33)
         sc = ScenarioConfig(subbands=(nm,), f1_hz=0.0, n_symbols=4)
+        sc_f = ScenarioConfig(subbands=(nm,), waveform="f-ofdm", f1_hz=0.0,
+                              n_symbols=4)
         qam = payload(nm, 4)
-        f_out = compose([build_burst(qam, nm, "f-ofdm")], sc)
+        f_out = compose([build_burst(qam, nm, "f-ofdm")], sc_f)
         cp_out = compose([build_burst(qam, nm, "cp-ofdm")], sc)
         n = 4 * (nm.n_fft + nm.n_cp)
         err = np.sum(np.abs(f_out.samples[:n] - cp_out.samples[:n]) ** 2)
@@ -232,10 +244,7 @@ class TestCompose:
         both = compose(sigs, sc)
         p_sum = 0.0
         for i in range(3):
-            solo = [
-                (type(sigs[k][0])(np.zeros_like(sigs[k][0].samples),
-                                  sigs[k][0].rate_hz), sigs[k][1])
-                if k != i else sigs[k] for k in range(3)]
+            solo = [sigs[k] if k == i else None for k in range(3)]
             p_sum += np.sum(np.abs(compose(solo, sc).samples) ** 2)
         p_both = np.sum(np.abs(both.samples) ** 2)
         assert 10 * abs(np.log10(p_both / p_sum)) < 0.1
@@ -245,8 +254,10 @@ class TestCompose:
         """Reference: interpolate and shift every band, silent or not."""
         fs = composite_rate(sc)
         parts = []
-        for i, (sig, meta) in enumerate(bursts):
+        for i, sig in enumerate(bursts):
             nm = sc.subbands[i]
+            delay = ((nm.filter_len - 1) // 2 if sc.waveform == "f-ofdm"
+                     else 0)
             u = upsampling_factor(sc, i)
             taps = design_interpolation_filter(
                 u, nm.n_used + nm.n_guard, u * nm.n_fft,
@@ -254,7 +265,7 @@ class TestCompose:
             up = upsample_zero_stuff(sig, u)
             if u > 1:
                 up = convolve_full(up, taps)
-            skip = taps.group_delay + u * meta.leading_delay
+            skip = taps.group_delay + u * delay
             parts.append(frequency_shift(ComplexSignal(up.samples[skip:], fs),
                                          center_frequencies(sc)[i]).samples)
         out = np.zeros(max(len(p) for p in parts), dtype=np.complex128)
@@ -264,24 +275,33 @@ class TestCompose:
 
     @pytest.mark.parametrize("silent", [None, 0, 1, 2])
     def test_silent_band_skips_work_not_length(self, silent):
-        # table1 has u = 2, 1, 4, so each silent index takes another branch
+        # table1 has u = 2, 1, 4, so each silent index takes another branch;
+        # None in the silent slot must equal an all-zero burst there
         sc = config.table1_scenario(waveform="f-ofdm", n_symbols=2)
-        bursts = []
+        bursts, zeroed = [], []
         for i, nm in enumerate(sc.subbands):
             pl = payload(nm, config.symbols_per_band(sc, i), seed=i)
-            bursts.append(build_burst(pl * (i != silent), nm, "f-ofdm"))
+            zeroed.append(build_burst(pl * (i != silent), nm, "f-ofdm"))
+            bursts.append(None if i == silent else zeroed[-1])
         out = compose(bursts, sc)
-        ref = self._compose_every_band(bursts, sc)
+        ref = self._compose_every_band(zeroed, sc)
         assert len(out) == len(ref)
-        np.testing.assert_allclose(out.samples, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out.samples, ref)
+
+    @pytest.mark.parametrize("waveform,n_sym", [("f-ofdm", 2), ("cp-ofdm", 1)],
+                             ids=["f-ofdm-in-cp-ofdm", "one-symbol-short"])
+    def test_wrong_burst_length_rejected(self, waveform, n_sym):
+        nm = small_band()
+        sc = ScenarioConfig(subbands=(nm,), n_symbols=2)
+        with pytest.raises(WaveformError):
+            compose([build_burst(payload(nm, n_sym), nm, waveform)], sc)
 
     def test_composite_rate(self):
         sc = config.table1_scenario(n_symbols=1)
         payloads = [payload(nm, config.symbols_per_band(sc, i), seed=i)
                     for i, nm in enumerate(sc.subbands)]
-        sig, metas = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads)
         assert sig.rate_hz == composite_rate(sc) == 61.44e6
-        assert len(metas) == 3
 
 
 class TestPayloadSymbols:
