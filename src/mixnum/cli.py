@@ -24,6 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (ConfigError, PRESETS, ScenarioConfig, get_preset,
@@ -56,13 +57,20 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(out_path, command, sc, seed, outputs):
+def _write_manifest(out_path, command, sc, seed, outputs, parameters):
+    """Manifest JSON beside the output: the scenario hash, the seed and the
+    run parameters as resolved (after presets, overrides and floors), so
+    the run can be repeated from it; no times, so reruns stay
+    byte-identical."""
     out_path = Path(out_path)
     manifest = {
         "command": command,
         "scenario_hash": scenario_hash(sc),
         "seed": int(seed),
+        "parameters": {"mod_order": sc.mod_order, "n_symbols": sc.n_symbols,
+                       **parameters},
         "tool_version": __version__,
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "outputs": [str(p) for p in outputs],
     }
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
@@ -139,7 +147,8 @@ def cmd_psd(args):
     curve = welch_psd(build_composite(sc, payloads))
     rows = zip(curve.freq_hz.tolist(), curve.psd_db.tolist())
     _write_csv(args.out, ["freq_hz", "psd_db"], rows)
-    manifest = _write_manifest(args.out, "psd", sc, sc.seed, [args.out])
+    manifest = _write_manifest(args.out, "psd", sc, sc.seed, [args.out],
+                               {"waveform": sc.waveform})
     print(f"wrote {args.out} ({len(curve.freq_hz)} bins, "
           f"resolution {curve.resolution_hz:.0f} Hz) and {manifest}")
     return EXIT_OK
@@ -165,7 +174,9 @@ def cmd_ber(args):
                              pt.n_errors))
     _write_csv(args.out, ["band", "ebn0_db", "ber", "method", "n_bits",
                           "n_errors"], rows)
-    manifest = _write_manifest(args.out, "ber", sc, sc.seed, [args.out])
+    manifest = _write_manifest(args.out, "ber", sc, sc.seed, [args.out],
+                               {"waveform": sc.waveform, "method": method,
+                                "ebn0_db": grid})
     print(f"wrote {args.out} ({len(rows)} points) and {manifest}")
     return EXIT_OK
 
@@ -202,7 +213,10 @@ def cmd_sweep(args):
                     m_values, map=pool_map)]
     _write_csv(args.out, ["m", "waveform", "mod_order", "band", "ebn0_db"],
                rows)
-    manifest = _write_manifest(args.out, "sweep", base, base.seed, [args.out])
+    manifest = _write_manifest(
+        args.out, "sweep", base, base.seed, [args.out],
+        {"waveforms": waveforms, "band": band + 1, "m": m_values,
+         "target_ber": args.target_ber})
     n_flagged = sum(1 for r in rows if np.isnan(r[4]))
     msg = f"wrote {args.out} ({len(rows)} points) and {manifest}"
     if n_flagged:

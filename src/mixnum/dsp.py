@@ -168,13 +168,15 @@ def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
 def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     """Multiply by exp(+j 2 pi f n / fs); magnitudes unchanged.
 
-    The one mixer of the chain: compose() shifts each band up with it and
-    receive_subband() shifts back down with -f. The phasor is the outer
-    product of about sqrt(n) block-start phasors and about sqrt(n) in-block
-    phasors, so it costs two short exp tables and one complex multiply per
-    sample instead of an exp per sample, for any f_hz.
+    The one mixer of the chain: compose() shifts each band up with it, and
+    mix_filter_decimate() shifts the receiver's band-rate output back down
+    with it after moving the composite-rate down-shift onto its filter
+    taps. The phasor is the outer product of about sqrt(n) block-start
+    phasors and about sqrt(n) in-block phasors, so it costs two short exp
+    tables and one complex multiply per sample instead of an exp per
+    sample, for any |f_hz| up to fs/2.
     """
-    if abs(f_hz) >= x.rate_hz / 2:
+    if abs(f_hz) > x.rate_hz / 2:
         raise DspError(f"shift {f_hz} Hz beyond Nyquist for rate {x.rate_hz}")
     if f_hz == 0.0:
         return x
@@ -191,45 +193,85 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     return ComplexSignal(out, x.rate_hz)
 
 
-def _ola_fft_len(n_taps):
-    """Power-of-two overlap-add FFT length >= 2L-1 with the least FFT work
-    per output sample, nfft*log2(nfft)/(nfft-L+1); that cost falls and then
-    rises as nfft doubles."""
-    nfft = max(_OLA_MIN_FFT, 1 << (2 * n_taps - 2).bit_length())
+def _ola_fft_len(n_taps, u=1):
+    """Power-of-two overlap-add FFT length >= 2L-1 (and >= 2u) with the
+    least FFT work per input sample: a forward FFT of nfft and an inverse
+    FFT of nfft/u per block of about nfft-L+1 samples. That cost falls and
+    then rises as nfft doubles."""
+    nfft = max(_OLA_MIN_FFT, 2 * u, 1 << (2 * n_taps - 2).bit_length())
 
     def cost(n):
-        return n * log2(n) / (n - n_taps + 1)
+        return (n * log2(n) + n / u * log2(n / u)) / ((n - n_taps + 1) // u)
 
     while cost(2 * nfft) < cost(nfft):
         nfft *= 2
     return nfft
 
 
-def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
-    """Full linear convolution (overlap-add); output length len(x) + L - 1.
+def _overlap_add(x, taps, u=1, start=0):
+    """Every u-th sample of the full linear convolution of the arrays x and
+    taps, from index start on: (x * taps)[start::u].
 
-    The input is cut into blocks of nfft-L+1 samples, zero-padded to nfft,
-    and every block goes through one batched FFT, the tap spectrum and one
-    batched inverse FFT; the L-1 sample tails then add onto the heads of
-    the next blocks.
+    The input is cut into blocks of nfft-L+1 samples (rounded down to a
+    multiple of u), zero-padded to nfft, and every block goes through one
+    batched FFT and the tap spectrum. For u > 1 each block spectrum is then
+    folded u times onto nfft/u bins, which keeps every u-th sample of the
+    block's output, so the inverse FFT and the overlap-add of the tails run
+    at the output rate. The taps are rotated by start mod u samples so that
+    the kept samples fall on the fold's grid.
     """
     n = len(x)
     if n == 0:
         raise DspError("cannot convolve an empty signal")
-    n_taps = len(h)
-    n_out = n + n_taps - 1
-    nfft = _ola_fft_len(n_taps)
-    step = nfft - n_taps + 1
+    n_taps = len(taps)
+    nfft = _ola_fft_len(n_taps, u)
+    step = (nfft - n_taps + 1) // u * u
     n_blocks = -(-n // step)
     last = (n_blocks - 1) * step
     blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
-    blocks[:-1, :step] = x.samples[:last].reshape(-1, step)
-    blocks[-1, :n - last] = x.samples[last:]
+    blocks[:-1, :step] = x[:last].reshape(-1, step)
+    blocks[-1, :n - last] = x[last:]
     # in place: the block array is the largest buffer of the call
     np.fft.fft(blocks, axis=1, out=blocks)
-    blocks *= np.fft.fft(h.taps, nfft)
+    padded = np.zeros(nfft, dtype=np.result_type(taps, np.float64))
+    padded[:n_taps] = taps
+    blocks *= np.fft.fft(np.roll(padded, -(start % u))) / u
+    if u > 1:
+        blocks = blocks.reshape(n_blocks, u, nfft // u).sum(axis=1)
     np.fft.ifft(blocks, axis=1, out=blocks)
-    y = np.zeros((n_blocks + 1) * step, dtype=np.complex128)
-    y[:n_blocks * step].reshape(n_blocks, step)[:] = blocks[:, :step]
-    y[step:].reshape(n_blocks, step)[:, :n_taps - 1] += blocks[:, step:]
-    return ComplexSignal(y[:n_out], x.rate_hz)
+    width, hop = nfft // u, step // u
+    y = np.zeros((n_blocks + 1) * hop, dtype=np.complex128)
+    y[:n_blocks * hop].reshape(n_blocks, hop)[:] = blocks[:, :hop]
+    y[hop:].reshape(n_blocks, hop)[:, :width - hop] += blocks[:, hop:]
+    first = start // u
+    return y[first:first + len(range(start, n + n_taps - 1, u))]
+
+
+def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
+    """Full linear convolution (overlap-add); output length len(x) + L - 1."""
+    return ComplexSignal(_overlap_add(x.samples, h.taps), x.rate_hz)
+
+
+def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
+                        u: int) -> ComplexSignal:
+    """Shift by f_hz, filter with h and keep every u-th sample from the
+    filter's group delay on: convolve_full(frequency_shift(x, f_hz),
+    h)[h.group_delay::u] at rate fs/u, computing only the samples kept.
+
+    The mixer moves onto the taps, h[k] exp(-j w (k - gd)) with
+    w = 2 pi f_hz / fs, so the filter runs on x itself and decimates inside
+    the overlap-add; the output is then shifted at fs/u by f_hz aliased into
+    that band. A one-tap h is a gain, so x is decimated first and then
+    mixed.
+    """
+    if abs(f_hz) > x.rate_hz / 2:
+        raise DspError(f"shift {f_hz} Hz beyond Nyquist for rate {x.rate_hz}")
+    rate = x.rate_hz / u
+    if len(h) == 1:
+        y = h.taps[0] * x.samples[::u]
+    else:
+        k = np.arange(len(h)) - h.group_delay
+        taps = h.taps * np.exp(-2j * np.pi * f_hz / x.rate_hz * k)
+        y = _overlap_add(x.samples, taps, u, h.group_delay)
+    return frequency_shift(ComplexSignal(y, rate),
+                           f_hz - rate * round(f_hz / rate))

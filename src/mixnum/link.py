@@ -1,11 +1,20 @@
-"""AWGN channel and the single-sub-band receiver: down-convert, filter,
-decimate, strip prefixes, FFT, extract and equalize the used subcarriers.
+"""AWGN channel and the single-sub-band receiver.
+
+The receiver has two halves. Its front end takes the composite signal down
+to the band's own rate in one step: the down-conversion rides on the
+band-select filter's taps, and the filter computes only the samples that
+decimation keeps (dsp.mix_filter_decimate). Its demodulation tail strips
+the prefixes, FFTs, extracts the used subcarriers and equalizes them.
 
 The receiver is calibrated once per (scenario, band): a noiseless
 known-symbol run fixes the one-tap per-subcarrier equalizer, and a
 noise-only run measures how injected composite-rate noise scales into
 per-subcarrier variance at the demapper. Both measurements together anchor
-the Eb/N0 convention at the demapper input.
+the Eb/N0 convention at the demapper input. The noiseless run builds no
+composite: zero-stuffing, interpolation, the shift up and back down (which
+cancel), the receive filter and decimation are together one band-rate FIR
+on the band's own burst, and calibration shares the demodulation tail with
+traffic.
 """
 
 from __future__ import annotations
@@ -18,8 +27,10 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_rate,
                      scenario_hash, symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, convolve_full,
-                  design_subband_filter, frequency_shift)
-from .waveform import (build_burst, compose, random_payload,
+                  design_subband_filter, mix_filter_decimate,
+                  upsample_zero_stuff)
+from .waveform import (_burst_layout, build_burst, composite_length,
+                       interpolation_filter, random_payload,
                        used_subcarrier_bins)
 
 CAL_MIN_SYMBOLS = 256
@@ -29,6 +40,13 @@ class LinkError(ValueError):
     pass
 
 
+def _complex_noise(n, variance, rng):
+    """n samples of circular complex Gaussian noise of the given variance;
+    all real parts are drawn before all imaginary parts."""
+    s = np.sqrt(variance / 2.0)
+    return s * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
     """Add circular complex Gaussian noise of the given per-sample variance,
     drawn from a caller-managed generator (one substream per trial)."""
@@ -36,9 +54,8 @@ def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
         raise LinkError("noise variance must be non-negative")
     if variance == 0:
         return x
-    s = np.sqrt(variance / 2.0)
-    noise = s * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-    return ComplexSignal(x.samples + noise, x.rate_hz)
+    return ComplexSignal(x.samples + _complex_noise(len(x), variance, rng),
+                         x.rate_hz)
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,30 @@ def receive_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
                                  length)
 
 
+def _receive_taps(sc: ScenarioConfig, i: int) -> FilterTaps:
+    """The band-select filter, or a unit tap when the scenario has none."""
+    if sc.rx_filter:
+        return receive_filter(sc, i)
+    return FilterTaps(np.ones(1), 0)
+
+
+def _demodulate(x, sc: ScenarioConfig, i: int, eq=None):
+    """Used-subcarrier points of band i from its samples at the band's own
+    rate, symbol 0 at sample 0: strip each prefix, FFT, pick the used bins
+    in payload order and, if eq is given, equalize."""
+    nm = sc.subbands[i]
+    n_sym = symbols_per_band(sc, i)
+    stride = nm.n_fft + nm.n_cp
+    if len(x) < n_sym * stride:
+        raise LinkError(f"burst too short for {n_sym} symbols of band {i}")
+    segs = x[:n_sym * stride].reshape(n_sym, stride)[:, nm.n_cp:]
+    points = np.fft.fft(segs, axis=1)[:, used_subcarrier_bins(nm.n_fft,
+                                                              nm.n_used)]
+    if eq is not None:
+        points = points * eq[None, :]
+    return points
+
+
 def receive_subband(y: ComplexSignal, sc: ScenarioConfig, i: int,
                     cal: ReceiverCalibration | None = None):
     """Recover the equalized used-subcarrier points of band i.
@@ -73,7 +114,6 @@ def receive_subband(y: ComplexSignal, sc: ScenarioConfig, i: int,
     compose() alignment). Returns an (n_symbols, n_used) complex array in
     payload order; pass cal=None for raw (unequalized) points.
     """
-    nm = sc.subbands[i]
     if cal is not None and cal.scenario_hash != scenario_hash(sc):
         raise LinkError("calibration does not match this scenario")
     if cal is not None and cal.band != i:
@@ -81,27 +121,42 @@ def receive_subband(y: ComplexSignal, sc: ScenarioConfig, i: int,
     fs = composite_rate(sc)
     if y.rate_hz != fs:
         raise LinkError(f"signal rate {y.rate_hz} != composite rate {fs}")
+    x = mix_filter_decimate(y, -center_frequencies(sc)[i],
+                            _receive_taps(sc, i), upsampling_factor(sc, i))
+    return _demodulate(x.samples, sc, i,
+                       None if cal is None else cal.eq_coeffs)
+
+
+def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
+    """Band-rate samples the front end would give for band i's burst
+    composed alone, computed without the composite.
+
+    compose() zero-stuffs the burst by u, filters it with h_i, drops the
+    first skip samples and shifts it up; the front end shifts it back down,
+    filters with h_r and keeps every u-th sample from c = skip + gd_r on.
+    The shifts cancel, so but for the dropped head this is the polyphase
+    branch g[c mod u::u] of g = h_i * h_r running on the burst itself. The
+    branch is symmetric and odd-length, and its output starts at its centre
+    plus the burst's leading delay. The dropped head reaches only the first
+    gd_r/u outputs, and its share is subtracted there.
+    """
     u = upsampling_factor(sc, i)
-    x = frequency_shift(y, -center_frequencies(sc)[i]).samples
-    if sc.rx_filter:
-        taps = receive_filter(sc, i)
-        x = convolve_full(ComplexSignal(x, fs), taps).samples
-        x = x[taps.group_delay:]
-    x = x[::u]
-    n_sym = symbols_per_band(sc, i)
-    stride = nm.n_fft + nm.n_cp
-    offset = nm.n_cp
-    need = (n_sym - 1) * stride + offset + nm.n_fft
-    if len(x) < need:
-        raise LinkError(f"burst too short for {n_sym} symbols of band {i}")
-    idx = (np.arange(n_sym)[:, None] * stride + offset
-           + np.arange(nm.n_fft)[None, :])
-    segs = x[idx]
-    spec = np.fft.fft(segs, axis=1)
-    points = spec[:, used_subcarrier_bins(nm.n_fft, nm.n_used)]
-    if cal is not None:
-        points = points * cal.eq_coeffs[None, :]
-    return points
+    h_i = interpolation_filter(sc, i)
+    h_r = _receive_taps(sc, i)
+    delay, _ = _burst_layout(sc, i)
+    skip = h_i.group_delay + u * delay
+    c = skip + h_r.group_delay
+    g = convolve_full(ComplexSignal(h_i.taps, 1.0), h_r).samples.real
+    branch = g[c % u::u]
+    branch = FilterTaps(0.5 * (branch + branch[::-1]), len(branch) // 2)
+    rx = convolve_full(burst, branch).samples[branch.group_delay + delay:]
+    if skip:
+        head = upsample_zero_stuff(
+            ComplexSignal(burst.samples[:-(-skip // u)], burst.rate_hz), u)
+        head = convolve_full(head, h_i).samples[:skip]
+        lost = convolve_full(ComplexSignal(head, 1.0), h_r).samples[c::u]
+        rx[:len(lost)] -= lost
+    return rx
 
 
 def _calibration_scenario(sc: ScenarioConfig, i: int) -> ScenarioConfig:
@@ -121,7 +176,8 @@ def calibrate(sc: ScenarioConfig, i: int,
     the other bands stays an impairment rather than being equalized away.
     sc.eq_mode selects a per-subcarrier tap (flattens the band exactly) or a
     single scalar tap for the whole band (gain/phase only, leaving the
-    filters' in-band shape uncompensated).
+    filters' in-band shape uncompensated). The noise gain comes from unit
+    white noise of the composite's length through the receiver.
     """
     sc_cal = _calibration_scenario(sc, i)
     ss = np.random.SeedSequence(sc.seed if seed is None else seed,
@@ -129,10 +185,9 @@ def calibrate(sc: ScenarioConfig, i: int,
     rng_sym, rng_noise = [np.random.default_rng(s) for s in ss.spawn(2)]
     nm = sc_cal.subbands[i]
     _, qam = random_payload(sc_cal, i, rng_sym, mod_order=4)
-    sig = compose([build_burst(qam, nm, sc_cal.waveform) if k == i else None
-                   for k in range(len(sc_cal.subbands))], sc_cal)
     tx = qam.reshape(-1, nm.n_used)
-    rx = receive_subband(sig, sc_cal, i)
+    burst = build_burst(qam, nm, sc_cal.waveform)
+    rx = _demodulate(_single_band_rx(burst, sc_cal, i), sc_cal, i)
     small = np.abs(rx).min(axis=0) < 1e-12
     if np.any(small):
         bad = int(np.argmax(small))
@@ -143,9 +198,9 @@ def calibrate(sc: ScenarioConfig, i: int,
         h = 1.0 / eq
         eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
     es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
-    noise = awgn_from_rng(ComplexSignal(np.zeros(len(sig)), sig.rate_hz),
-                          1.0, rng_noise)
-    out = receive_subband(noise, sc_cal, i) * eq[None, :]
+    noise = _complex_noise(composite_length(sc_cal), 1.0, rng_noise)
+    out = receive_subband(ComplexSignal(noise, composite_rate(sc_cal)),
+                          sc_cal, i) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)
     return ReceiverCalibration(eq_coeffs=eq, es_per_subcarrier=es,
                                noise_gain_per_subcarrier=gain,

@@ -9,7 +9,8 @@ import numpy as np
 from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
                      composite_rate, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, convolve_full, design_interpolation_filter,
+from .dsp import (ComplexSignal, FilterTaps, convolve_full,
+                  design_interpolation_filter,
                   design_subband_filter, frequency_shift, upsample_zero_stuff,
                   wofdm_window)
 from .modem import qam_modulate
@@ -115,42 +116,59 @@ def _burst_layout(sc: ScenarioConfig, i: int):
     return 0, n
 
 
+def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
+    """Anti-image filter that takes band i up to the composite rate (one
+    unit tap for a band already at that rate)."""
+    nm = sc.subbands[i]
+    u = upsampling_factor(sc, i)
+    if u == 1:
+        return FilterTaps(np.ones(1), 0)
+    return design_interpolation_filter(u, nm.n_used + nm.n_guard,
+                                       u * nm.n_fft,
+                                       interpolation_filter_len(u, nm.n_cp))
+
+
+def composite_length(sc: ScenarioConfig) -> int:
+    """Samples in compose()'s output: the longest band after interpolation,
+    less the interpolation filter's group delay and the burst's leading
+    delay, which compose() drops from its front."""
+    total = 0
+    for i, nm in enumerate(sc.subbands):
+        u = upsampling_factor(sc, i)
+        delay, length = _burst_layout(sc, i)
+        gd = (interpolation_filter_len(u, nm.n_cp) - 1) // 2
+        total = max(total, u * (length - delay) + gd)
+    return total
+
+
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     """Zero-stuff, interpolate, shift and sum the per-band bursts.
 
-    bursts holds one signal per sub-band, or None for a silent band, which
-    adds nothing but still sets its share of the composite length. Group
-    delays (band filter and interpolation filter) are compensated by
-    discarding leading samples, so symbol 0 of every band starts at
-    composite sample 0.
+    bursts holds one signal per sub-band. Group delays (band filter and
+    interpolation filter) are compensated by discarding leading samples, so
+    symbol 0 of every band starts at composite sample 0.
     """
     if len(bursts) != len(sc.subbands):
         raise WaveformError("one burst per sub-band required")
     fs = composite_rate(sc)
     freqs = center_frequencies(sc)
     aligned = []
-    total = 0
     for i, sig in enumerate(bursts):
-        nm = sc.subbands[i]
         u = upsampling_factor(sc, i)
-        n_taps = interpolation_filter_len(u, nm.n_cp)
         delay, length = _burst_layout(sc, i)
-        skip = (n_taps - 1) // 2 + u * delay
-        total = max(total, u * length + n_taps - 1 - skip)
-        if sig is None:
-            continue
         if len(sig) != length:
             raise WaveformError(
                 f"band {i}: burst has {len(sig)} samples, a {sc.waveform} "
                 f"burst of this scenario has {length}")
+        taps = interpolation_filter(sc, i)
         up = upsample_zero_stuff(sig, u)
         if u > 1:
-            up = convolve_full(up, design_interpolation_filter(
-                u, nm.n_used + nm.n_guard, u * nm.n_fft, n_taps))
+            up = convolve_full(up, taps)
+        skip = taps.group_delay + u * delay
         shifted = frequency_shift(ComplexSignal(up.samples[skip:], fs),
                                   freqs[i])
         aligned.append(shifted.samples)
-    out = np.zeros(total, dtype=np.complex128)
+    out = np.zeros(composite_length(sc), dtype=np.complex128)
     for a in aligned:
         out[:len(a)] += a
     return ComplexSignal(out, fs)

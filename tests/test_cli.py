@@ -3,12 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixnum
 from mixnum import config
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_POINTS,
-                        _parse_grid, _parse_m_range, _sweep_workers, main)
+                        PSD_MIN_SYMBOLS, _parse_grid, _parse_m_range,
+                        _sweep_workers, main)
 from mixnum.config import MAX_SYMBOLS, ConfigError
 
 
@@ -146,6 +148,50 @@ class TestSweepCommand:
         assert _sweep_workers(0, 5) == 1
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert _sweep_workers(8, 5) == 1
+
+
+def _manifest(out):
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())
+
+
+class TestManifest:
+    def test_psd_records_the_symbols_actually_used(self, tmp_path):
+        out = tmp_path / "psd.csv"
+        assert main(["psd", "--scenario", "single-band", "--symbols", "8",
+                     "--waveform", "f-ofdm", "--out", str(out)]) == EXIT_OK
+        params = _manifest(out)["parameters"]
+        assert params == {"waveform": "f-ofdm", "mod_order": 4,
+                          "n_symbols": PSD_MIN_SYMBOLS}
+
+    def test_ber_records_method_and_grid(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--scenario", "bypass", "--symbols", "4",
+                     "--mod", "16", "--ebn0", "0:0.5:1",
+                     "--out", str(out)]) == EXIT_OK
+        manifest = _manifest(out)
+        assert manifest["parameters"] == {
+            "waveform": "cp-ofdm", "mod_order": 16, "n_symbols": 4,
+            "method": "semi-analytic", "ebn0_db": [0.0, 0.5, 1.0]}
+        assert manifest["versions"]["numpy"] == np.__version__
+
+    def test_sweep_records_its_grid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", "single-band", "--symbols", "4",
+                     "--waveform", "cp-ofdm", "--m", "0..1", "--band", "1",
+                     "--target-ber", "0.1", "--out", str(out)]) == EXIT_OK
+        assert _manifest(out)["parameters"] == {
+            "waveforms": ["cp-ofdm"], "mod_order": 4, "n_symbols": 4,
+            "band": 1, "m": [0, 1], "target_ber": 0.1}
+
+    def test_rerun_manifest_is_byte_identical(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        path = out.with_name(out.name + ".manifest.json")
+        runs = []
+        for _ in range(2):
+            assert main(["ber", "--scenario", "bypass", "--symbols", "4",
+                         "--ebn0", "0:2:2", "--out", str(out)]) == EXIT_OK
+            runs.append(path.read_bytes())
+        assert runs[0] == runs[1]
 
 
 class TestErrorPaths:

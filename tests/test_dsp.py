@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
+from mixnum.config import center_frequencies, composite_rate, table1_scenario
+
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         _ola_fft_len, blackman_transition, convolve_full,
                         design_interpolation_filter, design_subband_filter,
-                        frequency_shift, upsample_zero_stuff,
-                        wofdm_window)
+                        frequency_shift, mix_filter_decimate,
+                        upsample_zero_stuff, wofdm_window)
+from mixnum.link import receive_filter
 
 
 def rand_signal(seed, n, rate=1e6):
@@ -200,6 +203,13 @@ class TestResampling:
         with pytest.raises(DspError):
             frequency_shift(x, 0.6 * x.rate_hz)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shift_at_nyquist_alternates_sign(self, sign):
+        x = rand_signal(4, 9)
+        y = frequency_shift(x, sign * x.rate_hz / 2)
+        np.testing.assert_allclose(y.samples, x.samples * (-1.0) ** np.arange(9),
+                                   rtol=0, atol=1e-14)
+
     @staticmethod
     def _exp_mixer(x, f_hz):
         """Direct reference: one exp per sample."""
@@ -284,3 +294,53 @@ class TestConvolveFull:
         with pytest.raises(DspError):
             convolve_full(ComplexSignal(np.array([]), 1.0),
                           FilterTaps(np.ones(1), 0))
+
+
+class TestMixFilterDecimate:
+    """The receive front end against the chain it replaces: mix at the
+    full rate, filter, then keep every u-th sample from the group delay."""
+
+    @staticmethod
+    def _reference(x, f_hz, h, u):
+        y = convolve_full(frequency_shift(x, f_hz), h).samples
+        return y[h.group_delay::u]
+
+    @pytest.mark.parametrize("u", [1, 2, 4])
+    # 91 taps put the group delay off the decimation grid (45 mod 2, 4)
+    @pytest.mark.parametrize("n_taps", [1, 91, 1409])
+    @pytest.mark.parametrize("length", ["short", "one-block", "blocks"])
+    # 0.45 fs aliases to 0.45 fs at u = 1 but wraps to -0.05 fs at u = 2
+    # and u = 4; -0.3 fs wraps at u = 2 and u = 4; 0.125 fs lands exactly on
+    # the band edge fs/(2u) at u = 4
+    @pytest.mark.parametrize("f", [0.0, 0.45, -0.3, 0.125])
+    def test_matches_mix_filter_then_decimate(self, u, n_taps, length, f):
+        step = _ola_fft_len(n_taps, u) - n_taps + 1
+        n = {"short": max(1, n_taps // 2), "one-block": step // u * u,
+             "blocks": 5 * step + 17}[length]
+        r = np.random.default_rng(n_taps).standard_normal(n_taps)
+        h = FilterTaps(r + r[::-1], (n_taps - 1) // 2)
+        x = rand_signal(n + u, n, rate=2e6)
+        y = mix_filter_decimate(x, f * x.rate_hz, h, u)
+        ref = self._reference(x, f * x.rate_hz, h, u)
+        assert y.rate_hz == x.rate_hz / u
+        assert y.samples.shape == ref.shape
+        np.testing.assert_allclose(y.samples, ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max())
+
+    def test_receive_filter_at_length(self):
+        # table1 band 3: 1409 taps, u = 4, a centre that aliases across the
+        # band edge, on a composite-sized input
+        sc = table1_scenario()
+        h = receive_filter(sc, 2)
+        f = -center_frequencies(sc)[2]
+        x = rand_signal(3, 2 ** 18 + 11, rate=composite_rate(sc))
+        y = mix_filter_decimate(x, f, h, 4)
+        ref = self._reference(x, f, h, 4)
+        np.testing.assert_allclose(y.samples, ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max())
+
+    def test_shift_beyond_nyquist_rejected(self):
+        x = rand_signal(4, 64)
+        with pytest.raises(DspError):
+            mix_filter_decimate(x, 0.6 * x.rate_hz, FilterTaps(np.ones(3), 1),
+                                2)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from mixnum import config
-from mixnum.config import composite_rate, scenario_hash, symbols_per_band
-from mixnum.dsp import ComplexSignal
-from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, awgn_from_rng,
-                         calibrate, noise_variance_for_ebn0,
+from mixnum.config import (center_frequencies, composite_rate, scenario_hash,
+                           symbols_per_band, upsampling_factor)
+from mixnum.dsp import ComplexSignal, convolve_full, frequency_shift
+from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_scenario,
+                         awgn_from_rng, calibrate, noise_variance_for_ebn0,
                          receive_filter, receive_subband)
 from mixnum.metrics import evm_db
-from mixnum.waveform import build_composite, random_payload
+from mixnum.waveform import (build_burst, build_composite, compose,
+                             payload_symbols, random_payload,
+                             used_subcarrier_bins)
 
 
 def seeded_payloads(sc, seed=0, M=None):
@@ -86,6 +89,53 @@ def test_table1_calibration_repeats_bit_for_bit(band):
     np.testing.assert_array_equal(a.es_per_subcarrier, b.es_per_subcarrier)
     np.testing.assert_array_equal(a.noise_gain_per_subcarrier,
                                   b.noise_gain_per_subcarrier)
+
+
+def _composite_path_calibration(sc, i):
+    """calibrate() the long way: compose band i with silent neighbours,
+    then mix down, filter and decimate at the composite rate; the noise run
+    adds unit noise to an all-zero composite."""
+    sc = _calibration_scenario(sc, i)
+    ss = np.random.SeedSequence(sc.seed, spawn_key=(0xCA1, i))
+    rng_sym, rng_noise = [np.random.default_rng(s) for s in ss.spawn(2)]
+    _, qam = random_payload(sc, i, rng_sym, mod_order=4)
+    sig = compose([build_burst(qam if k == i else
+                               np.zeros(payload_symbols(sc, k)), nm,
+                               sc.waveform)
+                   for k, nm in enumerate(sc.subbands)], sc)
+    nm = sc.subbands[i]
+    n_sym, stride = symbols_per_band(sc, i), nm.n_fft + nm.n_cp
+    taps = receive_filter(sc, i)
+
+    def receive(y):
+        x = convolve_full(frequency_shift(y, -center_frequencies(sc)[i]),
+                          taps).samples[taps.group_delay::
+                                        upsampling_factor(sc, i)]
+        segs = x[:n_sym * stride].reshape(n_sym, stride)[:, nm.n_cp:]
+        return np.fft.fft(segs, axis=1)[:, used_subcarrier_bins(nm.n_fft,
+                                                                nm.n_used)]
+
+    rx = receive(sig)
+    h = 1.0 / np.mean(qam.reshape(-1, nm.n_used) / rx, axis=0)
+    eq = np.full_like(h, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
+    noise = awgn_from_rng(ComplexSignal(np.zeros(len(sig)), sig.rate_hz),
+                          1.0, rng_noise)
+    return (eq, np.mean(np.abs(rx * eq) ** 2, axis=0),
+            np.mean(np.abs(receive(noise) * eq) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("band", range(3))
+@pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm", "w-ofdm"])
+def test_band_rate_calibration_matches_composite_path(waveform, band):
+    # the band-rate cascade, including the share of the interpolated head
+    # that compose() drops, reproduces the composite-rate chain to rounding
+    sc = config.table1_scenario(waveform=waveform)
+    cal = calibrate(sc, band)
+    eq, es, gain = _composite_path_calibration(sc, band)
+    np.testing.assert_allclose(cal.eq_coeffs, eq, rtol=1e-9)
+    np.testing.assert_allclose(cal.es_per_subcarrier, es, rtol=1e-9)
+    np.testing.assert_allclose(cal.noise_gain_per_subcarrier, gain,
+                               rtol=1e-9)
 
 
 class TestNoiseGainLinearity:

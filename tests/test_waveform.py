@@ -3,17 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixnum import config
-from mixnum.config import (ScenarioConfig, SubbandNumerology,
-                           center_frequencies, composite_rate,
-                           upsampling_factor)
-from mixnum.dsp import (ComplexSignal, convolve_full,
-                        design_interpolation_filter, design_subband_filter,
-                        frequency_shift, upsample_zero_stuff, wofdm_window)
+from mixnum.config import ScenarioConfig, SubbandNumerology, composite_rate
+from mixnum.dsp import ComplexSignal, design_subband_filter
 from mixnum.modem import qam_modulate
 from mixnum.waveform import (WaveformError, _burst_layout, build_burst,
-                             build_composite, compose,
-                             interpolation_filter_len, map_to_subcarriers,
-                             payload_symbols, used_subcarrier_bins)
+                             build_composite, compose, composite_length,
+                             map_to_subcarriers, payload_symbols,
+                             used_subcarrier_bins)
 
 
 def small_band(**kw):
@@ -244,49 +240,20 @@ class TestCompose:
         both = compose(sigs, sc)
         p_sum = 0.0
         for i in range(3):
-            solo = [sigs[k] if k == i else None for k in range(3)]
+            solo = [s if k == i else ComplexSignal(np.zeros(len(s)), s.rate_hz)
+                    for k, s in enumerate(sigs)]
             p_sum += np.sum(np.abs(compose(solo, sc).samples) ** 2)
         p_both = np.sum(np.abs(both.samples) ** 2)
         assert 10 * abs(np.log10(p_both / p_sum)) < 0.1
 
-    @staticmethod
-    def _compose_every_band(bursts, sc):
-        """Reference: interpolate and shift every band, silent or not."""
-        fs = composite_rate(sc)
-        parts = []
-        for i, sig in enumerate(bursts):
-            nm = sc.subbands[i]
-            delay = ((nm.filter_len - 1) // 2 if sc.waveform == "f-ofdm"
-                     else 0)
-            u = upsampling_factor(sc, i)
-            taps = design_interpolation_filter(
-                u, nm.n_used + nm.n_guard, u * nm.n_fft,
-                interpolation_filter_len(u, nm.n_cp))
-            up = upsample_zero_stuff(sig, u)
-            if u > 1:
-                up = convolve_full(up, taps)
-            skip = taps.group_delay + u * delay
-            parts.append(frequency_shift(ComplexSignal(up.samples[skip:], fs),
-                                         center_frequencies(sc)[i]).samples)
-        out = np.zeros(max(len(p) for p in parts), dtype=np.complex128)
-        for p in parts:
-            out[:len(p)] += p
-        return out
-
-    @pytest.mark.parametrize("silent", [None, 0, 1, 2])
-    def test_silent_band_skips_work_not_length(self, silent):
-        # table1 has u = 2, 1, 4, so each silent index takes another branch;
-        # None in the silent slot must equal an all-zero burst there
-        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=2)
-        bursts, zeroed = [], []
-        for i, nm in enumerate(sc.subbands):
-            pl = payload(nm, config.symbols_per_band(sc, i), seed=i)
-            zeroed.append(build_burst(pl * (i != silent), nm, "f-ofdm"))
-            bursts.append(None if i == silent else zeroed[-1])
-        out = compose(bursts, sc)
-        ref = self._compose_every_band(zeroed, sc)
-        assert len(out) == len(ref)
-        np.testing.assert_array_equal(out.samples, ref)
+    @pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm", "w-ofdm"])
+    def test_composite_length_is_the_composed_length(self, waveform):
+        # table1 has u = 2, 1, 4, so the longest band decides the length
+        sc = config.table1_scenario(waveform=waveform, n_symbols=2)
+        bursts = [build_burst(payload(nm, config.symbols_per_band(sc, i)),
+                              nm, waveform)
+                  for i, nm in enumerate(sc.subbands)]
+        assert len(compose(bursts, sc)) == composite_length(sc)
 
     @pytest.mark.parametrize("waveform,n_sym", [("f-ofdm", 2), ("cp-ofdm", 1)],
                              ids=["f-ofdm-in-cp-ofdm", "one-symbol-short"])
