@@ -40,6 +40,8 @@ EXIT_CONFIG = 2
 
 PSD_MIN_SYMBOLS = 64
 MAX_GRID_POINTS = 1000
+# |Eb/N0| bound in dB: 10 ** (dB / 10) stays a finite, non-zero float
+MAX_GRID_DB = 1000.0
 
 
 def _fmt(x):
@@ -117,7 +119,11 @@ def _parse_grid(spec):
     if n + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} "
                           "points")
-    return [a + k * step for k in range(n + 1)]
+    grid = [a + k * step for k in range(n + 1)]
+    if not (-MAX_GRID_DB <= grid[0] and grid[-1] <= MAX_GRID_DB):
+        raise ConfigError(f"grid values must lie within +-{MAX_GRID_DB:g} "
+                          f"dB, got {spec!r}")
+    return grid
 
 
 def _parse_m_range(spec):
@@ -188,12 +194,15 @@ def _sweep_workers(requested, n_points):
 
 
 def cmd_sweep(args):
-    waveforms = args.waveform.split(",") if args.waveform else ["cp-ofdm",
-                                                                "f-ofdm",
-                                                                "w-ofdm"]
+    waveforms = (args.waveform.split(",") if args.waveform is not None
+                 else ["cp-ofdm", "f-ofdm", "w-ofdm"])
     m_values = _parse_m_range(args.m)
     base = _load_scenario_arg(args.scenario, None, args.mod, args.seed,
                               n_symbols=args.symbols)
+    # every waveform is checked before the first calibration
+    scenarios = [_load_scenario_arg(args.scenario, wf, args.mod, args.seed,
+                                    n_symbols=args.symbols)
+                 for wf in waveforms]
     band = (args.band if args.band is not None else len(base.subbands)) - 1
     if not (0 <= band < len(base.subbands)):
         raise ConfigError(f"band {args.band} out of range")
@@ -206,11 +215,10 @@ def cmd_sweep(args):
         if workers > 1:
             pool_map = stack.enter_context(ProcessPoolExecutor(
                 workers, multiprocessing.get_context("spawn"))).map
-        rows = [(m, wf, base.mod_order, band + 1, val)
-                for wf in waveforms
+        rows = [(m, sc.waveform, sc.mod_order, band + 1, val)
+                for sc in scenarios
                 for m, val in ebn0_at_target_ber(
-                    replace(base, waveform=wf), band, args.target_ber,
-                    m_values, map=pool_map)]
+                    sc, band, args.target_ber, m_values, map=pool_map)]
     _write_csv(args.out, ["m", "waveform", "mod_order", "band", "ebn0_db"],
                rows)
     manifest = _write_manifest(

@@ -146,11 +146,9 @@ def composite_rate(sc: ScenarioConfig) -> float:
 
 
 def upsampling_factor(sc: ScenarioConfig, i: int) -> int:
-    """Integer (power-of-two) factor from band i's rate up to the composite rate."""
-    u = composite_rate(sc) / subband_sample_rate(sc.subbands[i])
-    ui = int(round(u))
-    assert abs(u - ui) < 1e-9 and _is_pow2(ui)
-    return ui
+    """Integer (power-of-two) factor from band i's rate up to the composite
+    rate; exact, as every band rate is 15 kHz times a power of two."""
+    return int(round(composite_rate(sc) / subband_sample_rate(sc.subbands[i])))
 
 
 def symbols_per_band(sc: ScenarioConfig, i: int) -> int:

@@ -42,6 +42,12 @@ class ConstellationMap:
     levels: np.ndarray        # (sqrt M,) real, ascending
     thresholds: np.ndarray    # (sqrt M - 1,) decision boundaries, ascending
     level_bits: np.ndarray    # (sqrt M, log2 sqrt M): bits of the ascending levels
+    # bit-error kernel tables, (sqrt M, sqrt M - 1) indexed [sent level,
+    # threshold]: +1 for thresholds above the sent level, -1 below, and the
+    # step in Gray Hamming distance from the sent level on crossing the
+    # threshold away from it (+1 or -1)
+    tail_sign: np.ndarray
+    tail_weight: np.ndarray
 
     @property
     def bits_per_symbol(self):
@@ -69,10 +75,15 @@ def constellation(M: int) -> ConstellationMap:
     points = coord_of_gray[i_gray] + 1j * coord_of_gray[q_gray]
     bit_labels = ((lab[:, None] >> np.arange(2 * kd - 1, -1, -1)) & 1)
     thresholds = 0.5 * (levels[:-1] + levels[1:])
+    hamming = np.sum(level_bits[:, None, :] != level_bits[None, :, :], axis=2)
+    tail_sign = np.where(np.arange(m - 1)[None, :] >= np.arange(m)[:, None],
+                         1.0, -1.0)
+    tail_weight = tail_sign * (hamming[:, 1:] - hamming[:, :-1])
     return ConstellationMap(order=M, points=points,
                             bit_labels=bit_labels.astype(np.uint8),
                             levels=levels, thresholds=thresholds,
-                            level_bits=level_bits.astype(np.uint8))
+                            level_bits=level_bits.astype(np.uint8),
+                            tail_sign=tail_sign, tail_weight=tail_weight)
 
 
 def bits_to_symbols(bits, M: int) -> np.ndarray:
@@ -109,23 +120,24 @@ def qam_demodulate(points, M: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
-def _dim_bit_error(coords, tx_idx, sigma, cm):
-    """Summed bit-error probabilities for one dimension.
+def _dim_bit_error(coords, sent, sigma, cm):
+    """Expected number of erroneous bits in one dimension.
 
-    coords  : (n,) noiseless received coordinates
-    tx_idx  : (n,) transmitted ascending level indices
-    sigma   : scalar or (n,) per-dimension noise std
-    Returns (n,) expected number of erroneous bits in this dimension.
+    coords : (n,) noiseless received coordinates
+    sent   : (n,) sent ascending level indices
+    sigma  : scalar or (n,) positive per-dimension noise std
+
+    The Gray Hamming distance from the sent level changes by +-1 at each
+    threshold, so the expected distance is the sum over thresholds of that
+    step times the probability of crossing the threshold on the side away
+    from the sent level: one Gaussian tail each, never a difference of
+    tails, so small probabilities keep their relative accuracy.
     """
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), coords.shape)
-    g = qfunc((cm.thresholds[None, :] - coords[:, None]) / sigma[:, None])
-    cell_p = np.empty((len(coords), len(cm.levels)))
-    cell_p[:, 0] = 1.0 - g[:, 0]
-    cell_p[:, 1:-1] = g[:, :-1] - g[:, 1:]
-    cell_p[:, -1] = g[:, -1]
-    tx_bits = cm.level_bits[tx_idx]                       # (n, kd)
-    wrong = cm.level_bits[None, :, :] != tx_bits[:, None, :]  # (n, m, kd)
-    return np.einsum("nm,nmk->n", cell_p, wrong)
+    scale = np.sqrt(2.0) * np.broadcast_to(sigma, coords.shape)
+    z = cm.thresholds - coords[:, None]
+    z /= scale[:, None]
+    z *= cm.tail_sign[sent]
+    return 0.5 * np.einsum("nj,nj->n", cm.tail_weight[sent], erfc(z, out=z))
 
 
 def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
@@ -141,8 +153,8 @@ def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
     sigma = np.asarray(sigma_per_dim, dtype=np.float64)
     if np.any(sigma < 0):
         raise ModemError("sigma must be non-negative")
-    tx_i = np.argmin(np.abs(tx.real[:, None] - cm.levels[None, :]), axis=1)
-    tx_q = np.argmin(np.abs(tx.imag[:, None] - cm.levels[None, :]), axis=1)
+    tx_i = _decide_levels(tx.real, cm)
+    tx_q = _decide_levels(tx.imag, cm)
     if np.all(sigma == 0):
         rx_bits = qam_demodulate(rx, M).reshape(len(rx), -1)
         tx_bits = np.concatenate([cm.level_bits[tx_i], cm.level_bits[tx_q]],

@@ -1,15 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixnum
 from mixnum import config
-from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_POINTS,
-                        PSD_MIN_SYMBOLS, _parse_grid, _parse_m_range,
+from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
+                        MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid, _parse_m_range,
                         _sweep_workers, main)
 from mixnum.config import MAX_SYMBOLS, ConfigError
 
@@ -26,6 +28,23 @@ class TestParsers:
     def test_grid_rejects(self, bad):
         with pytest.raises((ConfigError, ValueError)):
             _parse_grid(bad)
+
+    def test_grid_bound_is_inclusive(self):
+        assert _parse_grid(f"{-MAX_GRID_DB}:{MAX_GRID_DB}:{MAX_GRID_DB}") \
+            == [-MAX_GRID_DB, 0.0, MAX_GRID_DB]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1.1 * MAX_GRID_DB,
+                                                     1.1 * MAX_GRID_DB)),
+                    min_size=3, max_size=3))
+    def test_grid_is_finite_bounded_and_short(self, values):
+        spec = ":".join(repr(v) for v in values)
+        try:
+            grid = _parse_grid(spec)
+        except ConfigError:
+            return
+        assert 1 <= len(grid) <= MAX_GRID_POINTS
+        assert all(math.isfinite(v) and abs(v) <= MAX_GRID_DB for v in grid)
 
     def test_m_range(self):
         assert _parse_m_range("0..3") == [0, 1, 2, 3]
@@ -311,6 +330,37 @@ class TestErrorPaths:
         rc = main(["sweep", "--scenario", "table1", "--m", m,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["4000:1:4000", "-3100:1:-3100",
+                                      "998:3:1000"])
+    def test_grid_out_of_range_rejected_up_front(self, tmp_path, capsys,
+                                                 no_work, grid):
+        # 10 ** (dB / 10) overflows at 4000 dB and is zero at -3100 dB;
+        # 998:3:1000 reaches 1001 dB
+        out = tmp_path / "x.csv"
+        rc = main(["ber", "--scenario", "bypass", f"--ebn0={grid}",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario,waveforms", [
+        ("bypass", ["--waveform", "f-ofdm"]),
+        ("bypass", []),
+        ("single-band", ["--waveform", "cp-ofdm,foo"]),
+        ("single-band", ["--waveform", ""]),
+    ], ids=["bypass-f-ofdm", "bypass-default-list", "unknown-name",
+            "empty-list"])
+    def test_sweep_checks_every_waveform_up_front(self, tmp_path, capsys,
+                                                   no_work, scenario,
+                                                   waveforms):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", scenario, "--m", "0",
+                   *waveforms, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

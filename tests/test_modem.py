@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,71 @@ class TestBitErrorKernel:
         tx = constellation(M).points[:1]
         p = bit_error_probabilities(np.array([re + 1j * im]), tx, M, sigma)
         assert p.shape == (1,) and 0.0 <= p[0] <= 1.0
+
+
+def _cell_oracle(x, sent, sigma, cm):
+    """Expected erroneous bits in one dimension, cell by cell: each cell's
+    probability is taken from the Gaussian tails beyond its edges, each tail
+    on its own with math.erfc, and weighted by the cell's Hamming distance
+    to the sent level. The erfc argument is formed as the kernel forms it,
+    (theta - x) / (sqrt(2) sigma), since a one-ulp change of a tail argument
+    d moves Q(d) by about d**2 ulp."""
+    def above(theta):  # P(X > theta)
+        return 0.5 * math.erfc((theta - x) / (math.sqrt(2.0) * sigma))
+
+    def below(theta):  # P(X < theta)
+        return 0.5 * math.erfc((x - theta) / (math.sqrt(2.0) * sigma))
+
+    edges = [-math.inf, *cm.thresholds.tolist(), math.inf]
+    terms = []
+    for i in range(len(cm.levels)):
+        lo, hi = edges[i], edges[i + 1]
+        if x <= lo:
+            p = above(lo) - above(hi)
+        elif x >= hi:
+            p = below(hi) - below(lo)
+        else:
+            p = 1.0 - below(lo) - above(hi)
+        terms.append(p * int(np.sum(cm.level_bits[i] != cm.level_bits[sent])))
+    return math.fsum(terms)
+
+
+class TestBitErrorKernelTails:
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.sampled_from(ORDERS), label=st.integers(0, 255),
+           dx=st.one_of(st.floats(-0.05, 0.05), st.floats(-2, 2)),
+           dy=st.one_of(st.floats(-0.05, 0.05), st.floats(-2, 2)),
+           sigma=st.floats(1e-3, 1.0))
+    def test_matches_cell_oracle(self, M, label, dx, dy, sigma):
+        cm = constellation(M)
+        tx = cm.points[label % M]
+        rx = complex(tx.real + dx, tx.imag + dy)
+        sent_i = int(np.argmin(np.abs(cm.levels - tx.real)))
+        sent_q = int(np.argmin(np.abs(cm.levels - tx.imag)))
+        expect = (_cell_oracle(rx.real, sent_i, sigma, cm)
+                  + _cell_oracle(rx.imag, sent_q, sigma, cm)) / np.log2(M)
+        p = bit_error_probabilities(np.array([rx]), np.array([tx]), M, sigma)
+        # subnormal results carry no relative precision
+        np.testing.assert_allclose(p, [expect], rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("ratio", [7.0, 7.5])
+    def test_16qam_inner_point_tail(self, ratio):
+        # an inner 16-QAM point at level alpha in both dimensions errs per
+        # dimension by 2 Q(alpha/sigma) + Q(3 alpha/sigma) bits: a Q(d)
+        # step to each neighbour and Q(3d) more for the two-bit far level
+        cm = constellation(16)
+        alpha = cm.levels[2]
+        tx = np.array([alpha + 1j * alpha])
+        sigma = alpha / ratio
+        d = alpha / sigma
+
+        def q(v):
+            return 0.5 * math.erfc(v / math.sqrt(2.0))
+
+        expect = 2 * (2 * q(d) + q(3 * d)) / 4
+        assert bit_error_probabilities(tx, tx, 16, sigma)[0] == \
+            pytest.approx(expect, rel=1e-12, abs=0)
 
 
 class TestClosedForm:
