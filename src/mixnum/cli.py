@@ -17,6 +17,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -30,7 +31,7 @@ from . import __version__
 from .config import (ConfigError, PRESETS, ScenarioConfig, get_preset,
                      load_scenario, scenario_hash)
 from .link import LinkError, calibrate
-from .metrics import (MetricsError, ebn0_at_target_ber, monte_carlo_ber,
+from .metrics import (MetricsError, ebn0_at_target_ber, monte_carlo_curves,
                       semianalytic_run, welch_psd)
 from .waveform import build_composite, random_payload
 
@@ -165,19 +166,19 @@ def cmd_ber(args):
                             n_symbols=args.symbols)
     grid = _parse_grid(args.ebn0)
     method = {"mc": "monte-carlo", "sa": "semi-analytic"}[args.method]
-    rows = []
-    for i in range(len(sc.subbands)):
-        cal = calibrate(sc, i)
-        if method == "semi-analytic":
+    cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
+    if method == "semi-analytic":
+        rows = []
+        for i, cal in cals.items():
             run = semianalytic_run(sc, i, cal)
             n_bits = len(run.rx_points) * int(np.log2(sc.mod_order))
             rows += [(i + 1, db, run.ber(db), method, n_bits, 0)
                      for db in grid]
-        else:
-            for db in grid:
-                pt = monte_carlo_ber(sc, i, db, cal=cal)
-                rows.append((i + 1, pt.ebn0_db, pt.ber, pt.method, pt.n_bits,
-                             pt.n_errors))
+    else:
+        rows = [(i + 1, pt.ebn0_db, pt.ber, pt.method, pt.n_bits,
+                 pt.n_errors)
+                for i, points in monte_carlo_curves(sc, cals, grid).items()
+                for pt in points]
     _write_csv(args.out, ["band", "ebn0_db", "ber", "method", "n_bits",
                           "n_errors"], rows)
     manifest = _write_manifest(args.out, "ber", sc, sc.seed, [args.out],
@@ -224,7 +225,9 @@ def cmd_sweep(args):
     manifest = _write_manifest(
         args.out, "sweep", base, base.seed, [args.out],
         {"waveforms": waveforms, "band": band + 1, "m": m_values,
-         "target_ber": args.target_ber})
+         "target_ber": args.target_ber,
+         "scenario_hashes": {sc.waveform: scenario_hash(sc)
+                             for sc in scenarios}})
     n_flagged = sum(1 for r in rows if np.isnan(r[4]))
     msg = f"wrote {args.out} ({len(rows)} points) and {manifest}"
     if n_flagged:
@@ -240,8 +243,36 @@ def _default_threads():
         return 1
 
 
+def _print_error(message):
+    """One ``error: ...`` line on stderr; line breaks echoed from the input
+    are escaped so the message stays on that line."""
+    text = str(message).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"error: {text}", file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other input error: one line, exit 2.
+    ``add_subparsers`` builds the sub-command parsers with this class too."""
+
+    def error(self, message):
+        _print_error(message)
+        sys.exit(EXIT_CONFIG)
+
+
+def _glue_negative_grids(argv):
+    """``--ebn0 -5:1:0`` as ``--ebn0=-5:1:0``: argparse would take a value
+    that starts with '-' and is not a plain number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--ebn0" and re.match(r"-[0-9.]", tok):
+            out[-1] = f"--ebn0={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mixnum",
         description="Mixed-numerology OFDM downlink simulator "
                     "(CP-OFDM / f-OFDM / w-OFDM)")
@@ -288,14 +319,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_negative_grids(argv))
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(e)
         return EXIT_CONFIG
     except (MetricsError, LinkError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(e)
         return EXIT_COMPUTE
 
 

@@ -101,10 +101,11 @@ def evm_db(rx, ref) -> float:
 # shared burst machinery
 
 def _trial_rngs(seed, trial, n_bands):
+    """Per-band payload generators and the noise seed of one trial; both
+    depend only on (seed, trial)."""
     ss = np.random.SeedSequence(seed, spawn_key=(trial,))
     children = ss.spawn(n_bands + 1)
-    return ([np.random.default_rng(c) for c in children[:n_bands]],
-            np.random.default_rng(children[-1]))
+    return [np.random.default_rng(c) for c in children[:n_bands]], children[-1]
 
 
 def _random_burst(sc: ScenarioConfig, rng_list):
@@ -165,32 +166,58 @@ def semianalytic_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
                     n_bits=len(run.rx_points) * k)
 
 
+def monte_carlo_curves(sc: ScenarioConfig,
+                       cals: dict[int, ReceiverCalibration], ebn0_grid,
+                       min_errors=DEFAULT_MIN_ERRORS,
+                       max_bits=DEFAULT_MAX_BITS,
+                       seed: int | None = None) -> dict[int, list[BerPoint]]:
+    """Error-counting BER with interferers active, for every band in
+    ``cals`` (band index -> calibration) at every Eb/N0 in the grid.
+
+    Returns band index -> one BerPoint per grid point. Trial k's payloads
+    and noise seed depend only on (seed, k), so each trial's composite is
+    built once and shared by every (band, point) pair still counting. Each
+    pair draws its noise from a fresh generator on the trial's noise seed
+    and stops on its own at min_errors or max_bits, whichever comes first,
+    exactly as if it ran alone.
+    """
+    seed = sc.seed if seed is None else seed
+    ebn0_grid = list(ebn0_grid)
+    pairs = [(i, db, noise_variance_for_ebn0(sc, cal, db))
+             for i, cal in cals.items() for db in ebn0_grid]
+    n_err = [0] * len(pairs)
+    n_bits = [0] * len(pairs)
+    trial = 0
+    while active := [p for p in range(len(pairs))
+                     if n_err[p] < min_errors and n_bits[p] < max_bits]:
+        rngs, noise_seed = _trial_rngs(seed, trial, len(sc.subbands))
+        sig, _, bits = _random_burst(sc, rngs)
+        for p in active:
+            i, _, var_inj = pairs[p]
+            noisy = awgn_from_rng(sig, var_inj,
+                                  np.random.default_rng(noise_seed))
+            rx = receive_subband(noisy, sc, i, cals[i])
+            rx_bits = qam_demodulate(rx.reshape(-1), sc.mod_order)
+            n_err[p] += int(np.sum(rx_bits != bits[i]))
+            n_bits[p] += len(bits[i])
+        trial += 1
+    points = [BerPoint(ebn0_db=db, ber=e / b, method="monte-carlo",
+                       n_bits=b, n_errors=e,
+                       note="" if e else "upper-bound only")
+              for (_, db, _), e, b in zip(pairs, n_err, n_bits)]
+    n = len(ebn0_grid)
+    return {i: points[k * n:(k + 1) * n] for k, i in enumerate(cals)}
+
+
 def monte_carlo_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
                     min_errors=DEFAULT_MIN_ERRORS, max_bits=DEFAULT_MAX_BITS,
                     cal: ReceiverCalibration | None = None,
                     seed: int | None = None) -> BerPoint:
-    """Error-counting BER with interferers active; stops at min_errors or
-    max_bits, whichever comes first."""
+    """One band at one Eb/N0 point of ``monte_carlo_curves``."""
     if cal is None:
         cal = calibrate(sc, i)
-    seed = sc.seed if seed is None else seed
-    var_inj = noise_variance_for_ebn0(sc, cal, ebn0_db)
-    k = int(np.log2(sc.mod_order))
-    n_err = 0
-    n_bits = 0
-    trial = 0
-    while n_err < min_errors and n_bits < max_bits:
-        rngs, rng_noise = _trial_rngs(seed, trial, len(sc.subbands))
-        sig, _, bits = _random_burst(sc, rngs)
-        noisy = awgn_from_rng(sig, var_inj, rng_noise)
-        rx = receive_subband(noisy, sc, i, cal)
-        rx_bits = qam_demodulate(rx.reshape(-1), sc.mod_order)
-        n_err += int(np.sum(rx_bits != bits[i]))
-        n_bits += len(bits[i])
-        trial += 1
-    note = "upper-bound only" if n_err == 0 else ""
-    return BerPoint(ebn0_db=ebn0_db, ber=n_err / n_bits, method="monte-carlo",
-                    n_bits=n_bits, n_errors=n_err, note=note)
+    return monte_carlo_curves(sc, {i: cal}, [ebn0_db], min_errors, max_bits,
+                              seed)[i][0]
 
 
 # ---------------------------------------------------------------------------

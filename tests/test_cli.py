@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -14,6 +16,7 @@ from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid, _parse_m_range,
                         _sweep_workers, main)
 from mixnum.config import MAX_SYMBOLS, ConfigError
+from mixnum.metrics import MetricsError
 
 
 class TestParsers:
@@ -129,6 +132,19 @@ class TestBerCommand:
                          "--ebn0", "0:2:2", "--out", str(out)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("method", ["sa", "mc"])
+    def test_negative_grid_in_two_tokens(self, tmp_path, method):
+        outs = []
+        for k, grid in enumerate((["--ebn0", "-5:2.5:0"],
+                                  ["--ebn0=-5:2.5:0"])):
+            out = tmp_path / f"{k}.csv"
+            assert main(["ber", "--scenario", "bypass", "--symbols", "4",
+                         "--method", method, *grid,
+                         "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].decode().splitlines()[1].startswith("1,-5,")
+
 
 class TestSweepCommand:
     def test_single_waveform_sweep(self, tmp_path):
@@ -198,9 +214,30 @@ class TestManifest:
         assert main(["sweep", "--scenario", "single-band", "--symbols", "4",
                      "--waveform", "cp-ofdm", "--m", "0..1", "--band", "1",
                      "--target-ber", "0.1", "--out", str(out)]) == EXIT_OK
+        sc = config.single_band_scenario(n_symbols=4)
         assert _manifest(out)["parameters"] == {
             "waveforms": ["cp-ofdm"], "mod_order": 4, "n_symbols": 4,
-            "band": 1, "m": [0, 1], "target_ber": 0.1}
+            "band": 1, "m": [0, 1], "target_ber": 0.1,
+            "scenario_hashes": {"cp-ofdm": config.scenario_hash(sc)}}
+
+    def test_sweep_records_every_waveform_hash(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("mixnum.cli.ebn0_at_target_ber",
+                            lambda sc, band, target, m, map: [(0, 1.0)])
+        out = tmp_path / "sweep.csv"
+        path = out.with_name(out.name + ".manifest.json")
+        runs = []
+        for _ in range(2):
+            assert main(["sweep", "--scenario", "table1", "--symbols", "4",
+                         "--m", "0", "--seed", "7",
+                         "--out", str(out)]) == EXIT_OK
+            runs.append(path.read_bytes())
+        assert runs[0] == runs[1]
+        manifest = json.loads(runs[0])
+        hashes = {wf: config.scenario_hash(config.table1_scenario(
+                      waveform=wf, n_symbols=4, seed=7))
+                  for wf in ("cp-ofdm", "f-ofdm", "w-ofdm")}
+        assert manifest["parameters"]["scenario_hashes"] == hashes
+        assert len(set(hashes.values())) == 3
 
     def test_rerun_manifest_is_byte_identical(self, tmp_path):
         out = tmp_path / "ber.csv"
@@ -368,6 +405,127 @@ class TestErrorPaths:
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",
                    "--ebn0", "0:1:0", "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse
+    raises for usage errors and --help."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--scenario", "bypass", "--ebn0", "0:1:1", "--out", "x.csv",
+         "--bogus"],
+        ["ber", "--scenario", "bypass", "--ebn0", "0:1:1", "--method", "ml",
+         "--out", "x.csv"],
+        ["ber", "--scenario", "bypass", "--ebn0", "0:1:1", "--mod", "8",
+         "--out", "x.csv"],
+        ["psd", "--scenario", "bypass"],
+        [],
+        ["psd", "--scenario", "bypass", "--out", "x.csv", "a\nb\r\nc"],
+    ], ids=["unknown-flag", "bad-method", "bad-mod", "missing-out",
+            "no-command", "line-breaks-in-echoed-input"])
+    def test_one_line_and_exit_2(self, capsys, argv):
+        assert _exit_code(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_is_unchanged(self, capsys):
+        assert _exit_code(["ber", "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mixnum ber ")
+        assert "--ebn0 EBN0" in out and out.count("\n") > 10
+
+
+class _Stop(MetricsError):
+    pass
+
+
+# flag -> (values that pass its checks, values that fail them)
+_FLAGS = {
+    "--scenario": (["table1", "single-band", "bypass"],
+                   ["no-such-file.json", ".", ""]),
+    "--out": (["out.csv"], []),
+    "--waveform": (["cp-ofdm", "f-ofdm", "w-ofdm"],
+                   ["foo", "", "cp-ofdm,w-ofdm"]),
+    "--mod": (["4", "16", "256"], ["8", "x"]),
+    "--seed": (["0", "7", str(2 ** 64 - 1)], ["-1", str(2 ** 64), "1.5"]),
+    "--symbols": (["1", "4", str(MAX_SYMBOLS)],
+                  [str(MAX_SYMBOLS + 1), "0", "-3"]),
+    "--threads": (["1", "2"], ["0", "-4", "y"]),
+    "--ebn0": (["0:1:2", "-5:1:0", "3:1:3"],
+               ["0:0:1", "2:1:1", "0:1:2000", "4000:1:4000", "a:b:c", "1"]),
+    "--method": (["mc", "sa"], ["ml"]),
+    "--target-ber": (["0.05", "0.3"], ["0.5", "nan", "-1", "q"]),
+    "--m": (["0..4", "0", "2..8"], ["3..1", "0..9", "x"]),
+    "--band": (["1"], ["0", "9", "-1", "b"]),
+}
+_COMMON = ("--scenario", "--out", "--mod", "--seed", "--symbols", "--threads")
+_COMMANDS = {
+    "psd": _COMMON + ("--waveform",),
+    "ber": _COMMON + ("--waveform", "--ebn0", "--method"),
+    "sweep": _COMMON + ("--waveform", "--target-ber", "--m", "--band"),
+}
+_REQUIRED = ("--scenario", "--out", "--ebn0")
+_JUNK = st.text(max_size=12)
+
+
+@st.composite
+def _argv(draw):
+    """A sub-command with its own flags, mostly complete and mostly with
+    values that pass; sometimes a junk value, a missing required flag, a
+    stray token or a junk sub-command. Each rare case is the highest draw,
+    because hypothesis leans towards zero."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    own = _COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(own), unique=True))
+    if draw(st.integers(0, 7)) < 7:
+        flags += [f for f in _REQUIRED if f in own and f not in flags]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        good, bad = _FLAGS[flag]
+        kind = draw(st.integers(0, 7))
+        value = (draw(st.sampled_from(bad)) if kind == 6 and bad
+                 else draw(_JUNK) if kind == 7 else draw(st.sampled_from(good)))
+        argv += [flag, value]
+    argv += draw(st.lists(st.one_of(
+        _JUNK, st.sampled_from(["--bogus", "--help", "-h", "--", "--ebn0"])),
+        max_size=1))
+    if draw(st.integers(0, 9)) == 9:
+        argv[0] = draw(_JUNK)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Exit code 0, 1 or 2 and no traceback for any argv; every exit 2 is
+    one line. An argv that passes validation stops, with exit 1, where
+    the first payload, burst or calibration would be built."""
+    def stop(*args, **kwargs):
+        raise _Stop("input accepted")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for name in ("random_payload", "build_composite", "calibrate",
+                     "ebn0_at_target_ber"):
+            mp.setattr(f"mixnum.cli.{name}", stop)
+        code = _exit_code(argv)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_COMPUTE, EXIT_CONFIG), (argv, err)
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1, \
+            (argv, err)
+    if code == EXIT_COMPUTE:
+        assert err == "error: input accepted\n", (argv, err)
 
 
 def test_cli_import_leaves_heavy_scipy_out():

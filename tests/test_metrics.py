@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from mixnum import config
+from mixnum import config, waveform
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
 from mixnum.metrics import (MetricsError, SemiAnalyticRun, ebn0_at_target_ber,
                             ebn0_for_target, evm_db, monte_carlo_ber,
-                            semianalytic_ber, semianalytic_run, welch_psd)
+                            monte_carlo_curves, semianalytic_ber,
+                            semianalytic_run, welch_psd)
 from mixnum.modem import qam_ber_awgn, qfunc
+from mixnum.waveform import payload_symbols
 
 
 class TestWelchPsd:
@@ -178,6 +180,55 @@ class TestMonteCarlo:
         sa = semianalytic_ber(sc, 0, 2.0, cal=cal).ber
         mc = monte_carlo_ber(sc, 0, 2.0, cal=cal)
         assert abs(sa - mc.ber) / mc.ber < 0.1
+
+
+class TestMonteCarloCurves:
+    GRID = [0.0, 5.0]
+
+    @pytest.fixture
+    def compose_calls(self, monkeypatch):
+        calls = []
+        compose = waveform.compose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compose(*args, **kwargs)
+        monkeypatch.setattr(waveform, "compose", counting)
+        return calls
+
+    def test_table1_matches_per_point_calls(self, compose_calls):
+        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=8, seed=3)
+        cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
+        curves = monte_carlo_curves(sc, cals, self.GRID)
+        n_composed = len(compose_calls)
+        assert list(curves) == [0, 1, 2]
+        trials = []
+        for i, points in curves.items():
+            assert [pt.ebn0_db for pt in points] == self.GRID
+            bits_per_trial = 2 * payload_symbols(sc, i)
+            for db, pt in zip(self.GRID, points):
+                assert pt == monte_carlo_ber(sc, i, db, cal=cals[i])
+                assert pt.n_errors >= 100
+                trials.append(pt.n_bits // bits_per_trial)
+        # one composite per trial index, shared by every pair still counting
+        assert len(set(trials)) > 1
+        assert n_composed == max(trials) < sum(trials)
+
+    def test_pairs_stop_independently(self, compose_calls):
+        sc = config.bypass_scenario(n_symbols=4, seed=5)
+        cal = calibrate(sc, 0)
+        bits_per_trial = 2 * payload_symbols(sc, 0)
+        kw = dict(min_errors=100, max_bits=3 * bits_per_trial)
+        low, high = monte_carlo_curves(sc, {0: cal}, [0.0, 30.0], **kw)[0]
+        assert len(compose_calls) == 3
+        # 0 dB reaches min_errors on the first trial; 30 dB sees no error
+        # and runs until max_bits
+        assert (low.n_bits, low.note) == (bits_per_trial, "")
+        assert low.n_errors >= 100
+        assert (high.n_bits, high.n_errors, high.ber, high.note) == \
+            (3 * bits_per_trial, 0, 0.0, "upper-bound only")
+        for db, pt in ((0.0, low), (30.0, high)):
+            assert pt == monte_carlo_ber(sc, 0, db, cal=cal, **kw)
 
 
 class TestTargetSearch:
