@@ -146,7 +146,8 @@ def _parse_m_range(spec):
 def cmd_psd(args):
     sc = _load_scenario_arg(args.scenario, args.waveform, args.mod, args.seed,
                             n_symbols=args.symbols)
-    sc = replace(sc, n_symbols=max(sc.n_symbols, PSD_MIN_SYMBOLS))
+    asked = sc.n_symbols
+    sc = replace(sc, n_symbols=max(asked, PSD_MIN_SYMBOLS))
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed,
                                                        spawn_key=(0x5D,)))
     payloads = [random_payload(sc, i, rng)[1]
@@ -156,8 +157,10 @@ def cmd_psd(args):
     _write_csv(args.out, ["freq_hz", "psd_db"], rows)
     manifest = _write_manifest(args.out, "psd", sc, sc.seed, [args.out],
                                {"waveform": sc.waveform})
+    raised = (f", {sc.n_symbols} symbols, raised from {asked}"
+              if asked < sc.n_symbols else "")
     print(f"wrote {args.out} ({len(curve.freq_hz)} bins, "
-          f"resolution {curve.resolution_hz:.0f} Hz) and {manifest}")
+          f"resolution {curve.resolution_hz:.0f} Hz{raised}) and {manifest}")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 F0_HZ = 15000.0          # base subcarrier spacing
 PRB_SUBCARRIERS = 12     # resource-block granularity
@@ -261,7 +262,15 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def scenario_hash(sc: ScenarioConfig) -> str:
-    """Stable hex digest of the canonical JSON form."""
+    """Stable hex digest of the canonical JSON form, computed once per
+    scenario."""
+    return _scenario_digest(sc, repr(sc))
+
+
+@lru_cache(maxsize=256)
+def _scenario_digest(sc, spelling):
+    # spelling is repr(sc): == holds between 15000 and 15000.0, or 0.0 and
+    # -0.0, whose JSON forms and digests differ, but their reprs differ too
     blob = json.dumps(scenario_to_dict(sc), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

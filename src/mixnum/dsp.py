@@ -7,6 +7,7 @@ unscaled, inverse scaled by 1/N, so Parseval reads sum|x|^2 = sum|X|^2 / N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt, log2
 
 import numpy as np
@@ -44,13 +45,16 @@ class ComplexSignal:
 
 @dataclass(frozen=True)
 class FilterTaps:
-    """Real, odd-length, symmetric FIR coefficients (linear phase)."""
+    """Real, odd-length, symmetric FIR coefficients (linear phase). The taps
+    are a read-only copy, as one design is shared by every caller."""
 
     taps: np.ndarray
     group_delay: int
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", np.asarray(self.taps, dtype=np.float64))
+        taps = np.array(self.taps, dtype=np.float64)
+        taps.setflags(write=False)
+        object.__setattr__(self, "taps", taps)
         L = len(self.taps)
         if L % 2 == 0:
             raise DspError("filter length must be odd")
@@ -91,12 +95,14 @@ def _windowed_sinc(cutoff_two_sided_bins, n_fft, filter_len):
     return FilterTaps(taps, half)
 
 
+@lru_cache(maxsize=64)
 def design_subband_filter(n_fft, n_used, r_subcarriers, filter_len) -> FilterTaps:
     """Sub-band lowpass: passband covers n_used + 2*r_subcarriers bins of an
     n_fft grid, windowed-sinc construction, unit DC gain.
 
     r_subcarriers is the one-sided transition width in subcarrier units and
-    may be fractional.
+    may be fractional. Designs are memoized: a repeated design returns the
+    same FilterTaps.
     """
     width = n_used + 2.0 * r_subcarriers
     if width > n_fft:
@@ -104,13 +110,15 @@ def design_subband_filter(n_fft, n_used, r_subcarriers, filter_len) -> FilterTap
     return _windowed_sinc(width, n_fft, filter_len)
 
 
+@lru_cache(maxsize=64)
 def design_interpolation_filter(u, band_width_subcarriers, n_fft_composite_equiv,
                                 filter_len) -> FilterTaps:
     """Anti-image lowpass for zero-stuffed interpolation by factor u.
 
     Cutoff sits halfway between the occupied band edge and the first
     spectral image, i.e. at half the original sampling rate. Passband gain
-    is u so interpolation preserves per-band amplitude.
+    is u so interpolation preserves per-band amplitude. Memoized like
+    design_subband_filter.
     """
     if u < 1 or (u & (u - 1)) != 0:
         raise DspError("u must be a power of two >= 1")
@@ -168,10 +176,11 @@ def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
 def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     """Multiply by exp(+j 2 pi f n / fs); magnitudes unchanged.
 
-    The one mixer of the chain: compose() shifts each band up with it, and
+    The one mixer of the chain. interpolate_mix_sum() shifts each band up
+    with it at the band's own rate, before interpolating, and
     mix_filter_decimate() shifts the receiver's band-rate output back down
-    with it after moving the composite-rate down-shift onto its filter
-    taps. The phasor is the outer product of about sqrt(n) block-start
+    with it; both move the composite-rate part of the shift onto their
+    filter taps. The phasor is the outer product of about sqrt(n) block-start
     phasors and about sqrt(n) in-block phasors, so it costs two short exp
     tables and one complex multiply per sample instead of an exp per
     sample, for any |f_hz| up to fs/2.
@@ -195,9 +204,9 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
 
 def _ola_fft_len(n_taps, u=1):
     """Power-of-two overlap-add FFT length >= 2L-1 (and >= 2u) with the
-    least FFT work per input sample: a forward FFT of nfft and an inverse
-    FFT of nfft/u per block of about nfft-L+1 samples. That cost falls and
-    then rises as nfft doubles."""
+    least FFT work per sample: an FFT of nfft at the fast rate and one of
+    nfft/u at the slow rate per block of about nfft-L+1 fast-rate samples.
+    That cost falls and then rises as nfft doubles."""
     nfft = max(_OLA_MIN_FFT, 2 * u, 1 << (2 * n_taps - 2).bit_length())
 
     def cost(n):
@@ -206,6 +215,32 @@ def _ola_fft_len(n_taps, u=1):
     while cost(2 * nfft) < cost(nfft):
         nfft *= 2
     return nfft
+
+
+def _block_rows(x, hop, width, lead=0):
+    """The overlap-add block layout: x after lead zeros (lead < hop), cut
+    into rows of hop samples, each row zero-padded to width."""
+    n_rows = -(-(lead + len(x)) // hop)
+    rows = np.zeros((n_rows, width), dtype=np.complex128)
+    first = min(hop - lead, len(x))
+    rows[0, lead:lead + first] = x[:first]
+    rest = x[first:]
+    full = len(rest) // hop
+    rows[1:1 + full, :hop] = rest[:full * hop].reshape(full, hop)
+    if len(rest) > full * hop:
+        rows[1 + full, :len(rest) - full * hop] = rest[full * hop:]
+    return rows
+
+
+def _tail_add(rows, hop):
+    """Overlap-add of time-domain block rows, row j starting at sample
+    j*hop; every row is at most 2*hop long. Returns (rows + 1)*hop
+    samples."""
+    n_rows, width = rows.shape
+    y = np.zeros((n_rows + 1) * hop, dtype=np.complex128)
+    y[:n_rows * hop].reshape(n_rows, hop)[:] = rows[:, :hop]
+    y[hop:].reshape(n_rows, hop)[:, :width - hop] += rows[:, hop:]
+    return y
 
 
 def _overlap_add(x, taps, u=1, start=0):
@@ -226,25 +261,67 @@ def _overlap_add(x, taps, u=1, start=0):
     n_taps = len(taps)
     nfft = _ola_fft_len(n_taps, u)
     step = (nfft - n_taps + 1) // u * u
-    n_blocks = -(-n // step)
-    last = (n_blocks - 1) * step
-    blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
-    blocks[:-1, :step] = x[:last].reshape(-1, step)
-    blocks[-1, :n - last] = x[last:]
+    blocks = _block_rows(x, step, nfft)
     # in place: the block array is the largest buffer of the call
     np.fft.fft(blocks, axis=1, out=blocks)
     padded = np.zeros(nfft, dtype=np.result_type(taps, np.float64))
     padded[:n_taps] = taps
     blocks *= np.fft.fft(np.roll(padded, -(start % u))) / u
     if u > 1:
-        blocks = blocks.reshape(n_blocks, u, nfft // u).sum(axis=1)
+        blocks = blocks.reshape(len(blocks), u, nfft // u).sum(axis=1)
     np.fft.ifft(blocks, axis=1, out=blocks)
-    width, hop = nfft // u, step // u
-    y = np.zeros((n_blocks + 1) * hop, dtype=np.complex128)
-    y[:n_blocks * hop].reshape(n_blocks, hop)[:] = blocks[:, :hop]
-    y[hop:].reshape(n_blocks, hop)[:, :width - hop] += blocks[:, hop:]
+    y = _tail_add(blocks, step // u)
     first = start // u
     return y[first:first + len(range(start, n + n_taps - 1, u))]
+
+
+def _interpolate_sum(parts, n_out):
+    """The sum over parts (x, taps, u, start) of (z * taps)[start:], where z
+    is x with u-1 zeros after every sample, each cut or zero-padded to n_out
+    samples, computed without z.
+
+    The dual of the decimating _overlap_add: every x is cut into blocks of
+    step/u samples, one common step for all parts, and a block's FFT of
+    nfft/u points, tiled u times, is the spectrum of its zero-stuffed
+    block. Each part's tiled spectra are multiplied by its taps' spectrum
+    and accumulated onto one row of block spectra per output block, so one
+    inverse FFT of nfft per block serves every part. A start off the u grid
+    is moved onto it by delaying the taps by -start mod u samples. Input
+    sample a = start/u then lands on output sample 0: x goes in after
+    b*step/u - a zeros, b = ceil(a*u/step), so its rows begin b rows
+    before output sample 0, and the common rows begin as early as the
+    largest b needs.
+    """
+    staged = []
+    for x, taps, u, start in parts:
+        if len(x) == 0:
+            raise DspError("cannot convolve an empty signal")
+        delay = -start % u
+        taps = np.concatenate([np.zeros(delay), taps])
+        a = (start + delay) // u
+        # inputs from index a + ceil(n_out/u) on reach past the output
+        staged.append((x[:a - (-n_out // u)], taps, u, a))
+    n_taps = max(len(taps) for _, taps, _, _ in staged)
+    u_max = max(u for _, _, u, _ in staged)
+    nfft = _ola_fft_len(n_taps, u_max)
+    step = (nfft - n_taps + 1) // u_max * u_max
+    early = [-(-a * u // step) for _, _, u, a in staged]
+    head = max(early)
+    n_rows = head - (-n_out // step)
+    acc = np.zeros((n_rows, nfft), dtype=np.complex128)
+    for (x, taps, u, a), b in zip(staged, early):
+        width = nfft // u
+        rows = _block_rows(x, step // u, width, b * step // u - a)
+        np.fft.fft(rows, axis=1, out=rows)
+        padded = np.zeros(nfft, dtype=np.complex128)
+        padded[:len(taps)] = taps
+        spectrum = np.fft.fft(padded).reshape(u, width)
+        dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
+        term = np.empty_like(rows)
+        for k in range(u):
+            dest[:, k] += np.multiply(rows, spectrum[k], out=term)
+    np.fft.ifft(acc, axis=1, out=acc)
+    return _tail_add(acc, step)[head * step:head * step + n_out]
 
 
 def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
@@ -275,3 +352,41 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
         y = _overlap_add(x.samples, taps, u, h.group_delay)
     return frequency_shift(ComplexSignal(y, rate),
                            f_hz - rate * round(f_hz / rate))
+
+
+def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
+    """Interpolate, shift and sum: the sum over bands (x, u, h, f_hz, skip)
+    of frequency_shift(convolve_full(upsample_zero_stuff(x, u), h)[skip:],
+    f_hz) at rate_hz, each cut or zero-padded to n_out samples. Each x is
+    taken to be sampled at rate_hz/u, with u a power of two.
+
+    The dual of mix_filter_decimate, computing neither the zero-stuffed
+    signal nor a shift at rate_hz. The mixer moves onto the taps,
+    h[k] exp(j w (k - skip)) with w = 2 pi f_hz / rate_hz, and x is shifted
+    at rate_hz/u by f_hz aliased into that band, which is the same phasor
+    on every u-th sample; the overlap-add then interpolates, and all bands
+    share its inverse FFTs. A band at rate_hz whose filter is the unit tap
+    passes straight through: it is shifted in the time domain and added.
+    """
+    direct, parts = [], []
+    for x, u, h, f_hz, skip in bands:
+        if u < 1 or (u & (u - 1)) != 0:
+            raise DspError("u must be a power of two >= 1")
+        if abs(f_hz) > rate_hz / 2:
+            raise DspError(f"shift {f_hz} Hz beyond Nyquist for rate {rate_hz}")
+        if u == 1 and len(h) == 1 and h.taps[0] == 1.0:
+            direct.append((x.samples[skip:skip + n_out], f_hz))
+            continue
+        rate = rate_hz / u
+        k = np.arange(len(h)) - skip
+        taps = h.taps * np.exp(2j * np.pi * f_hz / rate_hz * k)
+        x = frequency_shift(ComplexSignal(x.samples, rate),
+                            f_hz - rate * round(f_hz / rate))
+        parts.append((x.samples, taps, u, skip))
+    if parts and n_out > 0:
+        out = _interpolate_sum(parts, n_out)
+    else:
+        out = np.zeros(n_out, dtype=np.complex128)
+    for x, f_hz in direct:
+        out[:len(x)] += frequency_shift(ComplexSignal(x, rate_hz), f_hz).samples
+    return ComplexSignal(out, rate_hz)

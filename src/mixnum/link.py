@@ -131,8 +131,8 @@ def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
     """Band-rate samples the front end would give for band i's burst
     composed alone, computed without the composite.
 
-    compose() zero-stuffs the burst by u, filters it with h_i, drops the
-    first skip samples and shifts it up; the front end shifts it back down,
+    compose() is, to rounding, zero-stuffing the burst by u, filtering it
+    with h_i, dropping the first skip samples and shifting it up; the front end shifts it back down,
     filters with h_r and keeps every u-th sample from c = skip + gd_r on.
     The shifts cancel, so but for the dropped head this is the polyphase
     branch g[c mod u::u] of g = h_i * h_r running on the burst itself. The

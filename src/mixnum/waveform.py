@@ -10,9 +10,8 @@ from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
                      composite_rate, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, convolve_full,
-                  design_interpolation_filter,
-                  design_subband_filter, frequency_shift, upsample_zero_stuff,
-                  wofdm_window)
+                  design_interpolation_filter, design_subband_filter,
+                  interpolate_mix_sum, wofdm_window)
 from .modem import qam_modulate
 
 MAX_INTERP_TAPS = 1025
@@ -142,17 +141,18 @@ def composite_length(sc: ScenarioConfig) -> int:
 
 
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
-    """Zero-stuff, interpolate, shift and sum the per-band bursts.
+    """Interpolate, shift and sum the per-band bursts.
 
     bursts holds one signal per sub-band. Group delays (band filter and
     interpolation filter) are compensated by discarding leading samples, so
-    symbol 0 of every band starts at composite sample 0.
+    symbol 0 of every band starts at composite sample 0. Each band is taken
+    up to the composite rate at its own rate (dsp.interpolate_mix_sum), as
+    if zero-stuffed, filtered and shifted there.
     """
     if len(bursts) != len(sc.subbands):
         raise WaveformError("one burst per sub-band required")
-    fs = composite_rate(sc)
     freqs = center_frequencies(sc)
-    aligned = []
+    bands = []
     for i, sig in enumerate(bursts):
         u = upsampling_factor(sc, i)
         delay, length = _burst_layout(sc, i)
@@ -161,17 +161,9 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
                 f"band {i}: burst has {len(sig)} samples, a {sc.waveform} "
                 f"burst of this scenario has {length}")
         taps = interpolation_filter(sc, i)
-        up = upsample_zero_stuff(sig, u)
-        if u > 1:
-            up = convolve_full(up, taps)
-        skip = taps.group_delay + u * delay
-        shifted = frequency_shift(ComplexSignal(up.samples[skip:], fs),
-                                  freqs[i])
-        aligned.append(shifted.samples)
-    out = np.zeros(composite_length(sc), dtype=np.complex128)
-    for a in aligned:
-        out[:len(a)] += a
-    return ComplexSignal(out, fs)
+        bands.append((sig, u, taps, freqs[i], taps.group_delay + u * delay))
+    return interpolate_mix_sum(bands, composite_rate(sc),
+                               composite_length(sc))
 
 
 def build_composite(sc: ScenarioConfig, payloads) -> ComplexSignal:

@@ -76,6 +76,18 @@ class TestPsdCommand:
         assert manifest["scenario_hash"] == config.scenario_hash(sc)
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("symbols,note", [
+        (8, f", {PSD_MIN_SYMBOLS} symbols, raised from 8)"),
+        (PSD_MIN_SYMBOLS, " Hz)")])
+    def test_summary_says_when_symbols_were_raised(self, tmp_path, capsys,
+                                                   symbols, note):
+        out = tmp_path / "psd.csv"
+        assert main(["psd", "--scenario", "bypass", "--symbols",
+                     str(symbols), "--out", str(out)]) == EXIT_OK
+        line = capsys.readouterr().out
+        assert f"{note} and " in line
+        assert line.count("raised") == (symbols < PSD_MIN_SYMBOLS)
+
     def test_scenario_file_symbols_are_used(self, tmp_path):
         sc = config.single_band_scenario(n_symbols=128, seed=2)
         path = tmp_path / "scn.json"

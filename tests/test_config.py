@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +221,30 @@ class TestSerialization:
         sc = table1()
         other = config.table1_scenario(seed=1)
         assert scenario_hash(sc) != scenario_hash(other)
+
+    def test_equal_scenarios_built_apart_share_a_digest(self):
+        a = config.table1_scenario(waveform="f-ofdm", n_symbols=12, seed=4)
+        b = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(a))))
+        assert a == b and a is not b
+        assert scenario_hash(a) == scenario_hash(b)
+        assert scenario_hash(a) is scenario_hash(b)  # computed once
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 5}, {"n_symbols": 13}, {"rx_filter": False},
+        {"eq_mode": "per-subcarrier"}, {"f1_hz": 0.0}])
+    def test_changing_one_field_changes_the_digest(self, change):
+        a = config.table1_scenario(waveform="f-ofdm", n_symbols=12, seed=4)
+        assert scenario_hash(a) != scenario_hash(replace(a, **change))
+
+    def test_equal_values_spelled_apart_keep_their_digests(self):
+        # 0 == 0.0 == -0.0, but their JSON forms, and so the digests,
+        # differ; memoizing must not hand one the other's digest
+        forms = [replace(table1(), f1_hz=v) for v in (0.0, 0, -0.0)]
+        digests = [scenario_hash(sc) for sc in forms]
+        assert len(set(digests)) == 3
+        for sc, digest in zip(forms, digests):
+            blob = json.dumps(scenario_to_dict(sc), sort_keys=True).encode()
+            assert digest == hashlib.sha256(blob).hexdigest()
 
     def test_unknown_scenario_field_rejected(self):
         d = scenario_to_dict(table1())

@@ -8,8 +8,10 @@ from mixnum.config import center_frequencies, composite_rate, table1_scenario
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         _ola_fft_len, blackman_transition, convolve_full,
                         design_interpolation_filter, design_subband_filter,
-                        frequency_shift, mix_filter_decimate,
-                        upsample_zero_stuff, wofdm_window)
+                        frequency_shift, interpolate_mix_sum,
+                        mix_filter_decimate, upsample_zero_stuff,
+                        wofdm_window)
+from mixnum import dsp
 from mixnum.link import receive_filter
 
 
@@ -46,9 +48,39 @@ class TestFilterTaps:
         with pytest.raises(DspError):
             FilterTaps(np.array([0.0, 1.0, 2.0]), 1)
 
+    def test_taps_are_a_read_only_copy(self):
+        r = np.ones(3)
+        taps = FilterTaps(r, 1)
+        r[0] = 5.0  # the caller's array stays writable and is not shared
+        assert taps.taps[0] == 1.0
+        with pytest.raises(ValueError):
+            taps.taps[0] = 2.0
+
     def test_response_at_dc_is_tap_sum(self):
         taps = design_subband_filter(64, 12, 1.0, 33)
         assert taps.response_at(0.0)[0] == pytest.approx(taps.taps.sum())
+
+
+class TestDesignsAreShared:
+    def test_repeated_design_is_the_same_object(self):
+        assert (design_subband_filter(1024, 180, 6.0, 353)
+                is design_subband_filter(1024, 180, 6.0, 353))
+        assert (design_interpolation_filter(4, 192, 4096, 1025)
+                is design_interpolation_filter(4, 192, 4096, 1025))
+        assert (design_subband_filter(1024, 180, 6.0, 353)
+                is not design_subband_filter(1024, 180, 6.0, 351))
+
+    @pytest.mark.parametrize("design", [
+        lambda: design_subband_filter(1024, 180, 6.0, 353),
+        lambda: design_interpolation_filter(4, 192, 4096, 1025)],
+        ids=["subband", "interpolation"])
+    def test_shared_taps_cannot_be_written(self, design):
+        taps = design()
+        with pytest.raises(ValueError):
+            taps.taps[taps.group_delay] = 0.0
+        with pytest.raises(ValueError):
+            taps.taps *= 2.0
+        assert design().taps[taps.group_delay] != 0.0
 
 
 class TestSubbandFilter:
@@ -344,3 +376,112 @@ class TestMixFilterDecimate:
         with pytest.raises(DspError):
             mix_filter_decimate(x, 0.6 * x.rate_hz, FilterTaps(np.ones(3), 1),
                                 2)
+
+
+def _interpolate_reference(bands, rate_hz, n_out):
+    """The chain interpolate_mix_sum replaces, at the output rate: zero-stuff,
+    filter, drop the first skip samples, shift, then cut or pad and sum."""
+    out = np.zeros(n_out, dtype=np.complex128)
+    for x, u, h, f_hz, skip in bands:
+        y = convolve_full(upsample_zero_stuff(x, u), h).samples[skip:]
+        y = frequency_shift(ComplexSignal(y, rate_hz), f_hz).samples[:n_out]
+        out[:len(y)] += y
+    return out
+
+
+def _symmetric_taps(seed, n_taps):
+    r = np.random.default_rng(seed).standard_normal(n_taps)
+    return FilterTaps(r + r[::-1], (n_taps - 1) // 2)
+
+
+def _assert_close(y, ref):
+    # the mixer's phasor runs at the input rate, so it differs from the
+    # output-rate phasor by about 1e-10 of the peak on long signals; the
+    # inputs are unit-variance, so an all-zero reference is held to 1e-9
+    assert y.shape == ref.shape
+    np.testing.assert_allclose(y, ref, rtol=0,
+                               atol=1e-9 * max(np.abs(ref).max(), 1.0))
+
+
+class TestInterpolateMixSum:
+    """The transmit combiner against the chain it replaces."""
+
+    @pytest.mark.parametrize("u", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n_taps", [1, 91, 1025])
+    # skips on and off the u grid, and one past the taps' length
+    @pytest.mark.parametrize("skip", [0, 45, 1216])
+    # 0.45 fs aliases at u = 2..8; -0.3 fs wraps at u = 2..8
+    @pytest.mark.parametrize("f", [0.0, 0.45, -0.3])
+    def test_one_band_matches_the_chain(self, u, n_taps, skip, f):
+        rate = 8e6
+        x = rand_signal(u + n_taps, 3000, rate=rate / u)
+        bands = [(x, u, _symmetric_taps(n_taps, n_taps), f * rate, skip)]
+        n_out = u * len(x) + n_taps - 1 - skip
+        if n_out <= 0:
+            pytest.skip("skip drops every output sample")
+        y = interpolate_mix_sum(bands, rate, n_out)
+        assert y.rate_hz == rate
+        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+
+    @pytest.mark.parametrize("n_out", [1, 5000, 40000], ids=["cut", "mid",
+                                                             "padded"])
+    def test_bands_of_every_rate_sum(self, n_out):
+        # different factors, lengths and skips share one block grid; a
+        # unit-tap band at the output rate is added in the time domain
+        rate = 4e6
+        bands = [
+            (rand_signal(1, 4000, rate / 2), 2, _symmetric_taps(1, 177),
+             0.2 * rate, 131),
+            (rand_signal(2, 3000, rate / 4), 4, _symmetric_taps(2, 1025),
+             -0.35 * rate, 1027),
+            (rand_signal(3, 9000, rate), 1, FilterTaps(np.ones(1), 0),
+             0.1 * rate, 7),
+            (rand_signal(4, 700, rate), 1, _symmetric_taps(4, 33),
+             -0.05 * rate, 0),
+        ]
+        y = interpolate_mix_sum(bands, rate, n_out)
+        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+
+    def test_no_zero_stuffing_and_no_output_rate_shift(self, monkeypatch):
+        # interpolated bands are mixed at their own rate only
+        def no_zero_stuff(*args):
+            raise AssertionError("zero-stuffed signal built")
+
+        rates = []
+
+        def shift(x, f_hz):
+            rates.append(x.rate_hz)
+            return frequency_shift(x, f_hz)
+
+        monkeypatch.setattr(dsp, "upsample_zero_stuff", no_zero_stuff)
+        monkeypatch.setattr(dsp, "frequency_shift", shift)
+        rate = 8e6
+        bands = [(rand_signal(u, 500, rate / u), u,
+                  _symmetric_taps(u, 8 * u + 1), 0.3 * rate, u)
+                 for u in (2, 4, 8)]
+        interpolate_mix_sum(bands, rate, 4000)
+        assert sorted(rates) == [rate / 8, rate / 4, rate / 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), log_u=st.integers(0, 3),
+           half=st.integers(0, 300), n=st.integers(1, 2000),
+           skip=st.integers(0, 700), f=st.floats(-0.5, 0.5),
+           extra=st.integers(-500, 500))
+    def test_matches_the_chain(self, seed, log_u, half, n, skip, f, extra):
+        u, rate = 1 << log_u, 1e6
+        h = _symmetric_taps(seed, 2 * half + 1)
+        n_out = max(1, u * n + len(h) - 1 - skip + extra)
+        bands = [(rand_signal(seed, n, rate / u), u, h, f * rate, skip)]
+        y = interpolate_mix_sum(bands, rate, n_out)
+        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+
+    def test_rejects_bad_inputs(self):
+        x = rand_signal(5, 64)
+        h = FilterTaps(np.ones(3), 1)
+        with pytest.raises(DspError):
+            interpolate_mix_sum([(x, 2, h, 0.6e6, 0)], 1e6, 100)
+        with pytest.raises(DspError):
+            interpolate_mix_sum([(x, 3, h, 0.0, 0)], 1e6, 100)
+        with pytest.raises(DspError):
+            interpolate_mix_sum([(ComplexSignal(np.array([]), 1.0), 2, h,
+                                  0.0, 0)], 1e6, 100)

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixnum import config
-from mixnum.config import ScenarioConfig, SubbandNumerology, composite_rate
-from mixnum.dsp import ComplexSignal, design_subband_filter
+from mixnum.config import (ScenarioConfig, SubbandNumerology,
+                           center_frequencies, composite_rate,
+                           scenario_from_dict, upsampling_factor)
+from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
+                        frequency_shift, upsample_zero_stuff)
 from mixnum.modem import qam_modulate
 from mixnum.waveform import (WaveformError, _burst_layout, build_burst,
                              build_composite, compose, composite_length,
+                             interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
 
@@ -269,6 +275,54 @@ class TestCompose:
                     for i, nm in enumerate(sc.subbands)]
         sig = build_composite(sc, payloads)
         assert sig.rate_hz == composite_rate(sc) == 61.44e6
+
+
+# two sub-bands at u = 8 and u = 1: 15 kHz and 120 kHz spacing, n_fft 1024
+U8_SCENARIO_JSON = """{"subbands": [
+  {"n_fft": 1024, "n_cp": 72, "scs_hz": 15000, "n_used": 120, "n_guard": 12,
+   "filter_len": 257, "transition_hz": 45000},
+  {"n_fft": 1024, "n_cp": 72, "scs_hz": 120000, "n_used": 96, "n_guard": 12,
+   "filter_len": 65, "transition_hz": 360000}],
+ "waveform": "f-ofdm", "n_symbols": 3}"""
+
+
+def _compose_by_chain(bursts, sc):
+    """compose() the long way: zero-stuff each burst, filter it, drop the
+    group delays and shift it, all at the composite rate."""
+    fs, freqs = composite_rate(sc), center_frequencies(sc)
+    out = np.zeros(composite_length(sc), dtype=np.complex128)
+    for i, burst in enumerate(bursts):
+        u = upsampling_factor(sc, i)
+        h = interpolation_filter(sc, i)
+        y = convolve_full(upsample_zero_stuff(burst, u), h).samples
+        y = y[h.group_delay + u * _burst_layout(sc, i)[0]:]
+        y = frequency_shift(ComplexSignal(y, fs), freqs[i]).samples
+        out[:len(y)] += y
+    return out
+
+
+class TestComposeMatchesChain:
+    @pytest.mark.parametrize("sc", [
+        *(config.table1_scenario(waveform=wf, n_symbols=6, seed=3)
+          for wf in ("cp-ofdm", "f-ofdm", "w-ofdm")),
+        config.single_band_scenario(waveform="f-ofdm", n_symbols=5),
+        config.bypass_scenario(n_symbols=4),
+        config.scenario_from_dict(json.loads(U8_SCENARIO_JSON)),
+    ], ids=["table1-cp-ofdm", "table1-f-ofdm", "table1-w-ofdm",
+            "single-band", "bypass", "json-u8"])
+    def test_matches_zero_stuff_filter_shift(self, sc):
+        rng = np.random.default_rng(sc.seed)
+        bursts = [build_burst(random_payload(sc, i, rng)[1], nm, sc.waveform)
+                  for i, nm in enumerate(sc.subbands)]
+        out = compose(bursts, sc)
+        ref = _compose_by_chain(bursts, sc)
+        assert len(out) == len(ref) == composite_length(sc)
+        assert out.rate_hz == composite_rate(sc)
+        assert np.abs(out.samples - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_json_scenario_has_u8(self):
+        sc = scenario_from_dict(json.loads(U8_SCENARIO_JSON))
+        assert [upsampling_factor(sc, i) for i in range(2)] == [8, 1]
 
 
 class TestPayloadSymbols:
