@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
@@ -33,6 +34,14 @@ class ConfigError(ValueError):
 
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _plain_float(v, name):
+    """v as a float, -0.0 as 0.0: the one spelling of each value, so that
+    equal scenarios have one JSON form and one digest."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {v!r:.40}")
+    return float(v) + 0.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,9 @@ class SubbandNumerology:
     n_transition: int = 0
 
     def __post_init__(self):
+        for name in ("scs_hz", "transition_hz"):
+            object.__setattr__(self, name,
+                               _plain_float(getattr(self, name), name))
         if not _is_pow2(self.n_fft) or self.n_fft < 16:
             raise ConfigError(f"n_fft must be a power of two >= 16, got {self.n_fft}")
         if self.n_cp < 0:
@@ -116,6 +128,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "subbands", tuple(self.subbands))
+        if self.f1_hz is not None:
+            object.__setattr__(self, "f1_hz",
+                               _plain_float(self.f1_hz, "f1_hz"))
         if len(self.subbands) < 1:
             raise ConfigError("scenario needs at least one sub-band")
         if self.waveform not in WAVEFORMS:
@@ -261,16 +276,11 @@ def load_scenario(path) -> ScenarioConfig:
         return scenario_from_dict(json.load(fh))
 
 
+@lru_cache(maxsize=256)
 def scenario_hash(sc: ScenarioConfig) -> str:
     """Stable hex digest of the canonical JSON form, computed once per
-    scenario."""
-    return _scenario_digest(sc, repr(sc))
-
-
-@lru_cache(maxsize=256)
-def _scenario_digest(sc, spelling):
-    # spelling is repr(sc): == holds between 15000 and 15000.0, or 0.0 and
-    # -0.0, whose JSON forms and digests differ, but their reprs differ too
+    scenario. Equal scenarios share it: their float fields are spelled
+    alike from construction on."""
     blob = json.dumps(scenario_to_dict(sc), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -278,16 +288,11 @@ def _scenario_digest(sc, spelling):
 # ---------------------------------------------------------------------------
 # presets
 
-def _sweep_subband(scs_hz, filter_len, gap_hz, n_prefix=32, n_transition=32):
-    n_guard = gap_hz / scs_hz
-    if abs(n_guard - round(n_guard)) > 1e-9:
-        raise ConfigError(f"gap {gap_hz} Hz is not a whole number of "
-                          f"{scs_hz} Hz subcarriers")
-    return SubbandNumerology(
-        n_fft=1024, n_cp=64, scs_hz=scs_hz, n_used=180,
-        n_guard=int(round(n_guard)), filter_len=filter_len,
-        transition_hz=gap_hz / 2.0,
-        n_prefix=n_prefix, n_transition=n_transition)
+def _subband(scs_hz, filter_len):
+    """A 15-PRB band of the presets, packed edge to edge (zero gap)."""
+    return SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=scs_hz, n_used=180,
+                             filter_len=filter_len, n_prefix=32,
+                             n_transition=32)
 
 
 def table1_scenario(waveform="cp-ofdm", mod_order=4, n_symbols=16, seed=0,
@@ -297,21 +302,19 @@ def table1_scenario(waveform="cp-ofdm", mod_order=4, n_symbols=16, seed=0,
     Filter lengths 177/89/353, 180 kHz inter-band gap, 90 kHz one-sided
     filter transition. Composite rate is 61.44 MHz.
     """
-    subbands = (
-        _sweep_subband(30e3, 177, gap_hz),
-        _sweep_subband(60e3, 89, gap_hz),
-        _sweep_subband(15e3, 353, gap_hz),
-    )
-    return ScenarioConfig(subbands=subbands, waveform=waveform,
-                          mod_order=mod_order, n_symbols=n_symbols, seed=seed)
+    subbands = (_subband(30e3, 177), _subband(60e3, 89), _subband(15e3, 353))
+    return with_gap(ScenarioConfig(subbands=subbands, waveform=waveform,
+                                   mod_order=mod_order, n_symbols=n_symbols,
+                                   seed=seed), gap_hz)
 
 
 def single_band_scenario(waveform="cp-ofdm", mod_order=4, n_symbols=16, seed=0):
-    """One 15 kHz band, filtered, centered at 0 Hz."""
-    subbands = (_sweep_subband(15e3, 353, 180e3),)
-    return ScenarioConfig(subbands=subbands, waveform=waveform,
-                          mod_order=mod_order, n_symbols=n_symbols, seed=seed,
-                          f1_hz=0.0)
+    """One 15 kHz band, filtered, centered at 0 Hz, with the 180 kHz gap's
+    guards and transition."""
+    return with_gap(ScenarioConfig(subbands=(_subband(15e3, 353),),
+                                   waveform=waveform, mod_order=mod_order,
+                                   n_symbols=n_symbols, seed=seed, f1_hz=0.0),
+                    180e3)
 
 
 def bypass_scenario(mod_order=4, n_symbols=16, seed=0):

@@ -43,34 +43,32 @@ class ComplexSignal:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FilterTaps:
-    """Real, odd-length, symmetric FIR coefficients (linear phase). The taps
-    are a read-only copy, as one design is shared by every caller."""
+    """Real, odd-length, symmetric FIR coefficients (linear phase), whose
+    group delay is (L-1)/2 samples. The taps are a read-only copy, as one
+    design is shared by every caller. A group_delay passed in is checked
+    against that value."""
 
     taps: np.ndarray
-    group_delay: int
 
-    def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.float64)
+    def __init__(self, taps, group_delay=None):
+        taps = np.array(taps, dtype=np.float64)
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
-        L = len(self.taps)
-        if L % 2 == 0:
+        if len(taps) % 2 == 0:
             raise DspError("filter length must be odd")
-        if self.group_delay != (L - 1) // 2:
+        if group_delay is not None and group_delay != self.group_delay:
             raise DspError("group_delay must be (L-1)/2")
-        if not np.allclose(self.taps, self.taps[::-1], atol=1e-15, rtol=0):
+        if not np.allclose(taps, taps[::-1], atol=1e-15, rtol=0):
             raise DspError("taps must be symmetric")
 
     def __len__(self):
         return len(self.taps)
 
-    def response_at(self, freqs_cycles_per_sample):
-        """Complex frequency response at normalized frequencies (direct sum)."""
-        nu = np.atleast_1d(np.asarray(freqs_cycles_per_sample, dtype=float))
-        n = np.arange(len(self.taps)) - self.group_delay
-        return np.exp(-2j * np.pi * np.outer(nu, n)) @ self.taps
+    @property
+    def group_delay(self):
+        return (len(self.taps) - 1) // 2
 
 
 def _windowed_sinc(cutoff_two_sided_bins, n_fft, filter_len):
@@ -92,7 +90,7 @@ def _windowed_sinc(cutoff_two_sided_bins, n_fft, filter_len):
     taps = p * w
     taps = 0.5 * (taps + taps[::-1])  # exact symmetry
     taps = taps / taps.sum()
-    return FilterTaps(taps, half)
+    return FilterTaps(taps)
 
 
 @lru_cache(maxsize=64)
@@ -123,12 +121,12 @@ def design_interpolation_filter(u, band_width_subcarriers, n_fft_composite_equiv
     if u < 1 or (u & (u - 1)) != 0:
         raise DspError("u must be a power of two >= 1")
     if u == 1:
-        return FilterTaps(np.array([1.0]), 0)
+        return FilterTaps(np.array([1.0]))
     if band_width_subcarriers > n_fft_composite_equiv // u:
         raise DspError("band wider than its original sampling band")
     ft = _windowed_sinc(n_fft_composite_equiv // u, n_fft_composite_equiv,
                         filter_len)
-    return FilterTaps(ft.taps * u, ft.group_delay)
+    return FilterTaps(ft.taps * u)
 
 
 def blackman_transition(n_tr):
@@ -160,17 +158,6 @@ def wofdm_window(n_fft, n_cp_star, n_prefix, n_tr):
     pad = np.zeros(n_prefix - n_tr // 2)
     ones = np.ones(n_fft + n_cp_star - n_tr + 1)
     return np.concatenate([pad, up, ones, up[::-1], pad])
-
-
-def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
-    """Insert u-1 zeros after every sample; rate multiplied by u."""
-    if u < 1:
-        raise DspError("u must be >= 1")
-    if u == 1:
-        return x
-    out = np.zeros(u * len(x), dtype=np.complex128)
-    out[::u] = x.samples
-    return ComplexSignal(out, x.rate_hz * u)
 
 
 def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
@@ -205,8 +192,9 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
 def _ola_fft_len(n_taps, u=1):
     """Power-of-two overlap-add FFT length >= 2L-1 (and >= 2u) with the
     least FFT work per sample: an FFT of nfft at the fast rate and one of
-    nfft/u at the slow rate per block of about nfft-L+1 fast-rate samples.
-    That cost falls and then rises as nfft doubles."""
+    nfft/u at the slow rate per block of about nfft-L+1 fast-rate samples,
+    u being the rate change. That cost falls and then rises as nfft
+    doubles."""
     nfft = max(_OLA_MIN_FFT, 2 * u, 1 << (2 * n_taps - 2).bit_length())
 
     def cost(n):
@@ -217,10 +205,11 @@ def _ola_fft_len(n_taps, u=1):
     return nfft
 
 
-def _block_rows(x, hop, width, lead=0):
+def _block_rows(x, hop, width, lead=0, n_rows=0):
     """The overlap-add block layout: x after lead zeros (lead < hop), cut
-    into rows of hop samples, each row zero-padded to width."""
-    n_rows = -(-(lead + len(x)) // hop)
+    into rows of hop samples, each row zero-padded to width; at least
+    n_rows rows."""
+    n_rows = max(n_rows, -(-(lead + len(x)) // hop))
     rows = np.zeros((n_rows, width), dtype=np.complex128)
     first = min(hop - lead, len(x))
     rows[0, lead:lead + first] = x[:first]
@@ -243,54 +232,26 @@ def _tail_add(rows, hop):
     return y
 
 
-def _overlap_add(x, taps, u=1, start=0):
-    """Every u-th sample of the full linear convolution of the arrays x and
-    taps, from index start on: (x * taps)[start::u].
+def _multirate(parts, n_out, d=1):
+    """The sum over parts (x, taps, u, start) of (z * taps)[start::d], where
+    z is x with u-1 zeros after every sample, each cut or zero-padded to
+    n_out samples, computed without z and without the samples d drops.
 
-    The input is cut into blocks of nfft-L+1 samples (rounded down to a
-    multiple of u), zero-padded to nfft, and every block goes through one
-    batched FFT and the tap spectrum. For u > 1 each block spectrum is then
-    folded u times onto nfft/u bins, which keeps every u-th sample of the
-    block's output, so the inverse FFT and the overlap-add of the tails run
-    at the output rate. The taps are rotated by start mod u samples so that
-    the kept samples fall on the fold's grid.
-    """
-    n = len(x)
-    if n == 0:
-        raise DspError("cannot convolve an empty signal")
-    n_taps = len(taps)
-    nfft = _ola_fft_len(n_taps, u)
-    step = (nfft - n_taps + 1) // u * u
-    blocks = _block_rows(x, step, nfft)
-    # in place: the block array is the largest buffer of the call
-    np.fft.fft(blocks, axis=1, out=blocks)
-    padded = np.zeros(nfft, dtype=np.result_type(taps, np.float64))
-    padded[:n_taps] = taps
-    blocks *= np.fft.fft(np.roll(padded, -(start % u))) / u
-    if u > 1:
-        blocks = blocks.reshape(len(blocks), u, nfft // u).sum(axis=1)
-    np.fft.ifft(blocks, axis=1, out=blocks)
-    y = _tail_add(blocks, step // u)
-    first = start // u
-    return y[first:first + len(range(start, n + n_taps - 1, u))]
+    Every x is cut into blocks of step/u samples, one common step that is a
+    multiple of every u and of d, and a block's FFT of nfft/u points, tiled
+    u times, is the spectrum of its zero-stuffed block. Each part's tiled
+    spectra are multiplied by its taps' spectrum and accumulated onto one
+    row of block spectra per output block; a lone part with u = 1 filters
+    its own block array in place instead. Each row is then folded d times
+    onto nfft/d bins, which keeps every d-th sample of its block's output,
+    so one inverse FFT of nfft/d per block serves every part and the tails
+    are added at the output rate.
 
-
-def _interpolate_sum(parts, n_out):
-    """The sum over parts (x, taps, u, start) of (z * taps)[start:], where z
-    is x with u-1 zeros after every sample, each cut or zero-padded to n_out
-    samples, computed without z.
-
-    The dual of the decimating _overlap_add: every x is cut into blocks of
-    step/u samples, one common step for all parts, and a block's FFT of
-    nfft/u points, tiled u times, is the spectrum of its zero-stuffed
-    block. Each part's tiled spectra are multiplied by its taps' spectrum
-    and accumulated onto one row of block spectra per output block, so one
-    inverse FFT of nfft per block serves every part. A start off the u grid
-    is moved onto it by delaying the taps by -start mod u samples. Input
-    sample a = start/u then lands on output sample 0: x goes in after
-    b*step/u - a zeros, b = ceil(a*u/step), so its rows begin b rows
-    before output sample 0, and the common rows begin as early as the
-    largest b needs.
+    A start off the u grid is moved onto it by delaying the taps by
+    -start mod u samples. Input sample a = start/u then lands on kept sample
+    0: x goes in after b*step/u - a zeros, b = ceil(a*u/step), so its rows
+    begin b rows before the output, the common rows begin as early as the
+    largest b needs, and every kept sample falls on the fold's grid.
     """
     staged = []
     for x, taps, u, start in parts:
@@ -299,34 +260,66 @@ def _interpolate_sum(parts, n_out):
         delay = -start % u
         taps = np.concatenate([np.zeros(delay), taps])
         a = (start + delay) // u
-        # inputs from index a + ceil(n_out/u) on reach past the output
-        staged.append((x[:a - (-n_out // u)], taps, u, a))
+        # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
+        staged.append((x[:a - (-((n_out - 1) * d + 1) // u)], taps, u, a))
+    if n_out <= 0:
+        return np.zeros(0, dtype=np.complex128)
     n_taps = max(len(taps) for _, taps, _, _ in staged)
-    u_max = max(u for _, _, u, _ in staged)
-    nfft = _ola_fft_len(n_taps, u_max)
-    step = (nfft - n_taps + 1) // u_max * u_max
+    m = max([d] + [u for _, _, u, _ in staged])
+    nfft = _ola_fft_len(n_taps, m)
+    step = (nfft - n_taps + 1) // m * m
+    hop = step // d
     early = [-(-a * u // step) for _, _, u, a in staged]
     head = max(early)
-    n_rows = head - (-n_out // step)
-    acc = np.zeros((n_rows, nfft), dtype=np.complex128)
-    for (x, taps, u, a), b in zip(staged, early):
-        width = nfft // u
-        rows = _block_rows(x, step // u, width, b * step // u - a)
-        np.fft.fft(rows, axis=1, out=rows)
+    n_rows = head - (-n_out // hop)
+
+    def spectrum(taps, u):
         padded = np.zeros(nfft, dtype=np.complex128)
         padded[:len(taps)] = taps
-        spectrum = np.fft.fft(padded).reshape(u, width)
-        dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
-        term = np.empty_like(rows)
-        for k in range(u):
-            dest[:, k] += np.multiply(rows, spectrum[k], out=term)
+        return (np.fft.fft(padded) / d).reshape(u, nfft // u)
+
+    if len(staged) == 1 and staged[0][2] == 1:
+        # in place: the block array is the largest buffer of the call
+        x, taps, _, a = staged[0]
+        acc = _block_rows(x, step, nfft, head * step - a, n_rows)
+        np.fft.fft(acc, axis=1, out=acc)
+        acc *= spectrum(taps, 1)[0]
+    else:
+        acc = np.zeros((n_rows, nfft), dtype=np.complex128)
+        for (x, taps, u, a), b in zip(staged, early):
+            width = nfft // u
+            rows = _block_rows(x, step // u, width, b * step // u - a)
+            np.fft.fft(rows, axis=1, out=rows)
+            tiles = spectrum(taps, u)
+            dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u,
+                                                              width)
+            term = np.empty_like(rows)
+            for k in range(u):
+                dest[:, k] += np.multiply(rows, tiles[k], out=term)
+    if d > 1:
+        # rebinding releases the in-place block array before the tail add
+        acc = acc.reshape(n_rows, d, nfft // d).sum(axis=1)
     np.fft.ifft(acc, axis=1, out=acc)
-    return _tail_add(acc, step)[head * step:head * step + n_out]
+    return _tail_add(acc, hop)[head * hop:head * hop + n_out]
+
+
+def _mix_through(taps, f_hz, rate_hz, u, origin):
+    """Move a shift by f_hz at rate_hz to the other side of a filter and a
+    u-fold rate change. Returns the taps times exp(j w (k - origin)),
+    w = 2 pi f_hz / rate_hz, and f_hz aliased into the band of rate_hz/u.
+    A filter's output from sample origin on, shifted by f_hz, is its input
+    shifted by f_hz and filtered with the rotated taps; a receiver passes
+    -f_hz to move the shift from its input to its output."""
+    k = np.arange(len(taps)) - origin
+    rate = rate_hz / u
+    return (taps * np.exp(2j * np.pi * f_hz / rate_hz * k),
+            f_hz - rate * round(f_hz / rate))
 
 
 def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
     """Full linear convolution (overlap-add); output length len(x) + L - 1."""
-    return ComplexSignal(_overlap_add(x.samples, h.taps), x.rate_hz)
+    return ComplexSignal(_multirate([(x.samples, h.taps, 1, 0)],
+                                    len(x) + len(h) - 1), x.rate_hz)
 
 
 def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
@@ -338,35 +331,31 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
     The mixer moves onto the taps, h[k] exp(-j w (k - gd)) with
     w = 2 pi f_hz / fs, so the filter runs on x itself and decimates inside
     the overlap-add; the output is then shifted at fs/u by f_hz aliased into
-    that band. A one-tap h is a gain, so x is decimated first and then
-    mixed.
+    that band.
     """
     if abs(f_hz) > x.rate_hz / 2:
         raise DspError(f"shift {f_hz} Hz beyond Nyquist for rate {x.rate_hz}")
-    rate = x.rate_hz / u
-    if len(h) == 1:
-        y = h.taps[0] * x.samples[::u]
-    else:
-        k = np.arange(len(h)) - h.group_delay
-        taps = h.taps * np.exp(-2j * np.pi * f_hz / x.rate_hz * k)
-        y = _overlap_add(x.samples, taps, u, h.group_delay)
-    return frequency_shift(ComplexSignal(y, rate),
-                           f_hz - rate * round(f_hz / rate))
+    gd = h.group_delay
+    taps, f_rest = _mix_through(h.taps, -f_hz, x.rate_hz, u, gd)
+    y = _multirate([(x.samples, taps, 1, gd)],
+                   len(range(gd, len(x) + len(h) - 1, u)), u)
+    return frequency_shift(ComplexSignal(y, x.rate_hz / u), -f_rest)
 
 
 def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
     """Interpolate, shift and sum: the sum over bands (x, u, h, f_hz, skip)
-    of frequency_shift(convolve_full(upsample_zero_stuff(x, u), h)[skip:],
-    f_hz) at rate_hz, each cut or zero-padded to n_out samples. Each x is
-    taken to be sampled at rate_hz/u, with u a power of two.
+    of frequency_shift(convolve_full(z, h)[skip:], f_hz) at rate_hz, where z
+    is x with u-1 zeros after every sample, each cut or zero-padded to n_out
+    samples. Each x is taken to be sampled at rate_hz/u, with u a power of
+    two.
 
-    The dual of mix_filter_decimate, computing neither the zero-stuffed
-    signal nor a shift at rate_hz. The mixer moves onto the taps,
-    h[k] exp(j w (k - skip)) with w = 2 pi f_hz / rate_hz, and x is shifted
-    at rate_hz/u by f_hz aliased into that band, which is the same phasor
-    on every u-th sample; the overlap-add then interpolates, and all bands
-    share its inverse FFTs. A band at rate_hz whose filter is the unit tap
-    passes straight through: it is shifted in the time domain and added.
+    The dual of mix_filter_decimate, computing neither z nor a shift at
+    rate_hz. The mixer moves onto the taps, h[k] exp(j w (k - skip)) with
+    w = 2 pi f_hz / rate_hz, and x is shifted at rate_hz/u by f_hz aliased
+    into that band, which is the same phasor on every u-th sample; the
+    overlap-add then interpolates, and all bands share its inverse FFTs. A
+    band at rate_hz whose filter is the unit tap passes straight through:
+    it is shifted in the time domain and added.
     """
     direct, parts = [], []
     for x, u, h, f_hz, skip in bands:
@@ -377,14 +366,11 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
         if u == 1 and len(h) == 1 and h.taps[0] == 1.0:
             direct.append((x.samples[skip:skip + n_out], f_hz))
             continue
-        rate = rate_hz / u
-        k = np.arange(len(h)) - skip
-        taps = h.taps * np.exp(2j * np.pi * f_hz / rate_hz * k)
-        x = frequency_shift(ComplexSignal(x.samples, rate),
-                            f_hz - rate * round(f_hz / rate))
+        taps, f_rest = _mix_through(h.taps, f_hz, rate_hz, u, skip)
+        x = frequency_shift(ComplexSignal(x.samples, rate_hz / u), f_rest)
         parts.append((x.samples, taps, u, skip))
     if parts and n_out > 0:
-        out = _interpolate_sum(parts, n_out)
+        out = _multirate(parts, n_out)
     else:
         out = np.zeros(n_out, dtype=np.complex128)
     for x, f_hz in direct:

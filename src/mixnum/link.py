@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import (ScenarioConfig, center_frequencies, composite_rate,
                      scenario_hash, symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, convolve_full,
-                  design_subband_filter, mix_filter_decimate,
-                  upsample_zero_stuff)
+from .dsp import (ComplexSignal, FilterTaps, _multirate, convolve_full,
+                  design_subband_filter, mix_filter_decimate)
 from .waveform import (_burst_layout, build_burst, composite_length,
                        interpolation_filter, random_payload,
                        used_subcarrier_bins)
@@ -86,7 +85,7 @@ def _receive_taps(sc: ScenarioConfig, i: int) -> FilterTaps:
     """The band-select filter, or a unit tap when the scenario has none."""
     if sc.rx_filter:
         return receive_filter(sc, i)
-    return FilterTaps(np.ones(1), 0)
+    return FilterTaps(np.ones(1))
 
 
 def _demodulate(x, sc: ScenarioConfig, i: int, eq=None):
@@ -132,13 +131,14 @@ def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
     composed alone, computed without the composite.
 
     compose() is, to rounding, zero-stuffing the burst by u, filtering it
-    with h_i, dropping the first skip samples and shifting it up; the front end shifts it back down,
-    filters with h_r and keeps every u-th sample from c = skip + gd_r on.
-    The shifts cancel, so but for the dropped head this is the polyphase
-    branch g[c mod u::u] of g = h_i * h_r running on the burst itself. The
-    branch is symmetric and odd-length, and its output starts at its centre
-    plus the burst's leading delay. The dropped head reaches only the first
-    gd_r/u outputs, and its share is subtracted there.
+    with h_i, dropping the first skip samples and shifting it up; the front
+    end shifts it back down, filters with h_r and keeps every u-th sample
+    from c = skip + gd_r on. The shifts cancel, so but for the dropped head
+    this is the polyphase branch g[c mod u::u] of g = h_i * h_r running on
+    the burst itself. The branch is symmetric and odd-length, and its output
+    starts at its centre plus the burst's leading delay. The dropped head
+    reaches only the first gd_r/u outputs, and its share is subtracted
+    there.
     """
     u = upsampling_factor(sc, i)
     h_i = interpolation_filter(sc, i)
@@ -146,15 +146,14 @@ def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
     delay, _ = _burst_layout(sc, i)
     skip = h_i.group_delay + u * delay
     c = skip + h_r.group_delay
-    g = convolve_full(ComplexSignal(h_i.taps, 1.0), h_r).samples.real
-    branch = g[c % u::u]
-    branch = FilterTaps(0.5 * (branch + branch[::-1]), len(branch) // 2)
+    g = _multirate([(h_i.taps, h_r.taps, 1, 0)], len(h_i) + len(h_r) - 1)
+    branch = g.real[c % u::u]
+    branch = FilterTaps(0.5 * (branch + branch[::-1]))
     rx = convolve_full(burst, branch).samples[branch.group_delay + delay:]
     if skip:
-        head = upsample_zero_stuff(
-            ComplexSignal(burst.samples[:-(-skip // u)], burst.rate_hz), u)
-        head = convolve_full(head, h_i).samples[:skip]
-        lost = convolve_full(ComplexSignal(head, 1.0), h_r).samples[c::u]
+        head = _multirate([(burst.samples, h_i.taps, u, 0)], skip)
+        lost = _multirate([(head, h_r.taps, 1, c)],
+                          len(range(c, skip + len(h_r) - 1, u)), u)
         rx[:len(lost)] -= lost
     return rx
 

@@ -37,7 +37,6 @@ class ConstellationMap:
 
     order: int
     points: np.ndarray        # (M,) complex, indexed by integer label
-    bit_labels: np.ndarray    # (M, log2 M) of {0,1}
     # per-dimension helpers (ascending level order)
     levels: np.ndarray        # (sqrt M,) real, ascending
     thresholds: np.ndarray    # (sqrt M - 1,) decision boundaries, ascending
@@ -73,14 +72,12 @@ def constellation(M: int) -> ConstellationMap:
     i_gray = lab >> kd
     q_gray = lab & (m - 1)
     points = coord_of_gray[i_gray] + 1j * coord_of_gray[q_gray]
-    bit_labels = ((lab[:, None] >> np.arange(2 * kd - 1, -1, -1)) & 1)
     thresholds = 0.5 * (levels[:-1] + levels[1:])
     hamming = np.sum(level_bits[:, None, :] != level_bits[None, :, :], axis=2)
     tail_sign = np.where(np.arange(m - 1)[None, :] >= np.arange(m)[:, None],
                          1.0, -1.0)
     tail_weight = tail_sign * (hamming[:, 1:] - hamming[:, :-1])
     return ConstellationMap(order=M, points=points,
-                            bit_labels=bit_labels.astype(np.uint8),
                             levels=levels, thresholds=thresholds,
                             level_bits=level_bits.astype(np.uint8),
                             tail_sign=tail_sign, tail_weight=tail_weight)

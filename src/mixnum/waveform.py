@@ -9,7 +9,7 @@ import numpy as np
 from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
                      composite_rate, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, convolve_full,
+from .dsp import (ComplexSignal, FilterTaps, _tail_add, convolve_full,
                   design_interpolation_filter, design_subband_filter,
                   interpolate_mix_sum, wofdm_window)
 from .modem import qam_modulate
@@ -74,10 +74,7 @@ def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     win = wofdm_window(nm.n_fft, n_cp_star, nm.n_prefix, nm.n_transition)
     ext = ext * win[None, :]
     stride = nm.n_fft + nm.n_cp
-    burst = np.zeros(len(grid) * stride + nm.n_prefix + 1,
-                     dtype=np.complex128)
-    for k in range(len(grid)):
-        burst[k * stride:k * stride + ext.shape[1]] += ext[k]
+    burst = _tail_add(ext, stride)[:len(grid) * stride + nm.n_prefix + 1]
     return ComplexSignal(burst, subband_sample_rate(nm))
 
 
@@ -121,7 +118,7 @@ def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
     nm = sc.subbands[i]
     u = upsampling_factor(sc, i)
     if u == 1:
-        return FilterTaps(np.ones(1), 0)
+        return FilterTaps(np.ones(1))
     return design_interpolation_filter(u, nm.n_used + nm.n_guard,
                                        u * nm.n_fft,
                                        interpolation_filter_len(u, nm.n_cp))

@@ -57,6 +57,14 @@ class TestSubbandNumerology:
             SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180,
                               n_prefix=32, n_transition=31)
 
+    @pytest.mark.parametrize("field", ["scs_hz", "transition_hz"])
+    @pytest.mark.parametrize("value", ["15000", True, None])
+    def test_rejects_a_float_field_that_is_no_number(self, field, value):
+        kw = dict(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180)
+        kw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            SubbandNumerology(**kw)
+
     def test_fractional_transition_subcarriers(self):
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=60e3, n_used=180,
                                transition_hz=90e3)
@@ -236,15 +244,31 @@ class TestSerialization:
         a = config.table1_scenario(waveform="f-ofdm", n_symbols=12, seed=4)
         assert scenario_hash(a) != scenario_hash(replace(a, **change))
 
-    def test_equal_values_spelled_apart_keep_their_digests(self):
-        # 0 == 0.0 == -0.0, but their JSON forms, and so the digests,
-        # differ; memoizing must not hand one the other's digest
+    def test_equal_values_spelled_apart_share_one_digest(self):
+        # 0 == 0.0 == -0.0 are stored as 0.0, so all three have one JSON
+        # form and one digest, whichever of them is hashed first
         forms = [replace(table1(), f1_hz=v) for v in (0.0, 0, -0.0)]
-        digests = [scenario_hash(sc) for sc in forms]
-        assert len(set(digests)) == 3
-        for sc, digest in zip(forms, digests):
+        digests = {scenario_hash(sc) for sc in forms}
+        assert len(digests) == 1
+        for sc in forms:
             blob = json.dumps(scenario_to_dict(sc), sort_keys=True).encode()
-            assert digest == hashlib.sha256(blob).hexdigest()
+            assert digests == {hashlib.sha256(blob).hexdigest()}
+
+    def test_integers_in_float_fields_are_stored_as_floats(self):
+        d = scenario_to_dict(table1())
+        d["f1_hz"] = -0.0
+        for sb in d["subbands"]:
+            sb["scs_hz"] = int(sb["scs_hz"])
+            sb["transition_hz"] = int(sb["transition_hz"])
+        text = json.dumps(d)
+        assert '"scs_hz": 30000,' in text and '"f1_hz": -0.0' in text
+        sc = scenario_from_dict(json.loads(text))
+        want = scenario_to_dict(replace(table1(), f1_hz=0.0))
+        assert (json.dumps(scenario_to_dict(sc), sort_keys=True)
+                == json.dumps(want, sort_keys=True))
+        assert all(type(nm.scs_hz) is float and type(nm.transition_hz) is float
+                   for nm in sc.subbands)
+        assert str(sc.f1_hz) == "0.0"
 
     def test_unknown_scenario_field_rejected(self):
         d = scenario_to_dict(table1())
@@ -290,6 +314,28 @@ class TestPresets:
         assert sc.waveform == "cp-ofdm"
         assert len(sc.subbands) == 1
         assert sc.subbands[0].filter_len == 1
+
+    # digests of the presets as spelled before they were built through
+    # with_gap; a change here changes every manifest's scenario_hash
+    @pytest.mark.parametrize("name,digest", [
+        ("table1", "1a5f6d3d49bb7645b76cdf2d85a7d40d"
+                   "d8126f3f8a57c40f3a1a71d92fe52744"),
+        ("single-band", "6cf639ed4293c96f5cdca830aad55fe0"
+                        "15d834262834542ebc41729d664e8956"),
+        ("bypass", "37ed354a7e176dd1f4c347bd52fc72b8"
+                   "1e4d362d266ce755fe071a2dedf47e91")])
+    def test_preset_digests_are_pinned(self, name, digest):
+        sc = get_preset(name)
+        blob = json.dumps(scenario_to_dict(sc), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert scenario_hash(sc) == digest
+
+    @pytest.mark.parametrize("gap_hz", [0.0, 180e3, 540e3])
+    def test_table1_gap_is_with_gap(self, gap_hz):
+        sc = config.table1_scenario(gap_hz=gap_hz)
+        assert sc == with_gap(config.table1_scenario(gap_hz=0.0), gap_hz)
+        assert [nm.n_guard * nm.scs_hz for nm in sc.subbands] == [gap_hz] * 3
+        assert [nm.transition_hz for nm in sc.subbands] == [gap_hz / 2] * 3
 
     def test_table1_guards_match_gap(self):
         sc = get_preset("table1")

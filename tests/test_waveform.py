@@ -9,13 +9,14 @@ from mixnum.config import (ScenarioConfig, SubbandNumerology,
                            center_frequencies, composite_rate,
                            scenario_from_dict, upsampling_factor)
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
-                        frequency_shift, upsample_zero_stuff)
+                        frequency_shift, wofdm_window)
 from mixnum.modem import qam_modulate
 from mixnum.waveform import (WaveformError, _burst_layout, build_burst,
                              build_composite, compose, composite_length,
                              interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
+from oracles import upsample_zero_stuff
 
 
 def small_band(**kw):
@@ -187,6 +188,24 @@ class TestWOfdm:
         nm = small_band()
         with pytest.raises(WaveformError):
             build_burst(payload(nm, 1), nm, "w-ofdm")
+
+    @pytest.mark.parametrize("n_sym", [1, 2, 7])
+    @pytest.mark.parametrize("n_prefix,n_tr", [(1, 0), (4, 2), (7, 6)])
+    def test_overlap_add_matches_symbol_loop(self, n_sym, n_prefix, n_tr):
+        # each windowed, extended symbol added in at k * stride, one by one
+        nm = small_band(n_prefix=n_prefix, n_transition=n_tr)
+        qam = payload(nm, n_sym, seed=n_sym)
+        n_cp_star = nm.n_cp - n_prefix
+        t = np.fft.ifft(map_to_subcarriers(qam, nm), axis=1)
+        ext = np.concatenate([t[:, -nm.n_cp:], t, t[:, :n_prefix + 1]],
+                             axis=1)
+        ext = ext * wofdm_window(nm.n_fft, n_cp_star, n_prefix, n_tr)
+        stride = nm.n_fft + nm.n_cp
+        ref = np.zeros(n_sym * stride + n_prefix + 1, dtype=np.complex128)
+        for k in range(n_sym):
+            ref[k * stride:k * stride + ext.shape[1]] += ext[k]
+        np.testing.assert_array_equal(build_burst(qam, nm, "w-ofdm").samples,
+                                      ref)
 
     @settings(max_examples=10, deadline=None)
     @given(n_sym=st.integers(1, 5), n_prefix=st.integers(1, 7))
