@@ -14,9 +14,8 @@ from .config import (ScenarioConfig, SubbandNumerology, composite_rate,
 from .dsp import ComplexSignal, FilterTaps
 from .link import ReceiverCalibration, awgn_from_rng, calibrate, \
     receive_subband
-from .metrics import (BerPoint, PsdCurve, ebn0_at_target_ber,
-                      evm_db, monte_carlo_ber, monte_carlo_curves,
-                      semianalytic_ber, welch_psd)
+from .metrics import (BerPoint, PsdCurve, ebn0_at_target_ber, evm_db,
+                      monte_carlo_ber, monte_carlo_curves, welch_psd)
 from .modem import constellation, qam_demodulate, qam_modulate
 from .waveform import build_burst, build_composite, compose
 
@@ -27,6 +26,6 @@ __all__ = [
     "upsampling_factor", "scenario_hash", "get_preset", "load_scenario",
     "save_scenario", "with_gap", "awgn_from_rng", "calibrate",
     "receive_subband", "ebn0_at_target_ber", "evm_db", "monte_carlo_ber",
-    "monte_carlo_curves", "semianalytic_ber", "welch_psd", "constellation", "qam_demodulate",
+    "monte_carlo_curves", "welch_psd", "constellation", "qam_demodulate",
     "qam_modulate", "build_burst", "build_composite", "compose",
 ]

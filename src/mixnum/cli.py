@@ -178,8 +178,7 @@ def cmd_ber(args):
             rows += [(i + 1, db, run.ber(db), method, n_bits, 0)
                      for db in grid]
     else:
-        rows = [(i + 1, pt.ebn0_db, pt.ber, pt.method, pt.n_bits,
-                 pt.n_errors)
+        rows = [(i + 1, pt.ebn0_db, pt.ber, method, pt.n_bits, pt.n_errors)
                 for i, points in monte_carlo_curves(sc, cals, grid).items()
                 for pt in points]
     _write_csv(args.out, ["band", "ebn0_db", "ber", "method", "n_bits",
@@ -239,13 +238,6 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("MIXNUM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _print_error(message):
     """One ``error: ...`` line on stderr; line breaks echoed from the input
     are escaped so the message stays on that line."""
@@ -260,6 +252,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _print_error(message)
         sys.exit(EXIT_CONFIG)
+
+
+def _worker_count(text):
+    """--threads value: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _glue_negative_grids(argv):
@@ -290,7 +290,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--symbols", type=int, default=None,
                         help=symbols_help)
-        sp.add_argument("--threads", type=int, default=_default_threads(),
+        sp.add_argument("--threads", type=_worker_count, default=1,
                         help="worker processes for sweep (capped at the CPU "
                              "and separation counts); psd and ber accept "
                              "it and run in one process")

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 
 F0_HZ = 15000.0          # base subcarrier spacing
@@ -36,12 +36,49 @@ def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _plain_float(v, name):
-    """v as a float, -0.0 as 0.0: the one spelling of each value, so that
-    equal scenarios have one JSON form and one digest."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {v!r:.40}")
-    return float(v) + 0.0
+def _checked(v, kind, name):
+    """v as a field annotated ``kind`` stores it, or ConfigError naming the
+    field. An int field takes an integer, a float field a finite real
+    (stored as a float, -0.0 as 0.0: the one spelling of each value, so
+    that equal scenarios have one JSON form and one digest); neither takes
+    a bool."""
+    if kind == "int":
+        if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+            return int(v)
+        want = "an integer"
+    elif kind == "float":
+        if isinstance(v, numbers.Real) and not isinstance(v, bool):
+            try:
+                f = float(v)
+            except OverflowError:  # an integer too large for a float
+                f = math.inf
+            if math.isfinite(f):
+                return f + 0.0
+        want = "a finite number"
+    elif kind == "bool":
+        if isinstance(v, bool):
+            return v
+        want = "true or false"
+    elif kind == "str":
+        if isinstance(v, str):
+            return v
+        want = "a string"
+    else:  # the sub-band list
+        if isinstance(v, (list, tuple)) and all(
+                isinstance(nm, SubbandNumerology) for nm in v):
+            return tuple(v)
+        want = "a list of sub-bands"
+    raise ConfigError(f"{name} must be {want}, got {v!r:.40}")
+
+
+def _check_types(obj):
+    """Store every field of obj as _checked gives it; a field annotated
+    ``X | None`` also takes None."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if not (v is None and optional == "None"):
+            object.__setattr__(obj, f.name, _checked(v, kind, f.name))
 
 
 @dataclass(frozen=True)
@@ -70,9 +107,7 @@ class SubbandNumerology:
     n_transition: int = 0
 
     def __post_init__(self):
-        for name in ("scs_hz", "transition_hz"):
-            object.__setattr__(self, name,
-                               _plain_float(getattr(self, name), name))
+        _check_types(self)
         if not _is_pow2(self.n_fft) or self.n_fft < 16:
             raise ConfigError(f"n_fft must be a power of two >= 16, got {self.n_fft}")
         if self.n_cp < 0:
@@ -127,10 +162,7 @@ class ScenarioConfig:
     eq_mode: str = "scalar"
 
     def __post_init__(self):
-        object.__setattr__(self, "subbands", tuple(self.subbands))
-        if self.f1_hz is not None:
-            object.__setattr__(self, "f1_hz",
-                               _plain_float(self.f1_hz, "f1_hz"))
+        _check_types(self)
         if len(self.subbands) < 1:
             raise ConfigError("scenario needs at least one sub-band")
         if self.waveform not in WAVEFORMS:
@@ -203,44 +235,17 @@ def center_frequencies(sc: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # serialization
 
-# field -> JSON type it must have (float: any finite number)
-_SUBBAND_FIELDS = {"n_fft": int, "n_cp": int, "scs_hz": float, "n_used": int,
-                   "n_guard": int, "filter_len": int, "transition_hz": float,
-                   "n_prefix": int, "n_transition": int}
-_SUBBAND_REQUIRED = {"n_fft", "n_cp", "scs_hz", "n_used"}
-_SCENARIO_FIELDS = {"subbands": list, "waveform": str, "mod_order": int,
-                    "n_symbols": int, "seed": int, "f1_hz": float,
-                    "rx_filter": bool, "eq_mode": str}
-_OPTIONAL = {"f1_hz"}  # may also be null
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               bool: "true or false", list: "a list"}
-
-
-def _has_type(v, kind):
-    """JSON typing: true/false is not a number, an integer is a valid float
-    and a float must be finite."""
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return False
-        try:
-            return math.isfinite(v)
-        except OverflowError:  # an integer too large for a float
-            return False
-    if kind is int:
-        return isinstance(v, int) and not isinstance(v, bool)
-    return isinstance(v, kind)
-
-
-def _check_fields(d, fields, where):
+def _check_keys(d, cls, where):
+    """d must be a JSON object holding every required field of cls and no
+    other key; the field values are checked by cls itself."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(d) - set(fields)
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    for name, v in d.items():
-        if not (_has_type(v, fields[name]) or (v is None and name in _OPTIONAL)):
-            raise ConfigError(f"{where}: {name} must be "
-                              f"{_TYPE_NAMES[fields[name]]}, got {v!r:.40}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+    if missing:
+        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
@@ -251,18 +256,18 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Scenario from its JSON form; any malformed input raises ConfigError."""
-    _check_fields(d, _SCENARIO_FIELDS, "scenario")
-    if "subbands" not in d:
-        raise ConfigError("scenario is missing 'subbands'")
+    _check_keys(d, ScenarioConfig, "scenario")
+    if not isinstance(d["subbands"], list):
+        raise ConfigError(f"scenario: subbands must be a list, "
+                          f"got {d['subbands']!r:.40}")
     subbands = []
     for k, sb in enumerate(d["subbands"]):
-        _check_fields(sb, _SUBBAND_FIELDS, f"sub-band {k}")
-        missing = _SUBBAND_REQUIRED - set(sb)
-        if missing:
-            raise ConfigError(f"sub-band {k}: missing fields {sorted(missing)}")
-        subbands.append(SubbandNumerology(**sb))
-    rest = {k: v for k, v in d.items() if k != "subbands"}
-    return ScenarioConfig(subbands=tuple(subbands), **rest)
+        _check_keys(sb, SubbandNumerology, f"sub-band {k}")
+        try:
+            subbands.append(SubbandNumerology(**sb))
+        except ConfigError as e:
+            raise ConfigError(f"sub-band {k}: {e}") from None
+    return ScenarioConfig(**{**d, "subbands": subbands})
 
 
 def save_scenario(sc: ScenarioConfig, path):

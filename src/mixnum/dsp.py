@@ -36,12 +36,6 @@ class ComplexSignal:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def power(self):
-        if len(self.samples) == 0:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
-
 
 @dataclass(frozen=True, init=False)
 class FilterTaps:

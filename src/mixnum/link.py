@@ -167,8 +167,7 @@ def _calibration_scenario(sc: ScenarioConfig, i: int) -> ScenarioConfig:
     return replace(sc, n_symbols=n_needed)
 
 
-def calibrate(sc: ScenarioConfig, i: int,
-              seed: int | None = None) -> ReceiverCalibration:
+def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     """One-tap equalizer, symbol energy and noise gain for band i.
 
     Equalization is measured on a noiseless single-band run so that ACI from
@@ -179,8 +178,7 @@ def calibrate(sc: ScenarioConfig, i: int,
     white noise of the composite's length through the receiver.
     """
     sc_cal = _calibration_scenario(sc, i)
-    ss = np.random.SeedSequence(sc.seed if seed is None else seed,
-                                spawn_key=(0xCA1, i))
+    ss = np.random.SeedSequence(sc.seed, spawn_key=(0xCA1, i))
     rng_sym, rng_noise = [np.random.default_rng(s) for s in ss.spawn(2)]
     nm = sc_cal.subbands[i]
     _, qam = random_payload(sc_cal, i, rng_sym, mod_order=4)

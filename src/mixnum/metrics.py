@@ -46,7 +46,6 @@ class PsdCurve:
 class BerPoint:
     ebn0_db: float
     ber: float
-    method: str                 # "monte-carlo" | "semi-analytic"
     n_bits: int
     n_errors: int = 0
     note: str = ""
@@ -141,12 +140,11 @@ class SemiAnalyticRun:
 
 
 def semianalytic_run(sc: ScenarioConfig, i: int,
-                     cal: ReceiverCalibration | None = None,
-                     seed: int | None = None) -> SemiAnalyticRun:
+                     cal: ReceiverCalibration | None = None
+                     ) -> SemiAnalyticRun:
     if cal is None:
         cal = calibrate(sc, i)
-    rngs, _ = _trial_rngs(sc.seed if seed is None else seed, 0,
-                          len(sc.subbands))
+    rngs, _ = _trial_rngs(sc.seed, 0, len(sc.subbands))
     sig, payloads, _ = _random_burst(sc, rngs)
     rx = receive_subband(sig, sc, i, cal)
     return SemiAnalyticRun(sc=sc, band=i, cal=cal,
@@ -155,33 +153,20 @@ def semianalytic_run(sc: ScenarioConfig, i: int,
                            n_symbols=rx.shape[0])
 
 
-def semianalytic_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
-                     cal: ReceiverCalibration | None = None,
-                     seed: int | None = None) -> BerPoint:
-    """Deterministic BER estimate from one noiseless burst."""
-    run = semianalytic_run(sc, i, cal, seed)
-    k = int(np.log2(sc.mod_order))
-    return BerPoint(ebn0_db=ebn0_db, ber=run.ber(ebn0_db),
-                    method="semi-analytic",
-                    n_bits=len(run.rx_points) * k)
-
-
 def monte_carlo_curves(sc: ScenarioConfig,
                        cals: dict[int, ReceiverCalibration], ebn0_grid,
                        min_errors=DEFAULT_MIN_ERRORS,
-                       max_bits=DEFAULT_MAX_BITS,
-                       seed: int | None = None) -> dict[int, list[BerPoint]]:
+                       max_bits=DEFAULT_MAX_BITS) -> dict[int, list[BerPoint]]:
     """Error-counting BER with interferers active, for every band in
     ``cals`` (band index -> calibration) at every Eb/N0 in the grid.
 
     Returns band index -> one BerPoint per grid point. Trial k's payloads
-    and noise seed depend only on (seed, k), so each trial's composite is
+    and noise seed depend only on (sc.seed, k), so each trial's composite is
     built once and shared by every (band, point) pair still counting. Each
     pair draws its noise from a fresh generator on the trial's noise seed
     and stops on its own at min_errors or max_bits, whichever comes first,
     exactly as if it ran alone.
     """
-    seed = sc.seed if seed is None else seed
     ebn0_grid = list(ebn0_grid)
     pairs = [(i, db, noise_variance_for_ebn0(sc, cal, db))
              for i, cal in cals.items() for db in ebn0_grid]
@@ -190,7 +175,7 @@ def monte_carlo_curves(sc: ScenarioConfig,
     trial = 0
     while active := [p for p in range(len(pairs))
                      if n_err[p] < min_errors and n_bits[p] < max_bits]:
-        rngs, noise_seed = _trial_rngs(seed, trial, len(sc.subbands))
+        rngs, noise_seed = _trial_rngs(sc.seed, trial, len(sc.subbands))
         sig, _, bits = _random_burst(sc, rngs)
         for p in active:
             i, _, var_inj = pairs[p]
@@ -201,8 +186,7 @@ def monte_carlo_curves(sc: ScenarioConfig,
             n_err[p] += int(np.sum(rx_bits != bits[i]))
             n_bits[p] += len(bits[i])
         trial += 1
-    points = [BerPoint(ebn0_db=db, ber=e / b, method="monte-carlo",
-                       n_bits=b, n_errors=e,
+    points = [BerPoint(ebn0_db=db, ber=e / b, n_bits=b, n_errors=e,
                        note="" if e else "upper-bound only")
               for (_, db, _), e, b in zip(pairs, n_err, n_bits)]
     n = len(ebn0_grid)
@@ -211,13 +195,12 @@ def monte_carlo_curves(sc: ScenarioConfig,
 
 def monte_carlo_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
                     min_errors=DEFAULT_MIN_ERRORS, max_bits=DEFAULT_MAX_BITS,
-                    cal: ReceiverCalibration | None = None,
-                    seed: int | None = None) -> BerPoint:
+                    cal: ReceiverCalibration | None = None) -> BerPoint:
     """One band at one Eb/N0 point of ``monte_carlo_curves``."""
     if cal is None:
         cal = calibrate(sc, i)
-    return monte_carlo_curves(sc, {i: cal}, [ebn0_db], min_errors, max_bits,
-                              seed)[i][0]
+    return monte_carlo_curves(sc, {i: cal}, [ebn0_db], min_errors,
+                              max_bits)[i][0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +235,10 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, seed, m):
+def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, m):
     """Eb/N0 (dB) reaching the target BER at a separation of m resource
     blocks, or NaN when the target is not bracketed."""
-    run = semianalytic_run(with_gap(sc, 12.0 * m * F0_HZ), i, seed=seed)
+    run = semianalytic_run(with_gap(sc, 12.0 * m * F0_HZ), i)
     try:
         return ebn0_for_target(run, target)
     except MetricsError:
@@ -263,7 +246,7 @@ def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, seed, m):
 
 
 def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target=0.05,
-                       m_grid=range(5), seed: int | None = None, map=map):
+                       m_grid=range(5), map=map):
     """(m, Eb/N0 dB) pairs: for each separation of m resource blocks the
     scenario is rebuilt with gap = 12*m*f0 and one-sided transition gap/2,
     recalibrated and bisected to the target BER.
@@ -275,5 +258,5 @@ def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target=0.05,
     if not (0.0 < target < 0.5):
         raise MetricsError("target must be in (0, 0.5)")
     m_grid = list(m_grid)
-    values = map(partial(_ebn0_at_separation, sc, i, target, seed), m_grid)
+    values = map(partial(_ebn0_at_separation, sc, i, target), m_grid)
     return list(zip(m_grid, values))

@@ -22,11 +22,6 @@ class ModemError(ValueError):
     pass
 
 
-def qfunc(x):
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
-
-
 def _gray(j):
     return j ^ (j >> 1)
 
@@ -161,20 +156,3 @@ def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
     errs = (_dim_bit_error(rx.real, tx_i, sigma, cm)
             + _dim_bit_error(rx.imag, tx_q, sigma, cm))
     return errs / cm.bits_per_symbol
-
-
-def qam_ber_awgn(M: int, ebn0_lin):
-    """Exact Gray-coded square M-QAM BER over AWGN (closed-form series)."""
-    gamma = np.asarray(ebn0_lin, dtype=np.float64)
-    m = int(np.sqrt(M))
-    kd = int(np.log2(m))
-    k = 2 * kd
-    total = np.zeros_like(gamma)
-    for kk in range(1, kd + 1):
-        upper = int((1 - 2.0 ** (-kk)) * m)
-        for i in range(upper):
-            sgn = (-1) ** ((i * 2 ** (kk - 1)) // m)
-            wgt = int(2 ** (kk - 1) - np.floor(i * 2 ** (kk - 1) / m + 0.5))
-            total = total + sgn * wgt * qfunc(
-                (2 * i + 1) * np.sqrt(3.0 * k * gamma / (M - 1)))
-    return (2.0 / (m * kd)) * total

@@ -1,6 +1,7 @@
-"""Direct-form references the tests hold the library's fast paths to."""
+"""Direct-form and closed-form references the tests hold the library to."""
 
 import numpy as np
+from scipy.special import erfc
 
 from mixnum.dsp import ComplexSignal, DspError
 
@@ -22,3 +23,25 @@ def response_at(h, freqs_cycles_per_sample):
     nu = np.atleast_1d(np.asarray(freqs_cycles_per_sample, dtype=float))
     n = np.arange(len(h.taps)) - h.group_delay
     return np.exp(-2j * np.pi * np.outer(nu, n)) @ h.taps
+
+
+def qfunc(x):
+    """Gaussian tail probability Q(x)."""
+    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+
+
+def qam_ber_awgn(M: int, ebn0_lin):
+    """Exact Gray-coded square M-QAM BER over AWGN (closed-form series)."""
+    gamma = np.asarray(ebn0_lin, dtype=np.float64)
+    m = int(np.sqrt(M))
+    kd = int(np.log2(m))
+    k = 2 * kd
+    total = np.zeros_like(gamma)
+    for kk in range(1, kd + 1):
+        upper = int((1 - 2.0 ** (-kk)) * m)
+        for i in range(upper):
+            sgn = (-1) ** ((i * 2 ** (kk - 1)) // m)
+            wgt = int(2 ** (kk - 1) - np.floor(i * 2 ** (kk - 1) / m + 0.5))
+            total = total + sgn * wgt * qfunc(
+                (2 * i + 1) * np.sqrt(3.0 * k * gamma / (M - 1)))
+    return (2.0 / (m * kd)) * total

@@ -14,9 +14,10 @@ from mixnum.config import (SubbandNumerology, center_frequencies,
 from mixnum.dsp import blackman_transition, design_subband_filter, wofdm_window
 from mixnum.link import calibrate, receive_subband
 from mixnum.metrics import (ebn0_at_target_ber, evm_db, monte_carlo_ber,
-                            semianalytic_ber, semianalytic_run, welch_psd)
-from mixnum.modem import qam_ber_awgn, qam_modulate, qfunc
+                            semianalytic_run, welch_psd)
+from mixnum.modem import qam_modulate
 from mixnum.waveform import (build_burst, build_composite, payload_symbols)
+from oracles import qam_ber_awgn, qfunc
 
 WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
 

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import mixnum
 from mixnum import config
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
-                        MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid, _parse_m_range,
-                        _sweep_workers, main)
+                        MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
+                        _parse_m_range, _sweep_workers, build_parser, main)
 from mixnum.config import MAX_SYMBOLS, ConfigError
 from mixnum.metrics import MetricsError
 
@@ -187,6 +187,27 @@ class TestSweepCommand:
         assert not out.exists()
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["psd"], ["ber", "--ebn0", "0:1:2"], ["sweep", "--m", "0"]],
+        ids=["psd", "ber", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command,
+                                        threads):
+        out = tmp_path / "x.csv"
+        assert _exit_code(command + ["--scenario", "bypass", "--threads",
+                                     threads, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--threads" in err
+
+    def test_environment_sets_no_worker_count(self, monkeypatch):
+        monkeypatch.setenv("MIXNUM_THREADS", "4")
+        args = build_parser().parse_args(
+            ["sweep", "--scenario", "table1", "--out", "x.csv"])
+        assert args.threads == 1
+
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert _sweep_workers(1, 5) == 1
@@ -299,8 +320,14 @@ class TestErrorPaths:
         lambda d: d.update(subbands=5),
         lambda d: d.update(n_symbols="16"),
         lambda d: d.update(subbands=[5]),
+        lambda d: d["subbands"][0].update(n_fft=1024.0),
+        lambda d: d.update(mod_order=True),
+        lambda d: d["subbands"][0].update(scs_hz=float("nan")),
+        lambda d: d["subbands"][0].update(transition_hz=float("inf")),
+        lambda d: d.update(f1_hz=-float("inf")),
     ], ids=["n_fft-string", "subbands-number", "n_symbols-string",
-            "subband-number"])
+            "subband-number", "n_fft-float", "mod_order-bool", "scs_hz-nan",
+            "transition_hz-inf", "f1_hz-minus-inf"])
     def test_wrongly_typed_scenario(self, tmp_path, capsys, mutate):
         d = config.scenario_to_dict(config.single_band_scenario())
         mutate(d)

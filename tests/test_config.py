@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -58,7 +58,9 @@ class TestSubbandNumerology:
                               n_prefix=32, n_transition=31)
 
     @pytest.mark.parametrize("field", ["scs_hz", "transition_hz"])
-    @pytest.mark.parametrize("value", ["15000", True, None])
+    @pytest.mark.parametrize("value", [
+        "15000", True, None, float("nan"), float("inf"), -float("inf"),
+        pytest.param(10 ** 400, id="int-beyond-float")])
     def test_rejects_a_float_field_that_is_no_number(self, field, value):
         kw = dict(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180)
         kw[field] = value
@@ -69,6 +71,56 @@ class TestSubbandNumerology:
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=60e3, n_used=180,
                                transition_hz=90e3)
         assert nm.r_subcarriers == pytest.approx(1.5)
+
+
+_INT_FIELDS = (
+    [(SubbandNumerology, name) for name in ("n_fft", "n_cp", "n_used",
+                                            "n_guard", "filter_len",
+                                            "n_prefix", "n_transition")]
+    + [(ScenarioConfig, name) for name in ("mod_order", "n_symbols",
+                                           "seed")])
+
+
+class TestFieldTypes:
+    """Scenarios built in Python are checked like those read from JSON."""
+
+    @staticmethod
+    def build(cls, name, value):
+        sc = table1()
+        kw = asdict(sc.subbands[0]) if cls is SubbandNumerology \
+            else {**scenario_to_dict(sc), "subbands": sc.subbands}
+        good = kw[name]
+        return cls(**{**kw, name: value(good)})
+
+    @pytest.mark.parametrize("cls,name", _INT_FIELDS,
+                             ids=[n for _, n in _INT_FIELDS])
+    @pytest.mark.parametrize("value", [float, lambda v: True, str],
+                             ids=["float", "bool", "str"])
+    def test_int_field_takes_only_an_integer(self, cls, name, value):
+        self.build(cls, name, int)
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            self.build(cls, name, value)
+
+    def test_float_in_an_int_field_is_rejected(self):
+        # it compared equal to the int form but was spelled 4.0 in the
+        # JSON, so the memoized digest depended on which form came first
+        with pytest.raises(ConfigError, match="mod_order"):
+            replace(table1(), mod_order=4.0)
+
+    def test_numpy_scalars_are_stored_as_plain_values(self):
+        sc = replace(table1(), mod_order=np.int64(16), f1_hz=np.float64(-0.0))
+        assert type(sc.mod_order) is int and type(sc.f1_hz) is float
+        assert str(sc.f1_hz) == "0.0"
+        assert scenario_hash(sc) == scenario_hash(
+            replace(table1(), mod_order=16, f1_hz=0.0))
+
+    @pytest.mark.parametrize("name,value", [
+        ("rx_filter", 1), ("rx_filter", "true"), ("waveform", None),
+        ("eq_mode", 0), ("f1_hz", float("nan")), ("f1_hz", "0"),
+        ("subbands", "abc"), ("subbands", [1])])
+    def test_other_fields_are_checked_by_type(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            replace(table1(), **{name: value})
 
 
 class TestScenarioConfig:

@@ -22,14 +22,6 @@ def rand_signal(seed, n, rate=1e6):
 
 
 class TestComplexSignal:
-    def test_power_of_unit_tone(self):
-        n = np.arange(256)
-        sig = ComplexSignal(np.exp(2j * np.pi * 0.1 * n), 1e6)
-        assert sig.power == pytest.approx(1.0)
-
-    def test_empty_power_is_zero(self):
-        assert ComplexSignal(np.array([]), 1.0).power == 0.0
-
     def test_rejects_bad_rate(self):
         with pytest.raises(DspError):
             ComplexSignal(np.zeros(4), 0.0)

@@ -7,10 +7,9 @@ from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
 from mixnum.metrics import (MetricsError, SemiAnalyticRun, ebn0_at_target_ber,
                             ebn0_for_target, evm_db, monte_carlo_ber,
-                            monte_carlo_curves, semianalytic_ber,
-                            semianalytic_run, welch_psd)
-from mixnum.modem import qam_ber_awgn, qfunc
+                            monte_carlo_curves, semianalytic_run, welch_psd)
 from mixnum.waveform import payload_symbols
+from oracles import qam_ber_awgn, qfunc
 
 
 class TestWelchPsd:
@@ -136,14 +135,13 @@ class TestSemiAnalytic:
 
     def test_deterministic(self):
         sc = config.single_band_scenario(n_symbols=4, seed=7)
-        a = semianalytic_ber(sc, 0, 3.0)
-        b = semianalytic_ber(sc, 0, 3.0)
-        assert a.ber == b.ber
-        assert a.method == "semi-analytic"
+        a = semianalytic_run(sc, 0).ber(3.0)
+        b = semianalytic_run(sc, 0).ber(3.0)
+        assert a == b
 
     def test_run_reuse_matches_one_shot(self, bypass_run):
         sc, cal, run = bypass_run
-        assert semianalytic_ber(sc, 0, 5.0, cal=cal).ber == run.ber(5.0)
+        assert semianalytic_run(sc, 0, cal).ber(5.0) == run.ber(5.0)
 
 
 class TestMonteCarlo:
@@ -177,7 +175,7 @@ class TestMonteCarlo:
         sc = config.single_band_scenario(waveform="f-ofdm", n_symbols=8,
                                          seed=4)
         cal = calibrate(sc, 0)
-        sa = semianalytic_ber(sc, 0, 2.0, cal=cal).ber
+        sa = semianalytic_run(sc, 0, cal).ber(2.0)
         mc = monte_carlo_ber(sc, 0, 2.0, cal=cal)
         assert abs(sa - mc.ber) / mc.ber < 0.1
 

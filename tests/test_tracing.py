@@ -85,3 +85,21 @@ def test_traced_semianalytic_ber_job_gives_layer_metrics(spans, tmp_path):
     assert m["modem.bit_error_probabilities.m256.points"] > 0
     assert m["link.receive_subband.calls"] > 0
     assert m["dsp.frequency_shift.samples"] > 0
+
+
+def test_traced_monte_carlo_ber_job_gives_layer_metrics(spans, tmp_path):
+    m = traced(spans, ["ber", "--scenario", "bypass", "--method", "mc",
+                       "--ebn0", "0:2:2", "--symbols", "4"],
+               tmp_path / "mc.csv")
+    assert m["link.calibrate.calls"] > 0
+    assert m["link.awgn_from_rng.samples"] > 0
+    assert m["link.receive_subband.calls"] > 0
+
+
+def test_traced_sweep_job_gives_layer_metrics(spans, tmp_path):
+    m = traced(spans, ["sweep", "--scenario", "single-band", "--mod", "16",
+                       "--m", "0..1", "--symbols", "4", "--band", "1",
+                       "--waveform", "cp-ofdm"], tmp_path / "sweep.csv")
+    assert m["link.calibrate.calls"] > 0
+    assert m["link.receive_subband.calls"] > 0
+    assert m["metrics.ebn0_for_target.evals_per_solve"] > 2
