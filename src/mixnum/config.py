@@ -110,8 +110,9 @@ class SubbandNumerology:
         _check_types(self)
         if not _is_pow2(self.n_fft) or self.n_fft < 16:
             raise ConfigError(f"n_fft must be a power of two >= 16, got {self.n_fft}")
-        if self.n_cp < 0:
-            raise ConfigError("n_cp must be non-negative")
+        if not 0 <= self.n_cp <= self.n_fft:
+            raise ConfigError(
+                f"n_cp must lie in 0..n_fft ({self.n_fft}), got {self.n_cp}")
         ratio = self.scs_hz / F0_HZ
         if self.scs_hz <= 0 or ratio != int(ratio) or not _is_pow2(int(ratio)):
             raise ConfigError(

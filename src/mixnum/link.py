@@ -14,7 +14,9 @@ the Eb/N0 convention at the demapper input. The noiseless run builds no
 composite: zero-stuffing, interpolation, the shift up and back down (which
 cancel), the receive filter and decimation are together one band-rate FIR
 on the band's own burst, and calibration shares the demodulation tail with
-traffic.
+traffic. The noise run's unit noise depends only on (seed, band, length),
+and the composite length does not depend on the guard separation, so the
+last draw is kept and a separation sweep draws it once per band.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ class LinkError(ValueError):
 
 def _complex_noise(n, variance, rng):
     """n samples of circular complex Gaussian noise of the given variance;
-    all real parts are drawn before all imaginary parts."""
-    s = np.sqrt(variance / 2.0)
-    return s * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    all real parts are drawn before all imaginary parts, into one buffer."""
+    noise = np.empty(n, dtype=np.complex128)
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= np.sqrt(variance / 2.0)
+    return noise
 
 
 def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
@@ -53,8 +58,9 @@ def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
         raise LinkError("noise variance must be non-negative")
     if variance == 0:
         return x
-    return ComplexSignal(x.samples + _complex_noise(len(x), variance, rng),
-                         x.rate_hz)
+    noise = _complex_noise(len(x), variance, rng)
+    noise += x.samples
+    return ComplexSignal(noise, x.rate_hz)
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,34 @@ def _calibration_scenario(sc: ScenarioConfig, i: int) -> ScenarioConfig:
     return replace(sc, n_symbols=n_needed)
 
 
+def _calibration_rng(seed, i, child):
+    """Generator of calibration stream `child` for band i: 0 feeds the
+    payload, 1 the noise run."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(0xCA1, i, child)))
+
+
+# the last calibration noise drawn, keyed by (seed, band, length)
+_CAL_NOISE: dict = {}
+
+
+def _calibration_noise(seed, i, n):
+    """n samples of read-only unit-variance noise for band i's noise run.
+
+    A pure function of its arguments, so the last draw is kept: a sweep
+    over separations recalibrates with the same noise at every m. On a miss
+    the kept draw is dropped before the next one is made, so two draws are
+    never alive at once (functools.lru_cache would evict after drawing).
+    """
+    key = (seed, i, n)
+    if key not in _CAL_NOISE:
+        _CAL_NOISE.clear()
+        noise = _complex_noise(n, 1.0, _calibration_rng(seed, i, 1))
+        noise.flags.writeable = False
+        _CAL_NOISE[key] = noise
+    return _CAL_NOISE[key]
+
+
 def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     """One-tap equalizer, symbol energy and noise gain for band i.
 
@@ -178,10 +212,12 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     white noise of the composite's length through the receiver.
     """
     sc_cal = _calibration_scenario(sc, i)
-    ss = np.random.SeedSequence(sc.seed, spawn_key=(0xCA1, i))
-    rng_sym, rng_noise = [np.random.default_rng(s) for s in ss.spawn(2)]
+    # looked up first, so that a miss frees the previous band's noise
+    # before this band's runs allocate anything
+    noise = _calibration_noise(sc.seed, i, composite_length(sc_cal))
     nm = sc_cal.subbands[i]
-    _, qam = random_payload(sc_cal, i, rng_sym, mod_order=4)
+    _, qam = random_payload(sc_cal, i, _calibration_rng(sc.seed, i, 0),
+                            mod_order=4)
     tx = qam.reshape(-1, nm.n_used)
     burst = build_burst(qam, nm, sc_cal.waveform)
     rx = _demodulate(_single_band_rx(burst, sc_cal, i), sc_cal, i)
@@ -195,7 +231,6 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
         h = 1.0 / eq
         eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
     es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
-    noise = _complex_noise(composite_length(sc_cal), 1.0, rng_noise)
     out = receive_subband(ComplexSignal(noise, composite_rate(sc_cal)),
                           sc_cal, i) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)

@@ -25,6 +25,13 @@ def response_at(h, freqs_cycles_per_sample):
     return np.exp(-2j * np.pi * np.outer(nu, n)) @ h.taps
 
 
+def complex_noise(n, variance, rng):
+    """n samples of circular complex Gaussian noise of the given variance,
+    all real parts drawn before all imaginary parts."""
+    return np.sqrt(variance / 2.0) * (rng.standard_normal(n)
+                                      + 1j * rng.standard_normal(n))
+
+
 def qfunc(x):
     """Gaussian tail probability Q(x)."""
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))

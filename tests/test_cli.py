@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixnum
-from mixnum import config
+from mixnum import config, link
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
                         _parse_m_range, _sweep_workers, build_parser, main)
@@ -172,6 +174,29 @@ class TestSweepCommand:
         assert (m, wf, mod, band) == ("0", "cp-ofdm", "4", "1")
         # distortionless band: threshold near the analytic 1.3125 dB
         assert abs(float(val) - 1.3125) < 0.1
+
+    def test_sweep_draws_calibration_noise_once_per_waveform(
+            self, tmp_path, monkeypatch):
+        # the noise run depends on (seed, band, length) only, and the
+        # composite length does not change with the separation
+        draws = []
+        draw = link._complex_noise
+
+        def counted(n, variance, rng):
+            draws.append(n)
+            return draw(n, variance, rng)
+
+        monkeypatch.setattr(link, "_complex_noise", counted)
+        monkeypatch.setattr(link, "_CAL_NOISE", {})
+        argv = ["sweep", "--scenario", "single-band", "--symbols", "4",
+                "--m", "0..2", "--out"]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(argv + [str(one), "--threads", "1"]) == EXIT_OK
+        assert len(draws) == 3
+        # a pool of two even on a one-CPU machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(argv + [str(two), "--threads", "2"]) == EXIT_OK
+        assert one.read_bytes() == two.read_bytes()
 
     def test_band_out_of_range(self, tmp_path):
         rc = main(["sweep", "--scenario", "single-band", "--band", "5",
@@ -338,6 +363,29 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm"])
+    def test_cp_as_long_as_the_fft_runs(self, tmp_path, waveform):
+        sc = config.single_band_scenario(waveform=waveform)
+        nm = replace(sc.subbands[0], n_cp=sc.subbands[0].n_fft)
+        path = tmp_path / "long_cp.json"
+        config.save_scenario(replace(sc, subbands=(nm,)), path)
+        rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_OK
+
+    def test_cp_longer_than_the_fft_exits_2(self, tmp_path, capsys):
+        d = config.scenario_to_dict(config.single_band_scenario())
+        d["subbands"][0]["n_cp"] = d["subbands"][0]["n_fft"] + 1
+        path = tmp_path / "long_cp.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        rc = main(["psd", "--scenario", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_cp" in err
 
     @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:2", "a:b:c"])
     def test_malformed_grid_numbers(self, tmp_path, grid):

@@ -47,6 +47,15 @@ class TestSubbandNumerology:
             SubbandNumerology(n_fft=256, n_cp=16, scs_hz=15e3, n_used=240,
                               n_guard=32)
 
+    def test_cp_may_be_as_long_as_the_fft(self):
+        nm = SubbandNumerology(n_fft=1024, n_cp=1024, scs_hz=15e3,
+                               n_used=180)
+        assert nm.n_cp == nm.n_fft
+
+    def test_rejects_cp_longer_than_the_fft(self):
+        with pytest.raises(ConfigError, match="n_cp"):
+            SubbandNumerology(n_fft=1024, n_cp=1025, scs_hz=15e3, n_used=180)
+
     def test_prefix_must_fit_in_cp(self):
         with pytest.raises(ConfigError):
             SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180,

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from mixnum import config
+from mixnum import config, link
 from mixnum.config import (center_frequencies, composite_rate, scenario_hash,
                            symbols_per_band, upsampling_factor)
 from mixnum.dsp import ComplexSignal, convolve_full, frequency_shift
-from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_scenario,
+from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_noise,
+                         _calibration_scenario, _complex_noise,
                          awgn_from_rng, calibrate, noise_variance_for_ebn0,
                          receive_filter, receive_subband)
 from mixnum.metrics import evm_db
 from mixnum.waveform import (build_burst, build_composite, compose,
                              payload_symbols, random_payload,
                              used_subcarrier_bins)
-from oracles import response_at
+from oracles import complex_noise, response_at
 
 
 def seeded_payloads(sc, seed=0, M=None):
@@ -46,6 +47,20 @@ class TestAwgn:
         x = ComplexSignal(np.zeros(10 ** 5), 1e6)
         y = awgn_from_rng(x, 2.0, np.random.default_rng(0))
         assert np.mean(np.abs(y.samples) ** 2) == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("n,variance,seed", [
+        (0, 1.0, 0), (1, 1.0, 1), (7, 0.5, 2), (1000, 2.5, 3),
+        (4097, 1e-300, 4), (333, 0.0, 5), (10 ** 5, 1.0, 6)])
+    def test_noise_matches_the_oracle_byte_for_byte(self, n, variance, seed):
+        got = _complex_noise(n, variance, np.random.default_rng(seed))
+        want = complex_noise(n, variance, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_noise_added_to_a_signal_matches_the_oracle(self):
+        x = ComplexSignal(np.arange(50) * (1 - 2j), 1e6)
+        y = awgn_from_rng(x, 0.3, np.random.default_rng(8))
+        want = x.samples + complex_noise(50, 0.3, np.random.default_rng(8))
+        assert y.samples.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +99,42 @@ class TestBypassCalibration:
 
 @pytest.mark.parametrize("band", range(3))
 def test_table1_calibration_repeats_bit_for_bit(band):
+    # the memo is cleared between the runs, so the noise is drawn twice
     sc = config.table1_scenario()
-    a, b = calibrate(sc, band), calibrate(sc, band)
+    link._CAL_NOISE.clear()
+    a = calibrate(sc, band)
+    link._CAL_NOISE.clear()
+    b = calibrate(sc, band)
     np.testing.assert_array_equal(a.eq_coeffs, b.eq_coeffs)
     np.testing.assert_array_equal(a.es_per_subcarrier, b.es_per_subcarrier)
     np.testing.assert_array_equal(a.noise_gain_per_subcarrier,
                                   b.noise_gain_per_subcarrier)
+
+
+class TestCalibrationNoise:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(link, "_CAL_NOISE", {})
+
+    def test_is_read_only(self):
+        noise = _calibration_noise(3, 0, 64)
+        assert not noise.flags.writeable
+        with pytest.raises(ValueError):
+            noise[0] = 0.0
+
+    def test_is_the_second_child_of_the_band_stream(self):
+        ss = np.random.SeedSequence(3, spawn_key=(0xCA1, 1))
+        want = complex_noise(100, 1.0, np.random.default_rng(ss.spawn(2)[1]))
+        assert _calibration_noise(3, 1, 100).tobytes() == want.tobytes()
+
+    def test_memo_holds_at_most_one_entry(self):
+        first = _calibration_noise(3, 0, 64)
+        assert _calibration_noise(3, 0, 64) is first
+        for key in [(3, 1, 64), (4, 1, 64), (4, 1, 65), (3, 0, 64)]:
+            _calibration_noise(*key)
+            assert list(link._CAL_NOISE) == [key]
+        # a dropped draw is redrawn bit for bit
+        assert _calibration_noise(3, 0, 64).tobytes() == first.tobytes()
 
 
 def _composite_path_calibration(sc, i):
