@@ -199,6 +199,8 @@ def _sweep_workers(requested, n_points):
 def cmd_sweep(args):
     waveforms = (args.waveform.split(",") if args.waveform is not None
                  else ["cp-ofdm", "f-ofdm", "w-ofdm"])
+    if len(set(waveforms)) < len(waveforms):
+        raise ConfigError(f"--waveform repeats a name: {args.waveform}")
     m_values = _parse_m_range(args.m)
     base = _load_scenario_arg(args.scenario, None, args.mod, args.seed,
                               n_symbols=args.symbols)

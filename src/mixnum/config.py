@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import lru_cache
 
 F0_HZ = 15000.0          # base subcarrier spacing
@@ -182,6 +182,15 @@ class ScenarioConfig:
                 if not (0 < nm.n_prefix < nm.n_cp):
                     raise ConfigError(
                         f"sub-band {k}: w-ofdm needs 0 < n_prefix < n_cp")
+        # a band past +-fs/2 would alias into the composite band
+        half = composite_rate(self) / 2.0
+        for k, f in enumerate(center_frequencies(self)):
+            lo = f - self.subbands[k].occupied_hz / 2
+            hi = f + self.subbands[k].occupied_hz / 2
+            if lo < -half or hi > half:
+                raise ConfigError(
+                    f"sub-band {k} spans {lo:.7g}..{hi:.7g} Hz, outside the "
+                    f"composite band +-{half:.7g} Hz (f1_hz {self.f1_hz})")
 
 
 def subband_sample_rate(nm: SubbandNumerology) -> float:
@@ -294,46 +303,8 @@ def scenario_hash(sc: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 # presets
 
-def _subband(scs_hz, filter_len):
-    """A 15-PRB band of the presets, packed edge to edge (zero gap)."""
-    return SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=scs_hz, n_used=180,
-                             filter_len=filter_len, n_prefix=32,
-                             n_transition=32)
-
-
-def table1_scenario(waveform="cp-ofdm", mod_order=4, n_symbols=16, seed=0,
-                    gap_hz=180e3):
-    """Three-band reference scenario: 30/60/15 kHz spacings, 15 PRB each.
-
-    Filter lengths 177/89/353, 180 kHz inter-band gap, 90 kHz one-sided
-    filter transition. Composite rate is 61.44 MHz.
-    """
-    subbands = (_subband(30e3, 177), _subband(60e3, 89), _subband(15e3, 353))
-    return with_gap(ScenarioConfig(subbands=subbands, waveform=waveform,
-                                   mod_order=mod_order, n_symbols=n_symbols,
-                                   seed=seed), gap_hz)
-
-
-def single_band_scenario(waveform="cp-ofdm", mod_order=4, n_symbols=16, seed=0):
-    """One 15 kHz band, filtered, centered at 0 Hz, with the 180 kHz gap's
-    guards and transition."""
-    return with_gap(ScenarioConfig(subbands=(_subband(15e3, 353),),
-                                   waveform=waveform, mod_order=mod_order,
-                                   n_symbols=n_symbols, seed=seed, f1_hz=0.0),
-                    180e3)
-
-
-def bypass_scenario(mod_order=4, n_symbols=16, seed=0):
-    """Distortionless reference: one CP-OFDM band, no receive filter, f1 = 0."""
-    nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180,
-                           n_guard=0, filter_len=1, transition_hz=0.0)
-    return ScenarioConfig(subbands=(nm,), waveform="cp-ofdm",
-                          mod_order=mod_order, n_symbols=n_symbols, seed=seed,
-                          f1_hz=0.0, rx_filter=False)
-
-
 def with_gap(sc: ScenarioConfig, gap_hz: float) -> ScenarioConfig:
-    """Rebuild a scenario with a new inter-band gap and matching transition.
+    """The scenario with a new inter-band gap and matching transition.
 
     The one-sided filter transition tracks the gap (half of it), so a wider
     gap both separates the bands and sharpens nothing; a zero gap packs the
@@ -345,22 +316,38 @@ def with_gap(sc: ScenarioConfig, gap_hz: float) -> ScenarioConfig:
         if abs(n_guard - round(n_guard)) > 1e-9:
             raise ConfigError(f"gap {gap_hz} Hz is not a whole number of "
                               f"{nm.scs_hz} Hz subcarriers")
-        d = asdict(nm)
-        d["n_guard"] = int(round(n_guard))
-        d["transition_hz"] = gap_hz / 2.0
-        subbands.append(SubbandNumerology(**d))
-    rest = {k: v for k, v in scenario_to_dict(sc).items() if k != "subbands"}
-    return ScenarioConfig(subbands=tuple(subbands), **rest)
+        subbands.append(replace(nm, n_guard=int(round(n_guard)),
+                                transition_hz=gap_hz / 2.0))
+    return replace(sc, subbands=tuple(subbands))
+
+
+def _subband(scs_hz, filter_len):
+    """A 15-PRB band of the presets, packed edge to edge (zero gap)."""
+    return SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=scs_hz, n_used=180,
+                             filter_len=filter_len, n_prefix=32,
+                             n_transition=32)
 
 
 PRESETS = {
-    "table1": table1_scenario,
-    "single-band": single_band_scenario,
-    "bypass": bypass_scenario,
+    # Three-band reference scenario: 30/60/15 kHz spacings, 15 PRB each,
+    # filter lengths 177/89/353, 180 kHz inter-band gap, 90 kHz one-sided
+    # filter transition. Composite rate is 61.44 MHz.
+    "table1": with_gap(ScenarioConfig(subbands=(
+        _subband(30e3, 177), _subband(60e3, 89), _subband(15e3, 353))),
+        180e3),
+    # One 15 kHz band, filtered, centered at 0 Hz, with the 180 kHz gap's
+    # guards and transition.
+    "single-band": with_gap(ScenarioConfig(
+        subbands=(_subband(15e3, 353),), f1_hz=0.0), 180e3),
+    # Distortionless reference: one CP-OFDM band, no receive filter, f1 = 0.
+    "bypass": ScenarioConfig(subbands=(SubbandNumerology(
+        n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180),), f1_hz=0.0,
+        rx_filter=False),
 }
 
 
-def get_preset(name, **kwargs) -> ScenarioConfig:
+def get_preset(name) -> ScenarioConfig:
+    """The preset called name; build variants with dataclasses.replace."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name](**kwargs)
+    return PRESETS[name]

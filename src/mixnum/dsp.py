@@ -70,8 +70,6 @@ def _windowed_sinc(cutoff_two_sided_bins, n_fft, filter_len):
     windowed (exponent 0.6) and normalized to unit DC gain."""
     if filter_len % 2 == 0 or filter_len < 1:
         raise DspError(f"filter length must be odd, got {filter_len}")
-    if cutoff_two_sided_bins > n_fft:
-        raise DspError("cutoff exceeds the Nyquist band")
     half = (filter_len - 1) // 2
     n = np.arange(-half, half + 1, dtype=np.float64)
     p = np.sinc(cutoff_two_sided_bins * n / n_fft)
@@ -103,24 +101,18 @@ def design_subband_filter(n_fft, n_used, r_subcarriers, filter_len) -> FilterTap
 
 
 @lru_cache(maxsize=64)
-def design_interpolation_filter(u, band_width_subcarriers, n_fft_composite_equiv,
-                                filter_len) -> FilterTaps:
+def design_interpolation_filter(u, filter_len) -> FilterTaps:
     """Anti-image lowpass for zero-stuffed interpolation by factor u.
 
-    Cutoff sits halfway between the occupied band edge and the first
-    spectral image, i.e. at half the original sampling rate. Passband gain
-    is u so interpolation preserves per-band amplitude. Memoized like
-    design_subband_filter.
+    Cutoff sits at half the original sampling rate, a two-sided passband of
+    1/u of the interpolated band: halfway between the occupied band edge
+    and the first spectral image. Passband gain is u so interpolation
+    preserves per-band amplitude; u = 1 with one tap is the unit tap.
+    Memoized like design_subband_filter.
     """
     if u < 1 or (u & (u - 1)) != 0:
         raise DspError("u must be a power of two >= 1")
-    if u == 1:
-        return FilterTaps(np.array([1.0]))
-    if band_width_subcarriers > n_fft_composite_equiv // u:
-        raise DspError("band wider than its original sampling band")
-    ft = _windowed_sinc(n_fft_composite_equiv // u, n_fft_composite_equiv,
-                        filter_len)
-    return FilterTaps(ft.taps * u)
+    return FilterTaps(_windowed_sinc(1, u, filter_len).taps * u)
 
 
 def blackman_transition(n_tr):

@@ -56,8 +56,6 @@ def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
     drawn from a caller-managed generator (one substream per trial)."""
     if variance < 0:
         raise LinkError("noise variance must be non-negative")
-    if variance == 0:
-        return x
     noise = _complex_noise(len(x), variance, rng)
     noise += x.samples
     return ComplexSignal(noise, x.rate_hz)

@@ -27,6 +27,8 @@ from .waveform import build_composite, random_payload
 DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 2_000_000
 EVM_FLOOR_DB = -300.0
+WELCH_SEGMENT_LEN = 4096
+WELCH_OVERLAP = 0.5         # fraction of a segment shared with the next
 WELCH_CHUNK_SEGMENTS = 64   # segments per FFT batch; bounds welch_psd memory
 
 
@@ -48,22 +50,21 @@ class BerPoint:
     ber: float
     n_bits: int
     n_errors: int = 0
-    note: str = ""
 
 
-def welch_psd(x: ComplexSignal, segment_len=4096,
-              overlap_fraction=0.5) -> PsdCurve:
+def welch_psd(x: ComplexSignal) -> PsdCurve:
     """Averaged-periodogram PSD, FFT-shifted to span (-fs/2, fs/2].
 
-    Welch's method with a periodic Hann window, no detrending and density
-    scaling 1/(fs * sum(w^2)); segments start every
-    segment_len - overlap samples and a partial last segment is dropped.
+    Welch's method over WELCH_SEGMENT_LEN-sample segments overlapping by
+    WELCH_OVERLAP, with a periodic Hann window, no detrending and density
+    scaling 1/(fs * sum(w^2)); a partial last segment is dropped.
     """
+    segment_len = WELCH_SEGMENT_LEN
     if len(x) < segment_len:
         raise MetricsError(
             f"signal ({len(x)} samples) shorter than one segment "
             f"({segment_len})")
-    step = segment_len - int(segment_len * overlap_fraction)
+    step = segment_len - int(segment_len * WELCH_OVERLAP)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
                              / segment_len)
     segs = sliding_window_view(x.samples, segment_len)[::step]
@@ -126,7 +127,6 @@ class SemiAnalyticRun:
     """One noiseless received burst, reusable across Eb/N0 points."""
 
     sc: ScenarioConfig
-    band: int
     cal: ReceiverCalibration
     rx_points: np.ndarray       # flattened equalized points
     tx_points: np.ndarray
@@ -147,7 +147,7 @@ def semianalytic_run(sc: ScenarioConfig, i: int,
     rngs, _ = _trial_rngs(sc.seed, 0, len(sc.subbands))
     sig, payloads, _ = _random_burst(sc, rngs)
     rx = receive_subband(sig, sc, i, cal)
-    return SemiAnalyticRun(sc=sc, band=i, cal=cal,
+    return SemiAnalyticRun(sc=sc, cal=cal,
                            rx_points=rx.reshape(-1),
                            tx_points=payloads[i],
                            n_symbols=rx.shape[0])
@@ -186,8 +186,7 @@ def monte_carlo_curves(sc: ScenarioConfig,
             n_err[p] += int(np.sum(rx_bits != bits[i]))
             n_bits[p] += len(bits[i])
         trial += 1
-    points = [BerPoint(ebn0_db=db, ber=e / b, n_bits=b, n_errors=e,
-                       note="" if e else "upper-bound only")
+    points = [BerPoint(ebn0_db=db, ber=e / b, n_bits=b, n_errors=e)
               for (_, db, _), e, b in zip(pairs, n_err, n_bits)]
     n = len(ebn0_grid)
     return {i: points[k * n:(k + 1) * n] for k, i in enumerate(cals)}
@@ -245,8 +244,8 @@ def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, m):
         return float("nan")
 
 
-def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target=0.05,
-                       m_grid=range(5), map=map):
+def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target, m_grid,
+                       map=map):
     """(m, Eb/N0 dB) pairs: for each separation of m resource blocks the
     scenario is rebuilt with gap = 12*m*f0 and one-sided transition gap/2,
     recalibrated and bisected to the target BER.

@@ -143,16 +143,8 @@ def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
     rx = np.asarray(rx_points, dtype=np.complex128)
     tx = np.asarray(tx_points, dtype=np.complex128)
     sigma = np.asarray(sigma_per_dim, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise ModemError("sigma must be non-negative")
-    tx_i = _decide_levels(tx.real, cm)
-    tx_q = _decide_levels(tx.imag, cm)
-    if np.all(sigma == 0):
-        rx_bits = qam_demodulate(rx, M).reshape(len(rx), -1)
-        tx_bits = np.concatenate([cm.level_bits[tx_i], cm.level_bits[tx_q]],
-                                 axis=1)
-        return np.mean(rx_bits != tx_bits, axis=1)
-    sigma = np.maximum(sigma, 1e-300)
-    errs = (_dim_bit_error(rx.real, tx_i, sigma, cm)
-            + _dim_bit_error(rx.imag, tx_q, sigma, cm))
+    if np.any(sigma <= 0):
+        raise ModemError("sigma must be positive")
+    errs = (_dim_bit_error(rx.real, _decide_levels(tx.real, cm), sigma, cm)
+            + _dim_bit_error(rx.imag, _decide_levels(tx.imag, cm), sigma, cm))
     return errs / cm.bits_per_symbol

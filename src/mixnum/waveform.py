@@ -115,13 +115,9 @@ def _burst_layout(sc: ScenarioConfig, i: int):
 def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
     """Anti-image filter that takes band i up to the composite rate (one
     unit tap for a band already at that rate)."""
-    nm = sc.subbands[i]
     u = upsampling_factor(sc, i)
-    if u == 1:
-        return FilterTaps(np.ones(1))
-    return design_interpolation_filter(u, nm.n_used + nm.n_guard,
-                                       u * nm.n_fft,
-                                       interpolation_filter_len(u, nm.n_cp))
+    return design_interpolation_filter(
+        u, interpolation_filter_len(u, sc.subbands[i].n_cp))
 
 
 def composite_length(sc: ScenarioConfig) -> int:

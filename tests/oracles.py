@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import erfc
 
-from mixnum.dsp import ComplexSignal, DspError
+from mixnum.dsp import ComplexSignal, DspError, _windowed_sinc
 
 
 def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
@@ -15,6 +15,15 @@ def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
     out = np.zeros(u * len(x), dtype=np.complex128)
     out[::u] = x.samples
     return ComplexSignal(out, x.rate_hz * u)
+
+
+def interpolation_taps(u, n_fft, filter_len):
+    """Anti-image taps for a band of n_fft bins interpolated by u, as first
+    designed: the windowed sinc whose two-sided passband is the band's
+    n_fft bins out of the u * n_fft bins of the interpolated grid, times
+    u."""
+    n_composite = u * n_fft
+    return _windowed_sinc(n_composite // u, n_composite, filter_len).taps * u
 
 
 def response_at(h, freqs_cycles_per_sample):

@@ -5,6 +5,8 @@ numbers so the suite output doubles as a results table. Tolerances are part
 of the contract and must not be loosened to make a run pass.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ def seeded_payloads(sc, seed=0):
 class TestCriterion1ClosedFormOracle:
     def test_bypass_monte_carlo_matches_theory(self, capsys):
         details, ok = [], True
-        sc = config.bypass_scenario(n_symbols=8, seed=3)
+        sc = replace(config.get_preset("bypass"), n_symbols=8, seed=3)
         cal = calibrate(sc, 0)
         for db in (0.0, 2.0, 4.0, 6.0):
             gamma = 10 ** (db / 10)
@@ -52,8 +54,8 @@ class TestCriterion1ClosedFormOracle:
             gamma = 10 ** (db / 10)
             expect = float(qam_ber_awgn(M, gamma))
             assert expect >= 1e-3
-            scm = config.get_preset("bypass", mod_order=M, n_symbols=8,
-                                    seed=3)
+            scm = replace(config.get_preset("bypass"), mod_order=M,
+                          n_symbols=8, seed=3)
             calm = calibrate(scm, 0)
             pt = monte_carlo_ber(scm, 0, db, min_errors=4000, cal=calm)
             rel = abs(pt.ber - expect) / expect
@@ -66,7 +68,8 @@ class TestCriterion2SemiAnalyticVsMonteCarlo:
     def test_agreement_all_waveforms_all_bands(self, capsys):
         details, ok = [], True
         for wf in WAVEFORMS:
-            sc = config.table1_scenario(waveform=wf, n_symbols=8, seed=3)
+            sc = replace(config.get_preset("table1"), waveform=wf,
+                         n_symbols=8, seed=3)
             for i in range(3):
                 cal = calibrate(sc, i)
                 run = semianalytic_run(sc, i, cal)
@@ -84,7 +87,7 @@ class TestCriterion2SemiAnalyticVsMonteCarlo:
 
 class TestCriterion3PerfectReconstruction:
     def test_noiseless_invariants(self, capsys):
-        sc = config.bypass_scenario(n_symbols=8, seed=5)
+        sc = replace(config.get_preset("bypass"), n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
         sig = build_composite(sc, payloads)
@@ -114,7 +117,7 @@ class TestCriterion3PerfectReconstruction:
 class TestCriterion4FilterWindowUnits:
     def test_unit_facts(self, capsys):
         ok, details = True, []
-        for nm in config.table1_scenario().subbands:
+        for nm in config.get_preset("table1").subbands:
             taps = design_subband_filter(nm.n_fft, nm.n_used,
                                          nm.r_subcarriers, nm.filter_len).taps
             dc = abs(float(np.sum(taps)) - 1.0)
@@ -134,7 +137,7 @@ class TestCriterion4FilterWindowUnits:
 
 class TestCriterion5MultirateBookkeeping:
     def test_rates_and_centres(self, capsys):
-        sc = config.table1_scenario()
+        sc = config.get_preset("table1")
         u = [upsampling_factor(sc, i) for i in range(3)]
         fs = composite_rate(sc)
         c = center_frequencies(sc)
@@ -155,13 +158,14 @@ PSD_PROBE_PINS_DB = {"cp-ofdm": -17.9453, "w-ofdm": -18.5991,
 
 class TestCriterion6PsdOrdering:
     def test_gap_probe_ordering(self, capsys):
-        sc0 = config.table1_scenario(n_symbols=64, seed=7)
+        sc0 = replace(config.get_preset("table1"), n_symbols=64, seed=7)
         c = center_frequencies(sc0)
         occ = [nm.occupied_hz for nm in sc0.subbands]
         probe = 0.5 * ((c[0] + occ[0] / 2) + (c[1] - occ[1] / 2))
         levels = {}
         for wf in WAVEFORMS:
-            sc = config.table1_scenario(waveform=wf, n_symbols=64, seed=7)
+            sc = replace(config.get_preset("table1"), waveform=wf,
+                         n_symbols=64, seed=7)
             rng = np.random.default_rng(np.random.SeedSequence(
                 sc.seed, spawn_key=(0x5D,)))
             k = int(np.log2(sc.mod_order))
@@ -183,8 +187,8 @@ class TestCriterion6PsdOrdering:
 
 
 def _sweep(wf, mod_order, band):
-    sc = config.table1_scenario(waveform=wf, mod_order=mod_order,
-                                n_symbols=8, seed=11)
+    sc = replace(config.get_preset("table1"), waveform=wf,
+                 mod_order=mod_order, n_symbols=8, seed=11)
     return np.array([v for _, v in
                      ebn0_at_target_ber(sc, band, target=0.05,
                                         m_grid=range(5))])
@@ -223,8 +227,8 @@ class TestCriterion7WaveformOrderings:
     def test_7d_256qam_band3_worst(self, capsys):
         details, ok = [], True
         for wf in WAVEFORMS:
-            sc = config.table1_scenario(waveform=wf, mod_order=256,
-                                        n_symbols=8, seed=11)
+            sc = replace(config.get_preset("table1"), waveform=wf,
+                         mod_order=256, n_symbols=8, seed=11)
             bers = [semianalytic_run(sc, i).ber(24.0) for i in range(3)]
             ok &= int(np.argmax(bers)) == 2
             details.append(

@@ -1,13 +1,17 @@
-"""Every public name is used by the package itself, or says why not.
+"""Every public name, and every defaulted parameter of a public function,
+is used by the package itself, or says why not.
 
 A name counts as used when the command line reaches it through the
 package's own code: another module calls it, or calls a function of its
 module that does (``BerPoint`` is built by ``monte_carlo_curves``, which
-``cli`` calls). References are read from the source, so a name that only
-the tests or a docstring mention is not used.
+``cli`` calls). A defaulted parameter counts as used when a call in code
+the command line reaches passes it, by position or by keyword. References
+are read from the source, so a name that only the tests or a docstring
+mention is not used.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import mixnum
@@ -23,6 +27,13 @@ ALLOWED = {
     "save_scenario": "the counterpart of load_scenario",
 }
 
+# (function, parameter) -> why it keeps a default that the command line
+# never overrides
+ALLOWED_DEFAULTS = {
+    ("monte_carlo_curves", "min_errors"): "tests lower it to stay fast",
+    ("monte_carlo_curves", "max_bits"): "tests lower it to stay fast",
+}
+
 
 def defined_names(node):
     """Names a top-level statement defines."""
@@ -33,10 +44,10 @@ def defined_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def reference_graph():
-    """(module, name) of each top-level definition -> the (module, name)
-    definitions its code refers to."""
-    graph = {}
+def top_level_definitions():
+    """(module, name), statement and the module's name binding for each
+    top-level definition; the binding maps a name the module uses to the
+    (module, name) definition it stands for."""
     for path in PACKAGE.glob("*.py"):
         module = path.stem
         if module == "__init__":
@@ -49,10 +60,18 @@ def reference_graph():
                 binding.update({a.asname or a.name: (node.module, a.name)
                                 for a in node.names})
         for node in tree.body:
-            refs = {binding[n.id] for n in ast.walk(node)
-                    if isinstance(n, ast.Name) and n.id in binding}
             for name in defined_names(node):
-                graph.setdefault((module, name), set()).update(refs)
+                yield (module, name), node, binding
+
+
+def reference_graph():
+    """(module, name) of each top-level definition -> the (module, name)
+    definitions its code refers to."""
+    graph = {}
+    for key, node, binding in top_level_definitions():
+        graph.setdefault(key, set()).update(
+            binding[n.id] for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id in binding)
     return graph
 
 
@@ -83,3 +102,36 @@ def test_every_allowed_name_is_public_and_unused():
         assert name in mixnum.__all__
         module = getattr(mixnum, name).__module__.rsplit(".", 1)[-1]
         assert (module, name) not in reached, name
+
+
+def calls_reached_from_the_command_line():
+    """(module, name) -> (positional count, keyword names) of each call of
+    that definition made in code the command line reaches."""
+    reached = reached_from_the_command_line()
+    calls = {}
+    for key, node, binding in top_level_definitions():
+        if key not in reached:
+            continue
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in binding):
+                calls.setdefault(binding[call.func.id], []).append(
+                    (len(call.args), {kw.arg for kw in call.keywords}))
+    return calls
+
+
+def test_every_default_is_overridden_or_allowed():
+    calls = calls_reached_from_the_command_line()
+    never_passed = set()
+    for name in mixnum.__all__:
+        fn = getattr(mixnum, name)
+        if inspect.isclass(fn) or name in ALLOWED:
+            continue  # dataclass fields, and functions nothing calls
+        module = fn.__module__.rsplit(".", 1)[-1]
+        params = inspect.signature(fn).parameters.values()
+        for k, p in enumerate(params):
+            if p.default is not p.empty and not any(
+                    k < n or p.name in keywords
+                    for n, keywords in calls.get((module, name), ())):
+                never_passed.add((name, p.name))
+    assert never_passed == set(ALLOWED_DEFAULTS)

@@ -74,7 +74,7 @@ class TestPsdCommand:
         assert manifest["command"] == "psd"
         assert manifest["seed"] == 3
         assert manifest["outputs"] == [str(out)]
-        sc = config.single_band_scenario(seed=3, n_symbols=64)
+        sc = replace(config.get_preset("single-band"), seed=3, n_symbols=64)
         assert manifest["scenario_hash"] == config.scenario_hash(sc)
         assert "wrote" in capsys.readouterr().out
 
@@ -91,7 +91,7 @@ class TestPsdCommand:
         assert line.count("raised") == (symbols < PSD_MIN_SYMBOLS)
 
     def test_scenario_file_symbols_are_used(self, tmp_path):
-        sc = config.single_band_scenario(n_symbols=128, seed=2)
+        sc = replace(config.get_preset("single-band"), n_symbols=128, seed=2)
         path = tmp_path / "scn.json"
         config.save_scenario(sc, path)
         out = tmp_path / "psd.csv"
@@ -108,7 +108,7 @@ class TestPsdCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_scenario_file(self, tmp_path):
-        sc = config.single_band_scenario(n_symbols=64)
+        sc = replace(config.get_preset("single-band"), n_symbols=64)
         path = tmp_path / "scn.json"
         config.save_scenario(sc, path)
         out = tmp_path / "psd.csv"
@@ -272,7 +272,7 @@ class TestManifest:
         assert main(["sweep", "--scenario", "single-band", "--symbols", "4",
                      "--waveform", "cp-ofdm", "--m", "0..1", "--band", "1",
                      "--target-ber", "0.1", "--out", str(out)]) == EXIT_OK
-        sc = config.single_band_scenario(n_symbols=4)
+        sc = replace(config.get_preset("single-band"), n_symbols=4)
         assert _manifest(out)["parameters"] == {
             "waveforms": ["cp-ofdm"], "mod_order": 4, "n_symbols": 4,
             "band": 1, "m": [0, 1], "target_ber": 0.1,
@@ -291,8 +291,8 @@ class TestManifest:
             runs.append(path.read_bytes())
         assert runs[0] == runs[1]
         manifest = json.loads(runs[0])
-        hashes = {wf: config.scenario_hash(config.table1_scenario(
-                      waveform=wf, n_symbols=4, seed=7))
+        table1 = replace(config.get_preset("table1"), n_symbols=4, seed=7)
+        hashes = {wf: config.scenario_hash(replace(table1, waveform=wf))
                   for wf in ("cp-ofdm", "f-ofdm", "w-ofdm")}
         assert manifest["parameters"]["scenario_hashes"] == hashes
         assert len(set(hashes.values())) == 3
@@ -322,7 +322,7 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
 
     def test_unknown_scenario_field(self, tmp_path):
-        sc = config.single_band_scenario()
+        sc = config.get_preset("single-band")
         d = config.scenario_to_dict(sc)
         d["bogus"] = 1
         path = tmp_path / "bad.json"
@@ -332,7 +332,7 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
 
     def test_scenario_f0_hz_is_unknown(self, tmp_path):
-        d = config.scenario_to_dict(config.single_band_scenario())
+        d = config.scenario_to_dict(config.get_preset("single-band"))
         d["f0_hz"] = 30000.0
         path = tmp_path / "old.json"
         path.write_text(json.dumps(d))
@@ -354,7 +354,7 @@ class TestErrorPaths:
             "subband-number", "n_fft-float", "mod_order-bool", "scs_hz-nan",
             "transition_hz-inf", "f1_hz-minus-inf"])
     def test_wrongly_typed_scenario(self, tmp_path, capsys, mutate):
-        d = config.scenario_to_dict(config.single_band_scenario())
+        d = config.scenario_to_dict(config.get_preset("single-band"))
         mutate(d)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
@@ -366,7 +366,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm"])
     def test_cp_as_long_as_the_fft_runs(self, tmp_path, waveform):
-        sc = config.single_band_scenario(waveform=waveform)
+        sc = replace(config.get_preset("single-band"), waveform=waveform)
         nm = replace(sc.subbands[0], n_cp=sc.subbands[0].n_fft)
         path = tmp_path / "long_cp.json"
         config.save_scenario(replace(sc, subbands=(nm,)), path)
@@ -375,7 +375,7 @@ class TestErrorPaths:
         assert rc == EXIT_OK
 
     def test_cp_longer_than_the_fft_exits_2(self, tmp_path, capsys):
-        d = config.scenario_to_dict(config.single_band_scenario())
+        d = config.scenario_to_dict(config.get_preset("single-band"))
         d["subbands"][0]["n_cp"] = d["subbands"][0]["n_fft"] + 1
         path = tmp_path / "long_cp.json"
         path.write_text(json.dumps(d))
@@ -429,7 +429,7 @@ class TestErrorPaths:
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_scenario_file_with_too_many_symbols(self, tmp_path, no_work):
-        d = config.scenario_to_dict(config.single_band_scenario())
+        d = config.scenario_to_dict(config.get_preset("single-band"))
         d["n_symbols"] = 10 ** 9
         path = tmp_path / "big.json"
         path.write_text(json.dumps(d))
@@ -440,9 +440,9 @@ class TestErrorPaths:
     def test_symbol_cap_keeps_the_psd_workload(self):
         # psd --symbols 512 is the benchmark's PSD job
         assert MAX_SYMBOLS >= 512
-        config.table1_scenario(n_symbols=MAX_SYMBOLS)
+        replace(config.get_preset("table1"), n_symbols=MAX_SYMBOLS)
         with pytest.raises(ConfigError):
-            config.table1_scenario(n_symbols=MAX_SYMBOLS + 1)
+            replace(config.get_preset("table1"), n_symbols=MAX_SYMBOLS + 1)
 
     def test_bad_grid(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--ebn0", "4:1:0",
@@ -475,8 +475,9 @@ class TestErrorPaths:
         ("bypass", []),
         ("single-band", ["--waveform", "cp-ofdm,foo"]),
         ("single-band", ["--waveform", ""]),
+        ("single-band", ["--waveform", "cp-ofdm,w-ofdm,cp-ofdm"]),
     ], ids=["bypass-f-ofdm", "bypass-default-list", "unknown-name",
-            "empty-list"])
+            "empty-list", "repeated-name"])
     def test_sweep_checks_every_waveform_up_front(self, tmp_path, capsys,
                                                    no_work, scenario,
                                                    waveforms):
@@ -487,6 +488,26 @@ class TestErrorPaths:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("f1_hz", [1e9, -30.6e6])
+    @pytest.mark.parametrize("argv", [
+        ["psd"], ["ber", "--ebn0", "0:1:0"], ["sweep", "--m", "0"]],
+        ids=["psd", "ber", "sweep"])
+    def test_band_outside_the_composite_band_exits_2(self, tmp_path, capsys,
+                                                     no_work, argv, f1_hz):
+        # 1e9 Hz is far past fs/2; at -30.6 MHz band 0 spills 2.67 MHz
+        # past -fs/2 and would alias
+        d = config.scenario_to_dict(config.get_preset("table1"))
+        d["f1_hz"] = f1_hz
+        path = tmp_path / "off_band.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--scenario", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
+        assert f"f1_hz {f1_hz}" in err
 
     def test_bypass_is_cp_ofdm_only(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",
@@ -540,7 +561,7 @@ _FLAGS = {
                    ["no-such-file.json", ".", ""]),
     "--out": (["out.csv"], []),
     "--waveform": (["cp-ofdm", "f-ofdm", "w-ofdm"],
-                   ["foo", "", "cp-ofdm,w-ofdm"]),
+                   ["foo", "", "cp-ofdm,w-ofdm", "f-ofdm,f-ofdm"]),
     "--mod": (["4", "16", "256"], ["8", "x"]),
     "--seed": (["0", "7", str(2 ** 64 - 1)], ["-1", str(2 ** 64), "1.5"]),
     "--symbols": (["1", "4", str(MAX_SYMBOLS)],

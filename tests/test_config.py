@@ -16,7 +16,7 @@ from mixnum.config import (ConfigError, ScenarioConfig, SubbandNumerology,
 
 
 def table1():
-    return config.table1_scenario()
+    return config.get_preset("table1")
 
 
 class TestSubbandNumerology:
@@ -172,7 +172,7 @@ class TestRates:
         assert [upsampling_factor(sc, i) for i in range(3)] == [2, 1, 4]
 
     def test_symbols_per_band_equalizes_time(self):
-        sc = config.table1_scenario(n_symbols=8)
+        sc = replace(config.get_preset("table1"), n_symbols=8)
         n = [symbols_per_band(sc, i) for i in range(3)]
         # slowest band (u=4) carries n_symbols; faster bands carry more
         assert n == [16, 32, 8]
@@ -220,8 +220,22 @@ class TestFrequencies:
         assert np.allclose(np.diff(f1), np.diff(f2))
         assert f2[0] == 1e6 and shift != 0
 
+    def test_band_may_fill_the_composite_band(self):
+        nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=1020,
+                               n_guard=4)
+        sc = ScenarioConfig(subbands=(nm,), f1_hz=0.0)
+        assert nm.occupied_hz == composite_rate(sc)
+        with pytest.raises(ConfigError, match=r"sub-band 0 .*f1_hz 1\.0\)"):
+            replace(sc, f1_hz=1.0)
+
+    @pytest.mark.parametrize("f1_hz", [1e9, -30.6e6, 22e6])
+    def test_band_outside_the_composite_band_rejected(self, f1_hz):
+        # -30.6 MHz puts band 0 past -fs/2, 22 MHz puts band 2 past +fs/2
+        with pytest.raises(ConfigError, match="f1_hz"):
+            replace(table1(), f1_hz=f1_hz)
+
     def test_default_f1_single_band_is_zero(self):
-        sc = config.single_band_scenario()
+        sc = config.get_preset("single-band")
         assert default_f1(sc) == pytest.approx(0.0)
 
 
@@ -274,8 +288,8 @@ class TestSerialization:
         assert isinstance(sc, ScenarioConfig)
 
     def test_round_trip(self, tmp_path):
-        sc = config.table1_scenario(waveform="w-ofdm", mod_order=64,
-                                    n_symbols=5, seed=99)
+        sc = replace(config.get_preset("table1"), waveform="w-ofdm",
+                     mod_order=64, n_symbols=5, seed=99)
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
         assert load_scenario(path) == sc
@@ -288,11 +302,12 @@ class TestSerialization:
 
     def test_hash_sensitive_to_any_field(self):
         sc = table1()
-        other = config.table1_scenario(seed=1)
+        other = replace(config.get_preset("table1"), seed=1)
         assert scenario_hash(sc) != scenario_hash(other)
 
     def test_equal_scenarios_built_apart_share_a_digest(self):
-        a = config.table1_scenario(waveform="f-ofdm", n_symbols=12, seed=4)
+        a = replace(config.get_preset("table1"), waveform="f-ofdm",
+                    n_symbols=12, seed=4)
         b = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(a))))
         assert a == b and a is not b
         assert scenario_hash(a) == scenario_hash(b)
@@ -302,7 +317,8 @@ class TestSerialization:
         {"seed": 5}, {"n_symbols": 13}, {"rx_filter": False},
         {"eq_mode": "per-subcarrier"}, {"f1_hz": 0.0}])
     def test_changing_one_field_changes_the_digest(self, change):
-        a = config.table1_scenario(waveform="f-ofdm", n_symbols=12, seed=4)
+        a = replace(config.get_preset("table1"), waveform="f-ofdm",
+                    n_symbols=12, seed=4)
         assert scenario_hash(a) != scenario_hash(replace(a, **change))
 
     def test_equal_values_spelled_apart_share_one_digest(self):
@@ -365,9 +381,13 @@ class TestPresets:
         with pytest.raises(ConfigError):
             get_preset("table2")
 
-    def test_preset_kwargs_forwarded(self):
-        sc = get_preset("table1", mod_order=256, seed=5)
-        assert sc.mod_order == 256 and sc.seed == 5
+    def test_presets_are_shared_values(self):
+        # frozen, so one value serves every caller; variants are replaced
+        sc = get_preset("table1")
+        assert sc is get_preset("table1")
+        variant = replace(sc, mod_order=256, seed=5)
+        assert (variant.mod_order, variant.seed) == (256, 5)
+        assert (sc.mod_order, sc.seed) == (4, 0)
 
     def test_bypass_is_distortionless_config(self):
         sc = get_preset("bypass")
@@ -393,8 +413,9 @@ class TestPresets:
 
     @pytest.mark.parametrize("gap_hz", [0.0, 180e3, 540e3])
     def test_table1_gap_is_with_gap(self, gap_hz):
-        sc = config.table1_scenario(gap_hz=gap_hz)
-        assert sc == with_gap(config.table1_scenario(gap_hz=0.0), gap_hz)
+        sc = with_gap(table1(), gap_hz)
+        assert sc == with_gap(with_gap(table1(), 0.0), gap_hz)
+        assert (sc == table1()) == (gap_hz == 180e3)
         assert [nm.n_guard * nm.scs_hz for nm in sc.subbands] == [gap_hz] * 3
         assert [nm.transition_hz for nm in sc.subbands] == [gap_hz / 2] * 3
 
@@ -423,7 +444,16 @@ class TestWithGap:
         with pytest.raises(ConfigError):
             with_gap(table1(), 100e3)  # not a multiple of 60 kHz
 
+    @pytest.mark.parametrize("name", ["table1", "single-band", "bypass"])
+    def test_presets_stay_in_the_composite_band_up_to_m_8(self, name):
+        fs = composite_rate(get_preset(name))
+        for m in range(9):
+            sc = with_gap(get_preset(name), 12.0 * m * config.F0_HZ)
+            for f, nm in zip(center_frequencies(sc), sc.subbands):
+                assert abs(f) + nm.occupied_hz / 2 <= fs / 2
+
     def test_other_fields_preserved(self):
-        sc = config.table1_scenario(waveform="f-ofdm", mod_order=16, seed=3)
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     mod_order=16, seed=3)
         sc2 = with_gap(sc, 360e3)
         assert (sc2.waveform, sc2.mod_order, sc2.seed) == ("f-ofdm", 16, 3)

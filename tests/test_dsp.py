@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
-from mixnum.config import center_frequencies, composite_rate, table1_scenario
+from mixnum.config import center_frequencies, composite_rate, get_preset
 
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         _ola_fft_len, blackman_transition, convolve_full,
@@ -12,7 +12,8 @@ from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         mix_filter_decimate, wofdm_window)
 from mixnum import dsp
 from mixnum.link import receive_filter
-from oracles import response_at, upsample_zero_stuff
+from mixnum.waveform import interpolation_filter_len
+from oracles import interpolation_taps, response_at, upsample_zero_stuff
 
 
 def rand_signal(seed, n, rate=1e6):
@@ -62,14 +63,14 @@ class TestDesignsAreShared:
     def test_repeated_design_is_the_same_object(self):
         assert (design_subband_filter(1024, 180, 6.0, 353)
                 is design_subband_filter(1024, 180, 6.0, 353))
-        assert (design_interpolation_filter(4, 192, 4096, 1025)
-                is design_interpolation_filter(4, 192, 4096, 1025))
+        assert (design_interpolation_filter(4, 1025)
+                is design_interpolation_filter(4, 1025))
         assert (design_subband_filter(1024, 180, 6.0, 353)
                 is not design_subband_filter(1024, 180, 6.0, 351))
 
     @pytest.mark.parametrize("design", [
         lambda: design_subband_filter(1024, 180, 6.0, 353),
-        lambda: design_interpolation_filter(4, 192, 4096, 1025)],
+        lambda: design_interpolation_filter(4, 1025)],
         ids=["subband", "interpolation"])
     def test_shared_taps_cannot_be_written(self, design):
         taps = design()
@@ -118,31 +119,42 @@ class TestSubbandFilter:
 
 class TestInterpolationFilter:
     def test_u1_is_identity(self):
-        taps = design_interpolation_filter(1, 180, 1024, 1)
+        taps = design_interpolation_filter(1, 1)
         np.testing.assert_array_equal(taps.taps, [1.0])
 
     def test_passband_gain_is_u(self):
         for u in (2, 4):
-            taps = design_interpolation_filter(u, 186, 4096, 513)
+            taps = design_interpolation_filter(u, 513)
             assert abs(response_at(taps, 0.0)[0]) == pytest.approx(u, rel=1e-9)
 
     def test_image_band_suppressed(self):
         u = 4
-        taps = design_interpolation_filter(u, 186, 4096, 1025)
+        taps = design_interpolation_filter(u, 1025)
         # first image of a band at +-186/2 bins sits around 1024 bins
         h = np.abs(response_at(taps, np.array([1024 / 4096.0])))
         assert 20 * np.log10(h[0] / u) < -40
 
     def test_rejects_non_pow2_u(self):
         with pytest.raises(DspError):
-            design_interpolation_filter(3, 180, 1024, 65)
+            design_interpolation_filter(3, 65)
+
+    @pytest.mark.parametrize("u", [2, 4, 8, 16, 32])
+    def test_matches_the_band_width_design_bit_for_bit(self, u):
+        # the cutoff n_fft / (u n_fft) of the first design is 1/u for every
+        # n_fft, to the last bit; every length a cp of 0..1024 gives
+        for n_fft in (2 ** p for p in range(4, 13)):
+            for L in sorted({interpolation_filter_len(u, n_cp)
+                             for n_cp in range(1025)}):
+                taps = design_interpolation_filter(u, L).taps
+                assert taps.tobytes() == interpolation_taps(u, n_fft,
+                                                            L).tobytes()
 
     def test_interpolated_tone_amplitude_preserved(self):
         n = np.arange(512)
         tone = ComplexSignal(np.exp(2j * np.pi * 0.01 * n), 1e6)
         u = 4
         up = upsample_zero_stuff(tone, u)
-        taps = design_interpolation_filter(u, 64, 4096, 1025)
+        taps = design_interpolation_filter(u, 1025)
         out = convolve_full(up, taps)
         mid = out.samples[taps.group_delay + 256:taps.group_delay + 1792]
         assert np.mean(np.abs(mid)) == pytest.approx(1.0, abs=0.01)
@@ -359,7 +371,7 @@ class TestMixFilterDecimate:
     def test_receive_filter_at_length(self):
         # table1 band 3: 1409 taps, u = 4, a centre that aliases across the
         # band edge, on a composite-sized input
-        sc = table1_scenario()
+        sc = get_preset("table1")
         h = receive_filter(sc, 2)
         f = -center_frequencies(sc)[2]
         x = rand_signal(3, 2 ** 18 + 11, rate=composite_rate(sc))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ def seeded_payloads(sc, seed=0, M=None):
 
 class TestAwgn:
     def test_zero_variance_is_identity(self):
-        x = ComplexSignal(np.ones(8), 1e6)
-        assert awgn_from_rng(x, 0.0, np.random.default_rng(0)) is x
+        x = ComplexSignal(np.arange(8) * (1 + 2j), 1e6)
+        y = awgn_from_rng(x, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(y.samples, x.samples)
+        assert y.rate_hz == x.rate_hz
 
     def test_empirical_variance(self):
         x = ComplexSignal(np.zeros(10 ** 6), 1e6)
@@ -65,7 +69,8 @@ class TestAwgn:
 
 @pytest.fixture(scope="module")
 def bypass_cal():
-    return calibrate(config.bypass_scenario(n_symbols=8, seed=3), 0)
+    return calibrate(replace(config.get_preset("bypass"), n_symbols=8,
+                             seed=3), 0)
 
 
 class TestBypassCalibration:
@@ -91,7 +96,8 @@ class TestBypassCalibration:
         assert np.max(dev) < 5.0 / np.sqrt(CAL_MIN_SYMBOLS)
 
     def test_deterministic(self, cal):
-        again = calibrate(config.bypass_scenario(n_symbols=8, seed=3), 0)
+        again = calibrate(replace(config.get_preset("bypass"), n_symbols=8,
+                                  seed=3), 0)
         np.testing.assert_array_equal(cal.eq_coeffs, again.eq_coeffs)
         np.testing.assert_array_equal(cal.noise_gain_per_subcarrier,
                                       again.noise_gain_per_subcarrier)
@@ -100,7 +106,7 @@ class TestBypassCalibration:
 @pytest.mark.parametrize("band", range(3))
 def test_table1_calibration_repeats_bit_for_bit(band):
     # the memo is cleared between the runs, so the noise is drawn twice
-    sc = config.table1_scenario()
+    sc = config.get_preset("table1")
     link._CAL_NOISE.clear()
     a = calibrate(sc, band)
     link._CAL_NOISE.clear()
@@ -175,7 +181,7 @@ def _composite_path_calibration(sc, i):
 def test_band_rate_calibration_matches_composite_path(waveform, band):
     # the band-rate cascade, including the share of the interpolated head
     # that compose() drops, reproduces the composite-rate chain to rounding
-    sc = config.table1_scenario(waveform=waveform)
+    sc = replace(config.get_preset("table1"), waveform=waveform)
     cal = calibrate(sc, band)
     eq, es, gain = _composite_path_calibration(sc, band)
     np.testing.assert_allclose(cal.eq_coeffs, eq, rtol=1e-9)
@@ -186,7 +192,8 @@ def test_band_rate_calibration_matches_composite_path(waveform, band):
 
 class TestNoiseGainLinearity:
     def test_doubling_variance_doubles_output(self):
-        sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=8, seed=2)
+        sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
+                     n_symbols=8, seed=2)
         cal = calibrate(sc, 0)
         nm = sc.subbands[0]
         n = symbols_per_band(sc, 0) * (nm.n_fft + nm.n_cp) * 2 + 10000
@@ -203,7 +210,7 @@ class TestNoiseGainLinearity:
 
 class TestReceiveSubband:
     def test_bypass_perfect_reconstruction(self):
-        sc = config.bypass_scenario(n_symbols=8, seed=5)
+        sc = replace(config.get_preset("bypass"), n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
         sig = build_composite(sc, payloads)
@@ -213,9 +220,8 @@ class TestReceiveSubband:
     def test_single_active_band_has_no_aci(self):
         # with the band-select filter off, the only impairment left for a
         # lone band is interpolation error, which must be negligible
-        from dataclasses import replace
-        sc = replace(config.table1_scenario(waveform="cp-ofdm", n_symbols=4,
-                                            seed=1), rx_filter=False)
+        sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
+                     n_symbols=4, seed=1, rx_filter=False)
         cal = calibrate(sc, 2)
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
@@ -227,7 +233,8 @@ class TestReceiveSubband:
     def test_receive_filter_self_distortion_pinned(self):
         # the band-select filter strips part of the band's own out-of-band
         # energy, leaving a small eq-independent floor; pinned on first run
-        sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=8, seed=1)
+        sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
+                     n_symbols=8, seed=1)
         cal = calibrate(sc, 2)
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
@@ -238,36 +245,37 @@ class TestReceiveSubband:
                                                                     abs=0.5)
 
     def test_rate_mismatch_rejected(self):
-        sc = config.bypass_scenario(n_symbols=2)
+        sc = replace(config.get_preset("bypass"), n_symbols=2)
         sig = build_composite(sc, seeded_payloads(sc))
         wrong = ComplexSignal(sig.samples, sig.rate_hz / 2)
         with pytest.raises(LinkError):
             receive_subband(wrong, sc, 0)
 
     def test_short_burst_rejected(self):
-        sc = config.bypass_scenario(n_symbols=2)
+        sc = replace(config.get_preset("bypass"), n_symbols=2)
         sig = build_composite(sc, seeded_payloads(sc))
         short = ComplexSignal(sig.samples[:100], sig.rate_hz)
         with pytest.raises(LinkError):
             receive_subband(short, sc, 0)
 
     def test_calibration_hash_mismatch_rejected(self):
-        sc = config.table1_scenario(n_symbols=4)
-        other = config.table1_scenario(n_symbols=4, seed=1)
+        sc = replace(config.get_preset("table1"), n_symbols=4)
+        other = replace(config.get_preset("table1"), n_symbols=4, seed=1)
         cal = calibrate(other, 0)
         sig = build_composite(sc, seeded_payloads(sc))
         with pytest.raises(LinkError):
             receive_subband(sig, sc, 0, cal)
 
     def test_calibration_band_mismatch_rejected(self):
-        sc = config.table1_scenario(n_symbols=4)
+        sc = replace(config.get_preset("table1"), n_symbols=4)
         cal = calibrate(sc, 1)
         sig = build_composite(sc, seeded_payloads(sc))
         with pytest.raises(LinkError):
             receive_subband(sig, sc, 0, cal)
 
     def test_timing_fault_destroys_constellation(self):
-        sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=4, seed=8)
+        sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
+                     n_symbols=4, seed=8)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=8)
         sig = build_composite(sc, payloads)
@@ -279,22 +287,22 @@ class TestReceiveSubband:
 
 class TestEqualizerModes:
     def test_scalar_eq_is_a_single_tap(self):
-        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=4, seed=11)
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=4, seed=11)
         cal = calibrate(sc, 1)
         assert np.all(cal.eq_coeffs == cal.eq_coeffs[0])
 
     def test_per_subcarrier_eq_flattens_the_band(self):
-        from dataclasses import replace
-        sc = replace(config.table1_scenario(waveform="f-ofdm", n_symbols=4,
-                                            seed=11),
-                     eq_mode="per-subcarrier")
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=4, seed=11, eq_mode="per-subcarrier")
         cal = calibrate(sc, 1)
         assert len(np.unique(cal.eq_coeffs)) > 1
         np.testing.assert_allclose(cal.es_per_subcarrier, 1.0, atol=0.05)
 
     def test_scalar_eq_keeps_filter_droop(self):
         # under the scalar tap, the f-OFDM band edges stay attenuated
-        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=4, seed=11)
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=4, seed=11)
         cal = calibrate(sc, 1)
         es = cal.es_per_subcarrier
         assert es[0] < 0.9 * np.median(es)
@@ -304,7 +312,8 @@ class TestRegressionPins:
     def test_f_ofdm_band2_noiseless_evm(self):
         # full-chain distortion of the short (89-tap) band-2 filter under
         # the scalar equalizer; value pinned from the first run
-        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=8, seed=11)
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=8, seed=11)
         cal = calibrate(sc, 1)
         from mixnum.metrics import semianalytic_run
         run = semianalytic_run(sc, 1, cal)
@@ -312,7 +321,7 @@ class TestRegressionPins:
             -17.507, abs=0.05)
 
     def test_receive_filter_stopband(self):
-        sc = config.table1_scenario()
+        sc = config.get_preset("table1")
         taps = receive_filter(sc, 0)
         # response one octave beyond the passband edge, relative to DC
         h = np.abs(response_at(taps, np.array([0.0, 2 * 96 / 2048.0])))
@@ -321,7 +330,7 @@ class TestRegressionPins:
 
 class TestNoiseVarianceConvention:
     def test_three_db_halves_variance(self):
-        sc = config.bypass_scenario(n_symbols=8)
+        sc = replace(config.get_preset("bypass"), n_symbols=8)
         cal = calibrate(sc, 0)
         v0 = noise_variance_for_ebn0(sc, cal, 5.0)
         v3 = noise_variance_for_ebn0(sc, cal, 5.0 + 10 * np.log10(2.0))
@@ -329,7 +338,7 @@ class TestNoiseVarianceConvention:
 
     def test_bypass_absolute_value(self):
         # es ~ 1, noise gain ~ n_fft: var = 1 / (k * gamma * 1024)
-        sc = config.bypass_scenario(n_symbols=8)
+        sc = replace(config.get_preset("bypass"), n_symbols=8)
         cal = calibrate(sc, 0)
         v = noise_variance_for_ebn0(sc, cal, 0.0)
         assert v == pytest.approx(1.0 / (2 * 1024), rel=0.03)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -5,9 +7,10 @@ from scipy import signal
 from mixnum import config, waveform
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
-from mixnum.metrics import (MetricsError, SemiAnalyticRun, ebn0_at_target_ber,
-                            ebn0_for_target, evm_db, monte_carlo_ber,
-                            monte_carlo_curves, semianalytic_run, welch_psd)
+from mixnum.metrics import (WELCH_OVERLAP, WELCH_SEGMENT_LEN, MetricsError,
+                            ebn0_at_target_ber, ebn0_for_target, evm_db,
+                            monte_carlo_ber, monte_carlo_curves,
+                            semianalytic_run, welch_psd)
 from mixnum.waveform import payload_symbols
 from oracles import qam_ber_awgn, qfunc
 
@@ -63,9 +66,9 @@ class TestWelchPsd:
         (4096, 4096, 0.5),           # exactly one segment
         (3 * 4096 + 17, 4096, 0.5),  # partial last segment dropped
         (2 ** 16, 4096, 0.5),
-        (10_000, 1024, 0.25),
     ])
     def test_matches_scipy_welch(self, n, segment_len, overlap):
+        assert (segment_len, overlap) == (WELCH_SEGMENT_LEN, WELCH_OVERLAP)
         rng = np.random.default_rng(n)
         fs = 61.44e6
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -73,7 +76,7 @@ class TestWelchPsd:
                             noverlap=int(segment_len * overlap),
                             detrend=False, return_onesided=False,
                             scaling="density")
-        curve = welch_psd(ComplexSignal(x, fs), segment_len, overlap)
+        curve = welch_psd(ComplexSignal(x, fs))
         np.testing.assert_allclose(curve.freq_hz, np.fft.fftshift(f),
                                    rtol=1e-12)
         linear = 10.0 ** ((curve.peak_db + curve.psd_db) / 10.0)
@@ -113,7 +116,7 @@ class TestEvm:
 
 @pytest.fixture(scope="module")
 def bypass_run():
-    sc = config.bypass_scenario(n_symbols=8, seed=3)
+    sc = replace(config.get_preset("bypass"), n_symbols=8, seed=3)
     cal = calibrate(sc, 0)
     return sc, cal, semianalytic_run(sc, 0, cal)
 
@@ -134,7 +137,7 @@ class TestSemiAnalytic:
                 float(qam_ber_awgn(4, gamma)), rel=0.03)
 
     def test_deterministic(self):
-        sc = config.single_band_scenario(n_symbols=4, seed=7)
+        sc = replace(config.get_preset("single-band"), n_symbols=4, seed=7)
         a = semianalytic_run(sc, 0).ber(3.0)
         b = semianalytic_run(sc, 0).ber(3.0)
         assert a == b
@@ -146,7 +149,7 @@ class TestSemiAnalytic:
 
 class TestMonteCarlo:
     def test_bypass_matches_qfunc(self):
-        sc = config.bypass_scenario(n_symbols=8, seed=3)
+        sc = replace(config.get_preset("bypass"), n_symbols=8, seed=3)
         cal = calibrate(sc, 0)
         pt = monte_carlo_ber(sc, 0, 2.0, cal=cal)
         gamma = 10 ** (2.0 / 10)
@@ -156,24 +159,23 @@ class TestMonteCarlo:
         assert abs(pt.ber - expect) < 3 * se
 
     def test_deterministic(self):
-        sc = config.bypass_scenario(n_symbols=4, seed=5)
+        sc = replace(config.get_preset("bypass"), n_symbols=4, seed=5)
         cal = calibrate(sc, 0)
         a = monte_carlo_ber(sc, 0, 1.0, cal=cal)
         b = monte_carlo_ber(sc, 0, 1.0, cal=cal)
         assert (a.ber, a.n_bits, a.n_errors) == (b.ber, b.n_bits, b.n_errors)
 
-    def test_max_bits_cap_and_note(self):
-        sc = config.bypass_scenario(n_symbols=4, seed=5)
+    def test_max_bits_cap(self):
+        sc = replace(config.get_preset("bypass"), n_symbols=4, seed=5)
         cal = calibrate(sc, 0)
         pt = monte_carlo_ber(sc, 0, 30.0, cal=cal, max_bits=2000)
         assert pt.n_bits <= 1440 * 2  # one trial of 4 symbols, rounded up
         assert pt.n_errors == 0
         assert pt.ber == 0.0
-        assert pt.note == "upper-bound only"
 
     def test_agrees_with_semianalytic(self):
-        sc = config.single_band_scenario(waveform="f-ofdm", n_symbols=8,
-                                         seed=4)
+        sc = replace(config.get_preset("single-band"), waveform="f-ofdm",
+                     n_symbols=8, seed=4)
         cal = calibrate(sc, 0)
         sa = semianalytic_run(sc, 0, cal).ber(2.0)
         mc = monte_carlo_ber(sc, 0, 2.0, cal=cal)
@@ -195,7 +197,8 @@ class TestMonteCarloCurves:
         return calls
 
     def test_table1_matches_per_point_calls(self, compose_calls):
-        sc = config.table1_scenario(waveform="f-ofdm", n_symbols=8, seed=3)
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=8, seed=3)
         cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
         curves = monte_carlo_curves(sc, cals, self.GRID)
         n_composed = len(compose_calls)
@@ -213,7 +216,7 @@ class TestMonteCarloCurves:
         assert n_composed == max(trials) < sum(trials)
 
     def test_pairs_stop_independently(self, compose_calls):
-        sc = config.bypass_scenario(n_symbols=4, seed=5)
+        sc = replace(config.get_preset("bypass"), n_symbols=4, seed=5)
         cal = calibrate(sc, 0)
         bits_per_trial = 2 * payload_symbols(sc, 0)
         kw = dict(min_errors=100, max_bits=3 * bits_per_trial)
@@ -221,10 +224,10 @@ class TestMonteCarloCurves:
         assert len(compose_calls) == 3
         # 0 dB reaches min_errors on the first trial; 30 dB sees no error
         # and runs until max_bits
-        assert (low.n_bits, low.note) == (bits_per_trial, "")
+        assert low.n_bits == bits_per_trial
         assert low.n_errors >= 100
-        assert (high.n_bits, high.n_errors, high.ber, high.note) == \
-            (3 * bits_per_trial, 0, 0.0, "upper-bound only")
+        assert (high.n_bits, high.n_errors, high.ber) == \
+            (3 * bits_per_trial, 0, 0.0)
         for db, pt in ((0.0, low), (30.0, high)):
             assert pt == monte_carlo_ber(sc, 0, db, cal=cal, **kw)
 
@@ -232,7 +235,7 @@ class TestMonteCarloCurves:
 class TestTargetSearch:
     def test_distortionless_qpsk_threshold(self):
         # Q(sqrt(2 gamma)) = 0.05 at Eb/N0 = 1.3125 dB
-        sc = config.single_band_scenario(n_symbols=8, seed=11)
+        sc = replace(config.get_preset("single-band"), n_symbols=8, seed=11)
         run = semianalytic_run(sc, 0)
         assert ebn0_for_target(run, 0.05) == pytest.approx(1.3125, abs=0.05)
 
@@ -242,7 +245,8 @@ class TestTargetSearch:
             ebn0_for_target(run, 0.4999)  # above ber at the -5 dB edge
 
     def test_sweep_structure(self):
-        sc = config.table1_scenario(waveform="cp-ofdm", n_symbols=4, seed=11)
+        sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
+                     n_symbols=4, seed=11)
         out = ebn0_at_target_ber(sc, 1, target=0.05, m_grid=range(2))
         assert [m for m, _ in out] == [0, 1]
         assert all(np.isfinite(v) for _, v in out)
@@ -250,9 +254,9 @@ class TestTargetSearch:
         assert out[1][1] <= out[0][1] + 0.02
 
     def test_bad_target_rejected(self):
-        sc = config.single_band_scenario(n_symbols=4)
+        sc = replace(config.get_preset("single-band"), n_symbols=4)
         with pytest.raises(MetricsError):
-            ebn0_at_target_ber(sc, 0, target=0.7)
+            ebn0_at_target_ber(sc, 0, target=0.7, m_grid=range(1))
 
     def test_sweep_points_go_through_map(self):
         calls = []
@@ -262,7 +266,7 @@ class TestTargetSearch:
             calls.append(items)
             return map(fn, items)
 
-        sc = config.single_band_scenario(n_symbols=4, seed=11)
+        sc = replace(config.get_preset("single-band"), n_symbols=4, seed=11)
         # above the BER at the -5 dB bracket edge: unreachable, so NaN
         out = ebn0_at_target_ber(sc, 0, target=0.4999, m_grid=range(1),
                                  map=recording_map)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixnum.config import table1_scenario
+from mixnum.config import get_preset
 from mixnum.modem import (ModemError, bit_error_probabilities,
                           bits_to_symbols, constellation, qam_demodulate,
                           qam_modulate)
@@ -53,7 +54,7 @@ class TestConstellation:
 
 class TestBits:
     def test_random_bits_fair(self):
-        sc = table1_scenario(mod_order=16, n_symbols=64)
+        sc = replace(get_preset("table1"), mod_order=16, n_symbols=64)
         bits, qam = random_payload(sc, 0, np.random.default_rng(0))
         assert len(bits) == 4 * 128 * 180
         assert abs(np.mean(bits) - 0.5) < 0.01
@@ -107,16 +108,15 @@ class TestModDemod:
 
 
 class TestBitErrorKernel:
-    def test_zero_sigma_noiseless_is_zero(self):
+    def test_zero_sigma_rejected(self):
+        # every Eb/N0 the command line takes gives a positive sigma
         pts = qam_modulate(random_bits(0, 200), 4)
-        p = bit_error_probabilities(pts, pts, 4, 0.0)
-        np.testing.assert_array_equal(p, 0.0)
-
-    def test_zero_sigma_counts_hard_errors(self):
-        tx = qam_modulate([0, 0], 4)
-        rx = -tx  # diagonally opposite: both bits wrong
-        np.testing.assert_array_equal(
-            bit_error_probabilities(rx, tx, 4, 0.0), [1.0])
+        with pytest.raises(ModemError):
+            bit_error_probabilities(pts, pts, 4, 0.0)
+        sigma = np.full(len(pts), 0.1)
+        sigma[7] = 0.0
+        with pytest.raises(ModemError):
+            bit_error_probabilities(pts, pts, 4, sigma)
 
     def test_qpsk_on_point_matches_qfunc(self):
         tx = qam_modulate([0, 0], 4)

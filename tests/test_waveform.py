@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,8 +257,16 @@ class TestCompose:
         # residual is only the filter's passband ripple
         assert 10 * np.log10(err / ref) < -20
 
+    def test_interpolation_filter_is_shared_across_separations(self):
+        # the design depends on u and the cp only, so a sweep over m
+        # designs each band's filter once
+        sc = config.get_preset("table1")
+        for i in range(3):
+            assert (interpolation_filter(config.with_gap(sc, 0.0), i)
+                    is interpolation_filter(config.with_gap(sc, 1.44e6), i))
+
     def test_disjoint_band_powers_add(self):
-        sc = config.table1_scenario(n_symbols=4)
+        sc = replace(config.get_preset("table1"), n_symbols=4)
         sigs = []
         for i, nm in enumerate(sc.subbands):
             pl = payload(nm, config.symbols_per_band(sc, i), seed=i)
@@ -274,7 +283,8 @@ class TestCompose:
     @pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm", "w-ofdm"])
     def test_composite_length_is_the_composed_length(self, waveform):
         # table1 has u = 2, 1, 4, so the longest band decides the length
-        sc = config.table1_scenario(waveform=waveform, n_symbols=2)
+        sc = replace(config.get_preset("table1"), waveform=waveform,
+                     n_symbols=2)
         bursts = [build_burst(payload(nm, config.symbols_per_band(sc, i)),
                               nm, waveform)
                   for i, nm in enumerate(sc.subbands)]
@@ -289,7 +299,7 @@ class TestCompose:
             compose([build_burst(payload(nm, n_sym), nm, waveform)], sc)
 
     def test_composite_rate(self):
-        sc = config.table1_scenario(n_symbols=1)
+        sc = replace(config.get_preset("table1"), n_symbols=1)
         payloads = [payload(nm, config.symbols_per_band(sc, i), seed=i)
                     for i, nm in enumerate(sc.subbands)]
         sig = build_composite(sc, payloads)
@@ -322,10 +332,12 @@ def _compose_by_chain(bursts, sc):
 
 class TestComposeMatchesChain:
     @pytest.mark.parametrize("sc", [
-        *(config.table1_scenario(waveform=wf, n_symbols=6, seed=3)
+        *(replace(config.get_preset("table1"), waveform=wf, n_symbols=6,
+                  seed=3)
           for wf in ("cp-ofdm", "f-ofdm", "w-ofdm")),
-        config.single_band_scenario(waveform="f-ofdm", n_symbols=5),
-        config.bypass_scenario(n_symbols=4),
+        replace(config.get_preset("single-band"), waveform="f-ofdm",
+                n_symbols=5),
+        replace(config.get_preset("bypass"), n_symbols=4),
         config.scenario_from_dict(json.loads(U8_SCENARIO_JSON)),
     ], ids=["table1-cp-ofdm", "table1-f-ofdm", "table1-w-ofdm",
             "single-band", "bypass", "json-u8"])
@@ -346,6 +358,6 @@ class TestComposeMatchesChain:
 
 class TestPayloadSymbols:
     def test_table1_counts(self):
-        sc = config.table1_scenario(n_symbols=8)
+        sc = replace(config.get_preset("table1"), n_symbols=8)
         assert [payload_symbols(sc, i) for i in range(3)] == [
             16 * 180, 32 * 180, 8 * 180]
