@@ -118,6 +118,20 @@ class TestBitErrorKernel:
         with pytest.raises(ModemError):
             bit_error_probabilities(pts, pts, 4, sigma)
 
+    # sigma = 0 itself is rejected; the two tests below check the sigma -> 0
+    # limit, where every tail is exactly 0 or 1 and the kernel reduces to
+    # hard decisions
+    def test_zero_sigma_noiseless_is_zero(self):
+        pts = qam_modulate(random_bits(0, 200), 4)
+        p = bit_error_probabilities(pts, pts, 4, 1e-3)
+        np.testing.assert_array_equal(p, 0.0)
+
+    def test_zero_sigma_counts_hard_errors(self):
+        tx = qam_modulate([0, 0], 4)
+        rx = -tx  # diagonally opposite: both bits wrong
+        np.testing.assert_array_equal(
+            bit_error_probabilities(rx, tx, 4, 1e-3), [1.0])
+
     def test_qpsk_on_point_matches_qfunc(self):
         tx = qam_modulate([0, 0], 4)
         sigma = 0.2
