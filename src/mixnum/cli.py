@@ -15,17 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (ConfigError, PRESETS, ScenarioConfig, get_preset,
@@ -65,6 +62,8 @@ def _write_manifest(out_path, command, sc, seed, outputs, parameters):
     run parameters as resolved (after presets, overrides and floors), so
     the run can be repeated from it; no times, so reruns stay
     byte-identical."""
+    import scipy  # only for its version: the CLI starts without scipy
+
     out_path = Path(out_path)
     manifest = {
         "command": command,
@@ -218,6 +217,9 @@ def cmd_sweep(args):
     with ExitStack() as stack:
         pool_map = map
         if workers > 1:
+            # imported here: the other commands never start a pool
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool_map = stack.enter_context(ProcessPoolExecutor(
                 workers, multiprocessing.get_context("spawn"))).map
         rows = [(m, sc.waveform, sc.mod_order, band + 1, val)

@@ -20,12 +20,15 @@ PRB_SUBCARRIERS = 12     # resource-block granularity
 
 WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
 MOD_ORDERS = (4, 16, 64, 256)
-# Upper bound on n_symbols. It bounds memory only for numerologies like
-# table1, where peak memory grew by about 0.55 MB per symbol between 64 and
-# 128 symbols (psd, ber and sweep alike): about 1.2 GB at the cap, an
-# extrapolation. Longer symbols or larger upsampling factors cost more per
-# symbol (about 2 MB with every n_fft 4096).
-MAX_SYMBOLS = 2048
+# Upper bound on composite samples (compose's output length), checked from
+# the numerology before anything is built. Peak memory grows by about 120
+# bytes per composite sample, whatever the numerology: 0.51-0.55 MB per
+# table1 symbol of 4352 samples, 1.98 MB per symbol of 17408 samples with
+# every n_fft 4096 (psd, ber and sweep alike, 64 to 128 symbols). So the cap
+# is about 1.1 GB, an extrapolation. table1 reaches it just past 2048
+# symbols, its former symbol cap.
+MAX_COMPOSITE_SAMPLES = 9_000_000
+MAX_INTERP_TAPS = 1025
 
 
 class ConfigError(ValueError):
@@ -108,8 +111,11 @@ class SubbandNumerology:
 
     def __post_init__(self):
         _check_types(self)
-        if not _is_pow2(self.n_fft) or self.n_fft < 16:
-            raise ConfigError(f"n_fft must be a power of two >= 16, got {self.n_fft}")
+        # one symbol of a longer FFT would not fit under the composite cap
+        if (not _is_pow2(self.n_fft)
+                or not 16 <= self.n_fft <= MAX_COMPOSITE_SAMPLES):
+            raise ConfigError(f"n_fft must be a power of two in "
+                              f"16..{MAX_COMPOSITE_SAMPLES}, got {self.n_fft}")
         if not 0 <= self.n_cp <= self.n_fft:
             raise ConfigError(
                 f"n_cp must lie in 0..n_fft ({self.n_fft}), got {self.n_cp}")
@@ -170,9 +176,9 @@ class ScenarioConfig:
             raise ConfigError(f"waveform must be one of {WAVEFORMS}")
         if self.mod_order not in MOD_ORDERS:
             raise ConfigError(f"mod_order must be one of {MOD_ORDERS}")
-        if not (1 <= self.n_symbols <= MAX_SYMBOLS):
+        if self.n_symbols < 1:
             raise ConfigError(
-                f"n_symbols must lie in 1..{MAX_SYMBOLS}, got {self.n_symbols}")
+                f"n_symbols must be at least 1, got {self.n_symbols}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
         if self.eq_mode not in ("scalar", "per-subcarrier"):
@@ -182,6 +188,12 @@ class ScenarioConfig:
                 if not (0 < nm.n_prefix < nm.n_cp):
                     raise ConfigError(
                         f"sub-band {k}: w-ofdm needs 0 < n_prefix < n_cp")
+        n = composite_length(self)
+        if n > MAX_COMPOSITE_SAMPLES:
+            raise ConfigError(
+                f"the composite would hold {n} samples at n_symbols "
+                f"{self.n_symbols}, more than the cap of "
+                f"{MAX_COMPOSITE_SAMPLES}")
         # a band past +-fs/2 would alias into the composite band
         half = composite_rate(self) / 2.0
         for k, f in enumerate(center_frequencies(self)):
@@ -217,6 +229,37 @@ def symbols_per_band(sc: ScenarioConfig, i: int) -> int:
     """
     u_max = max(upsampling_factor(sc, k) for k in range(len(sc.subbands)))
     return sc.n_symbols * u_max // upsampling_factor(sc, i)
+
+
+def interpolation_filter_len(u, n_cp):
+    if u == 1:
+        return 1
+    return min(8 * u * max(n_cp, 8) + 1, MAX_INTERP_TAPS)
+
+
+def _burst_layout(sc: ScenarioConfig, i: int):
+    """Leading delay and length in samples of band i's burst, from the
+    numerology and the scenario's waveform."""
+    nm = sc.subbands[i]
+    n = symbols_per_band(sc, i) * (nm.n_fft + nm.n_cp)
+    if sc.waveform == "f-ofdm":
+        return (nm.filter_len - 1) // 2, n + nm.filter_len - 1
+    if sc.waveform == "w-ofdm":
+        return 0, n + nm.n_prefix + 1
+    return 0, n
+
+
+def composite_length(sc: ScenarioConfig) -> int:
+    """Samples in compose()'s output: the longest band after interpolation,
+    less the interpolation filter's group delay and the burst's leading
+    delay, which compose() drops from its front."""
+    total = 0
+    for i, nm in enumerate(sc.subbands):
+        u = upsampling_factor(sc, i)
+        delay, length = _burst_layout(sc, i)
+        gd = (interpolation_filter_len(u, nm.n_cp) - 1) // 2
+        total = max(total, u * (length - delay) + gd)
+    return total
 
 
 def _band_widths(sc):

@@ -26,12 +26,12 @@ from math import ceil
 
 import numpy as np
 
-from .config import (ScenarioConfig, center_frequencies, composite_rate,
-                     scenario_hash, symbols_per_band, upsampling_factor)
+from .config import (ScenarioConfig, _burst_layout, center_frequencies,
+                     composite_length, composite_rate, scenario_hash,
+                     symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
-from .waveform import (_burst_layout, build_burst, composite_length,
-                       interpolation_filter, random_payload,
+from .waveform import (build_burst, interpolation_filter, random_payload,
                        used_subcarrier_bins)
 
 CAL_MIN_SYMBOLS = 256

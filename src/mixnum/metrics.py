@@ -234,10 +234,11 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ebn0_at_separation(sc: ScenarioConfig, i: int, target, m):
-    """Eb/N0 (dB) reaching the target BER at a separation of m resource
-    blocks, or NaN when the target is not bracketed."""
-    run = semianalytic_run(with_gap(sc, 12.0 * m * F0_HZ), i)
+def _ebn0_at_separation(gapped, i: int, target, m):
+    """Eb/N0 (dB) reaching the target BER on gapped[m], the scenario at a
+    separation of m resource blocks, or NaN when the target is not
+    bracketed."""
+    run = semianalytic_run(gapped[m], i)
     try:
         return ebn0_for_target(run, target)
     except MetricsError:
@@ -250,12 +251,14 @@ def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target, m_grid,
     scenario is rebuilt with gap = 12*m*f0 and one-sided transition gap/2,
     recalibrated and bisected to the target BER.
 
-    Unreachable targets (distortion floor above target) yield NaN. The
-    points are evaluated through ``map``; pass an executor's map to run them
-    in parallel.
+    Unreachable targets (distortion floor above target) yield NaN. Every
+    separation's scenario is built, and so checked, before the first
+    calibration. The points are evaluated through ``map``; pass an
+    executor's map to run them in parallel.
     """
     if not (0.0 < target < 0.5):
         raise MetricsError("target must be in (0, 0.5)")
     m_grid = list(m_grid)
-    values = map(partial(_ebn0_at_separation, sc, i, target), m_grid)
+    gapped = {m: with_gap(sc, 12.0 * m * F0_HZ) for m in m_grid}
+    values = map(partial(_ebn0_at_separation, gapped, i, target), m_grid)
     return list(zip(m_grid, values))

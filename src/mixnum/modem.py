@@ -7,6 +7,10 @@ binary-reflected Gray code of j, so the all-zero label sits at (+1+1j)/sqrt(2)
 for QPSK. A symbol's bits are the I-dimension bits (MSB first) followed by
 the Q-dimension bits. Ties at a decision boundary decode toward the lower
 (more negative) level.
+
+The kernel imports scipy.special on its first call, not with this module:
+that import takes longer than the rest of the command line's start-up, and
+psd and Monte Carlo runs never call the kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 
 class ModemError(ValueError):
@@ -125,6 +128,7 @@ def _dim_bit_error(coords, sent, sigma, cm):
     from the sent level: one Gaussian tail each, never a difference of
     tails, so small probabilities keep their relative accuracy.
     """
+    from scipy.special import erfc
     scale = np.sqrt(2.0) * np.broadcast_to(sigma, coords.shape)
     z = cm.thresholds - coords[:, None]
     z /= scale[:, None]

@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import (ScenarioConfig, SubbandNumerology, center_frequencies,
-                     composite_rate, subband_sample_rate,
+from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
+                     center_frequencies, composite_length, composite_rate,
+                     interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, _tail_add, convolve_full,
                   design_interpolation_filter, design_subband_filter,
                   interpolate_mix_sum, wofdm_window)
 from .modem import qam_modulate
-
-MAX_INTERP_TAPS = 1025
 
 
 class WaveformError(ValueError):
@@ -94,43 +93,12 @@ def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
     return builder(grid, nm)
 
 
-def interpolation_filter_len(u, n_cp):
-    if u == 1:
-        return 1
-    return min(8 * u * max(n_cp, 8) + 1, MAX_INTERP_TAPS)
-
-
-def _burst_layout(sc: ScenarioConfig, i: int):
-    """Leading delay and length in samples of band i's burst, from the
-    numerology and the scenario's waveform."""
-    nm = sc.subbands[i]
-    n = symbols_per_band(sc, i) * (nm.n_fft + nm.n_cp)
-    if sc.waveform == "f-ofdm":
-        return (nm.filter_len - 1) // 2, n + nm.filter_len - 1
-    if sc.waveform == "w-ofdm":
-        return 0, n + nm.n_prefix + 1
-    return 0, n
-
-
 def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
     """Anti-image filter that takes band i up to the composite rate (one
     unit tap for a band already at that rate)."""
     u = upsampling_factor(sc, i)
     return design_interpolation_filter(
         u, interpolation_filter_len(u, sc.subbands[i].n_cp))
-
-
-def composite_length(sc: ScenarioConfig) -> int:
-    """Samples in compose()'s output: the longest band after interpolation,
-    less the interpolation filter's group delay and the burst's leading
-    delay, which compose() drops from its front."""
-    total = 0
-    for i, nm in enumerate(sc.subbands):
-        u = upsampling_factor(sc, i)
-        delay, length = _burst_layout(sc, i)
-        gd = (interpolation_filter_len(u, nm.n_cp) - 1) // 2
-        total = max(total, u * (length - delay) + gd)
-    return total
 
 
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:

@@ -17,8 +17,13 @@ from mixnum import config, link
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
                         _parse_m_range, _sweep_workers, build_parser, main)
-from mixnum.config import MAX_SYMBOLS, ConfigError
+from mixnum.config import MAX_COMPOSITE_SAMPLES, ConfigError
 from mixnum.metrics import MetricsError
+
+# table1 spends 4 * 1088 composite samples per slowest-band symbol, and the
+# one-band presets 1088: symbol counts just past the composite cap
+TABLE1_SYMBOLS_OVER_CAP = MAX_COMPOSITE_SAMPLES // (4 * 1088) + 1
+SYMBOLS_OVER_CAP = MAX_COMPOSITE_SAMPLES // 1088 + 1
 
 
 class TestParsers:
@@ -422,8 +427,8 @@ class TestErrorPaths:
     def test_too_many_symbols_rejected_up_front(self, tmp_path, capsys,
                                                 no_work, argv):
         out = tmp_path / "x.csv"
-        rc = main(argv + ["--scenario", "table1",
-                          "--symbols", str(MAX_SYMBOLS + 1), "--out", str(out)])
+        rc = main(argv + ["--scenario", "table1", "--symbols",
+                          str(TABLE1_SYMBOLS_OVER_CAP), "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
@@ -438,11 +443,59 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
 
     def test_symbol_cap_keeps_the_psd_workload(self):
-        # psd --symbols 512 is the benchmark's PSD job
-        assert MAX_SYMBOLS >= 512
-        replace(config.get_preset("table1"), n_symbols=MAX_SYMBOLS)
-        with pytest.raises(ConfigError):
-            replace(config.get_preset("table1"), n_symbols=MAX_SYMBOLS + 1)
+        # psd --symbols 512 is the benchmark's PSD job; 2048 symbols was
+        # the cap before the composite cap
+        table1 = config.get_preset("table1")
+        for waveform in config.WAVEFORMS:
+            for n in (512, 2048):
+                replace(table1, waveform=waveform, n_symbols=n)
+            with pytest.raises(ConfigError):
+                replace(table1, waveform=waveform,
+                        n_symbols=TABLE1_SYMBOLS_OVER_CAP)
+
+    @pytest.mark.parametrize("argv", [
+        ["psd"], ["ber", "--ebn0", "0:1:0"], ["sweep", "--m", "0"]],
+        ids=["psd", "ber", "sweep"])
+    def test_fft_too_long_for_the_cap_exits_2(self, tmp_path, capsys,
+                                              no_work, argv):
+        # one 2**34-point symbol would not fit; before the cap this failed
+        # with a MemoryError traceback in map_to_subcarriers
+        d = config.scenario_to_dict(config.get_preset("bypass"))
+        d["subbands"][0]["n_fft"] = 2 ** 34
+        path = tmp_path / "long_fft.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--scenario", str(path), "--waveform", "cp-ofdm",
+                          "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_fft" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--ebn0", "0:1:0"], ["sweep", "--m", "0"]],
+        ids=["ber", "sweep"])
+    def test_calibration_over_the_cap_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        # one 65536-point symbol fits, but calibration runs 256 of them
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration started an oversized run")
+        for name in ("build_burst", "_calibration_noise"):
+            monkeypatch.setattr(f"mixnum.link.{name}", refuse)
+        bypass = config.get_preset("bypass")
+        sc = replace(bypass, n_symbols=1, subbands=(
+            replace(bypass.subbands[0], n_fft=2 ** 16),))
+        path = tmp_path / "cal_over_cap.json"
+        config.save_scenario(sc, path)
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--scenario", str(path), "--waveform", "cp-ofdm",
+                          "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than the cap of {MAX_COMPOSITE_SAMPLES}" in err
 
     def test_bad_grid(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--ebn0", "4:1:0",
@@ -509,6 +562,24 @@ class TestErrorPaths:
         assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
         assert f"f1_hz {f1_hz}" in err
 
+    def test_sweep_checks_every_separation_up_front(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # band 0 fits at m = 0..2 and passes -fs/2 from m = 3 on
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrated before every m was checked")
+        monkeypatch.setattr("mixnum.metrics.calibrate", refuse)
+        path = tmp_path / "shifted.json"
+        config.save_scenario(
+            replace(config.get_preset("table1"), f1_hz=-27.8e6), path)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", str(path), "--waveform", "cp-ofdm",
+                   "--m", "0..8", "--band", "3", "--symbols", "8",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
+
     def test_bypass_is_cp_ofdm_only(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",
                    "--ebn0", "0:1:0", "--out", str(tmp_path / "x.csv")])
@@ -564,8 +635,7 @@ _FLAGS = {
                    ["foo", "", "cp-ofdm,w-ofdm", "f-ofdm,f-ofdm"]),
     "--mod": (["4", "16", "256"], ["8", "x"]),
     "--seed": (["0", "7", str(2 ** 64 - 1)], ["-1", str(2 ** 64), "1.5"]),
-    "--symbols": (["1", "4", str(MAX_SYMBOLS)],
-                  [str(MAX_SYMBOLS + 1), "0", "-3"]),
+    "--symbols": (["1", "4", "2048"], [str(SYMBOLS_OVER_CAP), "0", "-3"]),
     "--threads": (["1", "2"], ["0", "-4", "y"]),
     "--ebn0": (["0:1:2", "-5:1:0", "3:1:3"],
                ["0:0:1", "2:1:1", "0:1:2000", "4000:1:4000", "a:b:c", "1"]),
@@ -636,16 +706,52 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert err == "error: input accepted\n", (argv, err)
 
 
-def test_cli_import_leaves_heavy_scipy_out():
-    """Every CLI call and sweep worker pays the import; scipy.signal drags
-    in stats, interpolate and optimize."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixnum.cli; "
-            "mixnum.cli.build_parser(); "
-            "print(' '.join(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))))")
+def _fresh_interpreter(code, *args):
+    """stdout of code run by a new interpreter that imports mixnum from
+    this checkout (sys.argv[1])."""
     src = str(Path(mixnum.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout.split()
-    for heavy in ("scipy.signal", "scipy.stats", "scipy.interpolate",
-                  "scipy.optimize"):
-        assert heavy not in out
+    return subprocess.run([sys.executable, "-c", code, src, *args],
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    """Every CLI call and sweep worker pays the import: it loads numpy and
+    the package, no scipy module (scipy.special alone took most of the
+    start-up) and no process pool."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixnum.cli; "
+            "mixnum.cli.build_parser(); print(' '.join(sorted(sys.modules)))")
+    loaded = _fresh_interpreter(code).split()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    for heavy in ("multiprocessing", "concurrent.futures.process"):
+        assert heavy not in loaded
+
+
+def test_only_the_semianalytic_kernel_loads_scipy_special(tmp_path):
+    """psd and Monte Carlo runs never load scipy.special, and their
+    manifests still name the scipy version; a semi-analytic run loads it
+    on its first kernel call and writes what it writes in-process."""
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from mixnum.cli import main
+        out = sys.argv[2]
+        loaded = []
+        for argv in (["psd"], ["ber", "--method", "mc", "--ebn0", "0:1:0"],
+                     ["ber", "--method", "sa", "--ebn0", "0:1:2"]):
+            name = f"{out}/{argv[0]}-{len(loaded)}.csv"
+            assert main(argv + ["--scenario", "bypass", "--symbols", "4",
+                                "--out", name]) == 0
+            loaded.append("scipy.special" in sys.modules)
+        print(json.dumps(loaded))
+    """
+    stdout = _fresh_interpreter(code, str(tmp_path))
+    assert json.loads(stdout.splitlines()[-1]) == [False, False, True]
+    import scipy
+    for name in ("psd-0", "ber-1"):
+        manifest = json.loads(
+            (tmp_path / f"{name}.csv.manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+    here = tmp_path / "in-process.csv"
+    assert main(["ber", "--method", "sa", "--ebn0", "0:1:2", "--scenario",
+                 "bypass", "--symbols", "4", "--out", str(here)]) == EXIT_OK
+    assert (tmp_path / "ber-2.csv").read_bytes() == here.read_bytes()

@@ -157,6 +157,37 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(subbands=())
 
+    def test_composite_cap_is_checked_before_anything_is_built(self):
+        # every n_fft 4096 takes 17408 composite samples per symbol: about
+        # 35.7 M at 2048 symbols, four times table1's
+        sc = table1()
+        long = tuple(replace(nm, n_fft=4096, n_cp=256) for nm in sc.subbands)
+        replace(sc, subbands=long, n_symbols=512)
+        with pytest.raises(ConfigError, match="35652096 samples"):
+            replace(sc, subbands=long, n_symbols=2048)
+
+    def test_composite_cap_bounds_the_composite_length(self, monkeypatch):
+        sc = replace(table1(), waveform="f-ofdm")
+        n = config.composite_length(sc)
+        monkeypatch.setattr(config, "MAX_COMPOSITE_SAMPLES", n)
+        replace(sc, seed=1)
+        monkeypatch.setattr(config, "MAX_COMPOSITE_SAMPLES", n - 1)
+        with pytest.raises(ConfigError):
+            replace(sc, seed=1)
+
+    @pytest.mark.parametrize("name", sorted(config.PRESETS))
+    def test_every_preset_calibrates_under_the_cap(self, name):
+        from mixnum.link import _calibration_scenario
+        sc = get_preset(name)
+        waveforms = ["cp-ofdm"] if name == "bypass" else config.WAVEFORMS
+        for waveform in waveforms:
+            for n_symbols in (1, sc.n_symbols):
+                sc_wf = replace(sc, waveform=waveform, n_symbols=n_symbols)
+                for i in range(len(sc.subbands)):
+                    cal = _calibration_scenario(sc_wf, i)
+                    assert config.composite_length(cal) <= \
+                        config.MAX_COMPOSITE_SAMPLES
+
 
 class TestRates:
     def test_table1_band_rates(self):

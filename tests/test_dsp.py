@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
-from mixnum.config import center_frequencies, composite_rate, get_preset
+from mixnum.config import (center_frequencies, composite_rate, get_preset,
+                           interpolation_filter_len)
 
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         _ola_fft_len, blackman_transition, convolve_full,
@@ -12,7 +13,6 @@ from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         mix_filter_decimate, wofdm_window)
 from mixnum import dsp
 from mixnum.link import receive_filter
-from mixnum.waveform import interpolation_filter_len
 from oracles import interpolation_taps, response_at, upsample_zero_stuff
 
 

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixnum import config
-from mixnum.config import (ScenarioConfig, SubbandNumerology,
-                           center_frequencies, composite_rate,
-                           scenario_from_dict, upsampling_factor)
+from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
+                           center_frequencies, composite_length,
+                           composite_rate, scenario_from_dict,
+                           upsampling_factor)
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         frequency_shift, wofdm_window)
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (WaveformError, _burst_layout, build_burst,
-                             build_composite, compose, composite_length,
-                             interpolation_filter, random_payload,
+from mixnum.waveform import (WaveformError, build_burst, build_composite,
+                             compose, interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
 from oracles import upsample_zero_stuff
