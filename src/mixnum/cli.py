@@ -25,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, PRESETS, ScenarioConfig, get_preset,
-                     load_scenario, scenario_hash)
-from .link import LinkError, calibrate
-from .metrics import (MetricsError, ebn0_at_target_ber, monte_carlo_curves,
-                      semianalytic_run, welch_psd)
+from .config import (ConfigError, PRESETS, ScenarioConfig,
+                     composite_length, get_preset, load_scenario,
+                     scenario_hash)
+from .link import calibrate
+from .metrics import (WELCH_SEGMENT_LEN, ebn0_at_target_ber,
+                      monte_carlo_curves, semianalytic_run, welch_psd)
 from .waveform import build_composite, random_payload
 
 EXIT_OK = 0
@@ -147,6 +148,12 @@ def cmd_psd(args):
                             n_symbols=args.symbols)
     asked = sc.n_symbols
     sc = replace(sc, n_symbols=max(asked, PSD_MIN_SYMBOLS))
+    n = composite_length(sc)
+    if n < WELCH_SEGMENT_LEN:
+        raise ConfigError(
+            f"psd needs a composite of at least one {WELCH_SEGMENT_LEN}-"
+            f"sample Welch segment; this one holds {n} samples at "
+            f"n_symbols {sc.n_symbols}")
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed,
                                                        spawn_key=(0x5D,)))
     payloads = [random_payload(sc, i, rng)[1]
@@ -330,10 +337,10 @@ def main(argv=None):
     args = build_parser().parse_args(_glue_negative_grids(argv))
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError) as e:
         _print_error(e)
         return EXIT_CONFIG
-    except (MetricsError, LinkError, ValueError) as e:
+    except ValueError as e:  # LinkError and MetricsError among them
         _print_error(e)
         return EXIT_COMPUTE
 

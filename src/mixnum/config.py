@@ -16,6 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import lru_cache
 
 F0_HZ = 15000.0          # base subcarrier spacing
+MAX_SCS_HZ = 960000.0    # largest 5G NR spacing (mu = 6): 64 * F0_HZ
 PRB_SUBCARRIERS = 12     # resource-block granularity
 
 WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
@@ -90,10 +91,11 @@ class SubbandNumerology:
 
     n_fft        : IFFT size (power of two, >= 16)
     n_cp         : cyclic-prefix length in samples
-    scs_hz       : subcarrier spacing, a power-of-two multiple of 15 kHz
+    scs_hz       : subcarrier spacing, 15 kHz times a power of two, at most
+                   960 kHz
     n_used       : occupied subcarriers, a whole number of PRBs
     n_guard      : guard subcarriers (half on each side of the band)
-    filter_len   : sub-band filter length (odd)
+    filter_len   : sub-band filter length (odd, at most 2 * n_fft + 1)
     transition_hz: one-sided filter transition band in Hz
     n_prefix     : w-OFDM prefix/suffix length in samples
     n_transition : w-OFDM window transition length in samples (even)
@@ -119,10 +121,13 @@ class SubbandNumerology:
         if not 0 <= self.n_cp <= self.n_fft:
             raise ConfigError(
                 f"n_cp must lie in 0..n_fft ({self.n_fft}), got {self.n_cp}")
+        # the bound keeps every rate, and the products taken of it, finite
         ratio = self.scs_hz / F0_HZ
-        if self.scs_hz <= 0 or ratio != int(ratio) or not _is_pow2(int(ratio)):
+        if (not 0 < self.scs_hz <= MAX_SCS_HZ or ratio != int(ratio)
+                or not _is_pow2(int(ratio))):
             raise ConfigError(
-                f"scs_hz must be f0*2^p with f0=15 kHz, got {self.scs_hz}")
+                f"scs_hz must be f0*2^p with f0=15 kHz, at most "
+                f"{MAX_SCS_HZ / 1e3:.0f} kHz, got {self.scs_hz}")
         if self.n_used <= 0 or self.n_used % PRB_SUBCARRIERS != 0:
             raise ConfigError(
                 f"n_used must be a positive multiple of {PRB_SUBCARRIERS}")
@@ -130,8 +135,12 @@ class SubbandNumerology:
             raise ConfigError("n_guard must be non-negative")
         if self.n_used + self.n_guard > self.n_fft:
             raise ConfigError("n_used + n_guard exceeds n_fft")
-        if self.filter_len < 1 or self.filter_len % 2 == 0:
-            raise ConfigError(f"filter_len must be odd, got {self.filter_len}")
+        # the receive filter takes u * (filter_len - 1) + 1 taps: at most
+        # two symbols at the composite rate, so the composite cap bounds it
+        if (self.filter_len % 2 == 0
+                or not 1 <= self.filter_len <= 2 * self.n_fft + 1):
+            raise ConfigError(f"filter_len must be odd and in 1..2*n_fft+1 "
+                              f"({2 * self.n_fft + 1}), got {self.filter_len}")
         if self.transition_hz < 0:
             raise ConfigError("transition_hz must be non-negative")
         if self.n_prefix < 0 or self.n_transition < 0:
@@ -183,11 +192,26 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.eq_mode not in ("scalar", "per-subcarrier"):
             raise ConfigError("eq_mode must be 'scalar' or 'per-subcarrier'")
-        if self.waveform == "w-ofdm":
-            for k, nm in enumerate(self.subbands):
-                if not (0 < nm.n_prefix < nm.n_cp):
-                    raise ConfigError(
-                        f"sub-band {k}: w-ofdm needs 0 < n_prefix < n_cp")
+        for k, nm in enumerate(self.subbands):
+            if self.waveform == "w-ofdm" and not 0 < nm.n_prefix < nm.n_cp:
+                raise ConfigError(
+                    f"sub-band {k}: w-ofdm needs 0 < n_prefix < n_cp")
+            # the passband of dsp.design_subband_filter, computed alike,
+            # must fit the grid of the narrowest filter the band runs
+            # through: the f-OFDM filter's n_fft bins, else the receive
+            # filter's u * n_fft
+            if self.waveform == "f-ofdm":
+                name, bins = "f-OFDM", nm.n_fft
+            elif self.rx_filter:
+                name, bins = "receive", upsampling_factor(self, k) * nm.n_fft
+            else:
+                continue
+            width = nm.n_used + 2.0 * nm.r_subcarriers
+            if width > bins:
+                raise ConfigError(
+                    f"sub-band {k}: n_used + 2*transition_hz/scs_hz is "
+                    f"{width:.7g}, wider than the {name} filter's grid of "
+                    f"{bins} bins")
         n = composite_length(self)
         if n > MAX_COMPOSITE_SAMPLES:
             raise ConfigError(

@@ -54,8 +54,6 @@ def _complex_noise(n, variance, rng):
 def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
     """Add circular complex Gaussian noise of the given per-sample variance,
     drawn from a caller-managed generator (one substream per trial)."""
-    if variance < 0:
-        raise LinkError("noise variance must be non-negative")
     noise = _complex_noise(len(x), variance, rng)
     noise += x.samples
     return ComplexSignal(noise, x.rate_hz)
@@ -99,8 +97,6 @@ def _demodulate(x, sc: ScenarioConfig, i: int, eq=None):
     nm = sc.subbands[i]
     n_sym = symbols_per_band(sc, i)
     stride = nm.n_fft + nm.n_cp
-    if len(x) < n_sym * stride:
-        raise LinkError(f"burst too short for {n_sym} symbols of band {i}")
     segs = x[:n_sym * stride].reshape(n_sym, stride)[:, nm.n_cp:]
     points = np.fft.fft(segs, axis=1)[:, used_subcarrier_bins(nm.n_fft,
                                                               nm.n_used)]

@@ -41,7 +41,6 @@ class PsdCurve:
     freq_hz: np.ndarray
     psd_db: np.ndarray          # dB relative to the curve maximum
     resolution_hz: float
-    peak_db: float              # absolute level (dB re 1/Hz) of the maximum
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,6 @@ def welch_psd(x: ComplexSignal) -> PsdCurve:
     scaling 1/(fs * sum(w^2)); a partial last segment is dropped.
     """
     segment_len = WELCH_SEGMENT_LEN
-    if len(x) < segment_len:
-        raise MetricsError(
-            f"signal ({len(x)} samples) shorter than one segment "
-            f"({segment_len})")
     step = segment_len - int(segment_len * WELCH_OVERLAP)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
                              / segment_len)
@@ -74,12 +69,10 @@ def welch_psd(x: ComplexSignal) -> PsdCurve:
         acc += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
     p = np.fft.fftshift(acc / (len(segs) * x.rate_hz * np.sum(win ** 2)))
     f = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / x.rate_hz))
-    peak = p.max()
     with np.errstate(divide="ignore"):
-        rel_db = 10.0 * np.log10(p / peak)
+        rel_db = 10.0 * np.log10(p / p.max())
     return PsdCurve(freq_hz=f, psd_db=rel_db,
-                    resolution_hz=x.rate_hz / segment_len,
-                    peak_db=float(10.0 * np.log10(peak)))
+                    resolution_hz=x.rate_hz / segment_len)
 
 
 def evm_db(rx, ref) -> float:
@@ -256,8 +249,6 @@ def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target, m_grid,
     calibration. The points are evaluated through ``map``; pass an
     executor's map to run them in parallel.
     """
-    if not (0.0 < target < 0.5):
-        raise MetricsError("target must be in (0, 0.5)")
     m_grid = list(m_grid)
     gapped = {m: with_gap(sc, 12.0 * m * F0_HZ) for m in m_grid}
     values = map(partial(_ebn0_at_separation, gapped, i, target), m_grid)

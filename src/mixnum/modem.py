@@ -36,7 +36,6 @@ class ConstellationMap:
     order: int
     points: np.ndarray        # (M,) complex, indexed by integer label
     # per-dimension helpers (ascending level order)
-    levels: np.ndarray        # (sqrt M,) real, ascending
     thresholds: np.ndarray    # (sqrt M - 1,) decision boundaries, ascending
     level_bits: np.ndarray    # (sqrt M, log2 sqrt M): bits of the ascending levels
     # bit-error kernel tables, (sqrt M, sqrt M - 1) indexed [sent level,
@@ -53,8 +52,6 @@ class ConstellationMap:
 
 @lru_cache(maxsize=None)
 def constellation(M: int) -> ConstellationMap:
-    if M not in (4, 16, 64, 256):
-        raise ModemError(f"unsupported modulation order {M}")
     m = int(np.sqrt(M))
     kd = int(np.log2(m))
     alpha = np.sqrt(3.0 / (2.0 * (M - 1)))
@@ -75,8 +72,7 @@ def constellation(M: int) -> ConstellationMap:
     tail_sign = np.where(np.arange(m - 1)[None, :] >= np.arange(m)[:, None],
                          1.0, -1.0)
     tail_weight = tail_sign * (hamming[:, 1:] - hamming[:, :-1])
-    return ConstellationMap(order=M, points=points,
-                            levels=levels, thresholds=thresholds,
+    return ConstellationMap(order=M, points=points, thresholds=thresholds,
                             level_bits=level_bits.astype(np.uint8),
                             tail_sign=tail_sign, tail_weight=tail_weight)
 
@@ -85,8 +81,6 @@ def bits_to_symbols(bits, M: int) -> np.ndarray:
     """Pack bits (MSB first) into integer labels."""
     b = np.asarray(bits, dtype=np.uint8)
     k = int(np.log2(M))
-    if len(b) % k != 0:
-        raise ModemError(f"bit count {len(b)} not divisible by {k}")
     groups = b.reshape(-1, k)
     weights = 1 << np.arange(k - 1, -1, -1)
     return groups @ weights

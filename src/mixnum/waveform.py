@@ -16,10 +16,6 @@ from .dsp import (ComplexSignal, FilterTaps, _tail_add, convolve_full,
 from .modem import qam_modulate
 
 
-class WaveformError(ValueError):
-    pass
-
-
 def used_subcarrier_bins(n_fft, n_used):
     """FFT bin indices of the used subcarriers: contiguous block centered on
     DC (shifted indices -n_used/2 .. n_used/2-1, DC included)."""
@@ -31,9 +27,6 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
     """Frequency-domain payload as an (n_sym, n_fft) array: one row per OFDM
     symbol, natural FFT bin order, zeros outside the used bins."""
     qam = np.asarray(qam, dtype=np.complex128)
-    if len(qam) % nm.n_used != 0:
-        raise WaveformError(
-            f"payload length {len(qam)} not divisible by n_used {nm.n_used}")
     n_sym = len(qam) // nm.n_used
     mask = used_subcarrier_bins(nm.n_fft, nm.n_used)
     grid = np.zeros((n_sym, nm.n_fft), dtype=np.complex128)
@@ -64,8 +57,6 @@ def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     Each extended symbol is shaped by the Blackman-edged window and its last
     n_prefix + 1 samples overlap the head of the next symbol.
     """
-    if not (0 < nm.n_prefix < nm.n_cp):
-        raise WaveformError("w-ofdm needs 0 < n_prefix < n_cp")
     n_cp_star = nm.n_cp - nm.n_prefix
     t = np.fft.ifft(grid, axis=1)
     ext = np.concatenate(
@@ -85,12 +76,7 @@ _BUILDERS = {
 
 
 def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
-    grid = map_to_subcarriers(qam, nm)
-    try:
-        builder = _BUILDERS[waveform]
-    except KeyError:
-        raise WaveformError(f"unknown waveform {waveform!r}") from None
-    return builder(grid, nm)
+    return _BUILDERS[waveform](map_to_subcarriers(qam, nm), nm)
 
 
 def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
@@ -110,17 +96,11 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     up to the composite rate at its own rate (dsp.interpolate_mix_sum), as
     if zero-stuffed, filtered and shifted there.
     """
-    if len(bursts) != len(sc.subbands):
-        raise WaveformError("one burst per sub-band required")
     freqs = center_frequencies(sc)
     bands = []
     for i, sig in enumerate(bursts):
         u = upsampling_factor(sc, i)
-        delay, length = _burst_layout(sc, i)
-        if len(sig) != length:
-            raise WaveformError(
-                f"band {i}: burst has {len(sig)} samples, a {sc.waveform} "
-                f"burst of this scenario has {length}")
+        delay, _ = _burst_layout(sc, i)
         taps = interpolation_filter(sc, i)
         bands.append((sig, u, taps, freqs[i], taps.group_delay + u * delay))
     return interpolate_mix_sum(bands, composite_rate(sc),

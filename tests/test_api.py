@@ -1,5 +1,6 @@
 """Every public name, and every defaulted parameter of a public function,
-is used by the package itself, or says why not.
+is used by the package itself, or says why not; every dataclass field is
+read by the package.
 
 A name counts as used when the command line reaches it through the
 package's own code: another module calls it, or calls a function of its
@@ -135,3 +136,37 @@ def test_every_default_is_overridden_or_allowed():
                     for n, keywords in calls.get((module, name), ())):
                 never_passed.add((name, p.name))
     assert never_passed == set(ALLOWED_DEFAULTS)
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass under the package is read by attribute
+    (``x.field``) somewhere in the package, or its class is serialized
+    whole: passed to ``asdict`` as a parameter annotated with the class."""
+    fields, read, whole = [], set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(node.name, f.target.id) for f in node.body
+                           if isinstance(f, ast.AnnAssign)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif isinstance(node, ast.FunctionDef):
+                annotated = {a.arg: ast.unparse(a.annotation)
+                             for a in node.args.args if a.annotation}
+                whole.update(
+                    annotated[call.args[0].id] for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "asdict"
+                    and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id in annotated)
+    assert "ScenarioConfig" in whole
+    assert [f for f in fields if f[0] not in whole and f[1] not in read] == []

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -580,6 +581,57 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,r,grid", [
+        (["psd", "--waveform", "f-ofdm"], 1000,
+         "f-OFDM filter's grid of 1024"),
+        (["ber", "--ebn0", "0:1:0", "--waveform", "f-ofdm"], 1000,
+         "f-OFDM filter's grid of 1024"),
+        (["sweep", "--m", "0"], 1000, "f-OFDM filter's grid of 1024"),
+        (["ber", "--ebn0", "0:1:0"], 2000, "receive filter's grid of 4096"),
+        (["sweep", "--m", "0"], 2000, "receive filter's grid of 4096"),
+    ], ids=["psd-f-ofdm", "ber-f-ofdm", "sweep-f-ofdm",
+            "ber-cp-ofdm-rx-filter", "sweep-cp-ofdm-rx-filter"])
+    def test_wide_transition_exits_2(self, tmp_path, capsys, no_work, argv,
+                                     r, grid):
+        # band 3 (u = 4) with r subcarriers of transition on each side:
+        # 180 + 2 r bins. 2180 pass the f-OFDM filter's grid and 4180 the
+        # receive filter's too. sweep resets the transition with the gap,
+        # but the scenario as given is refused
+        d = config.scenario_to_dict(config.get_preset("table1"))
+        d["subbands"][2]["transition_hz"] = r * 15e3
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--scenario", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sub-band 2: ") and err.count("\n") == 1
+        assert grid in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("filter_len", 10 ** 9 + 1),
+        ("scs_hz", 15e3 * 2.0 ** 990),
+        ("scs_hz", 15e3 * 2.0 ** 1000),
+        ("scs_hz", 15e3 * 2.0 ** 1010),
+    ], ids=["filter_len-1e9", "scs_hz-2^990", "scs_hz-2^1000",
+            "scs_hz-2^1010"])
+    def test_band_beyond_its_bounds_exits_2(self, tmp_path, capsys, no_work,
+                                            field, value):
+        # the PSD's density scaling overflows at the first two band rates
+        # and the rate itself at the third
+        d = config.scenario_to_dict(config.get_preset("single-band"))
+        d["subbands"][0][field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        rc = main(["psd", "--scenario", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sub-band 0: {field} ")
+        assert err.count("\n") == 1
+
     def test_bypass_is_cp_ofdm_only(self, tmp_path):
         rc = main(["ber", "--scenario", "bypass", "--waveform", "f-ofdm",
                    "--ebn0", "0:1:0", "--out", str(tmp_path / "x.csv")])
@@ -704,6 +756,64 @@ def test_fuzzed_argv_exits_cleanly(argv):
             (argv, err)
     if code == EXIT_COMPUTE:
         assert err == "error: input accepted\n", (argv, err)
+
+
+@st.composite
+def _scenario(draw):
+    """Scenario JSON of one to three small bands (n_fft 16..256, spacings
+    15..60 kHz) in any waveform, with or without the receive filter. Each
+    field is drawn within its own bounds, and the filter's passband up to
+    two bins past n_fft, so that many scenarios run and the rest are
+    refused by a check."""
+    subbands = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_fft = 2 ** draw(st.integers(4, 8))
+        n_used = 12 * draw(st.integers(1, n_fft // 12))
+        n_cp = draw(st.integers(0, n_fft // 4))
+        n_prefix = draw(st.integers(0, max(n_cp - 1, 0)))
+        scs_hz = 15e3 * 2 ** draw(st.integers(0, 2))
+        subbands.append({
+            "n_fft": n_fft, "n_cp": n_cp, "scs_hz": scs_hz,
+            "n_used": n_used, "n_guard": draw(st.integers(0, n_fft - n_used)),
+            "filter_len": 2 * draw(st.integers(0, n_fft)) + 1,
+            "transition_hz": scs_hz * draw(
+                st.floats(0, (n_fft - n_used) / 2 + 1)),
+            "n_prefix": n_prefix,
+            "n_transition": 2 * draw(st.integers(0, n_prefix // 2))})
+    return {"subbands": subbands,
+            "waveform": draw(st.sampled_from(config.WAVEFORMS)),
+            "mod_order": draw(st.sampled_from(config.MOD_ORDERS)),
+            "n_symbols": draw(st.integers(1, 4)),
+            "seed": draw(st.integers(0, 2 ** 16)),
+            "rx_filter": draw(st.booleans())}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_scenario())
+def test_fuzzed_scenario_runs_or_exits_2(d):
+    """psd and ber --method sa, run for real on any scenario JSON, exit 0
+    with only finite values in the CSV, or 2 with one line: a scenario
+    that passes the checks does not fail later."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(d))
+        for argv in (["psd"], ["ber", "--method", "sa", "--ebn0", "0:10:20"]):
+            out = Path(tmp) / f"{argv[0]}.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--scenario", str(path), "--out",
+                                    str(out)])
+            err = err.getvalue()
+            assert code in (EXIT_OK, EXIT_CONFIG), (d, argv, err)
+            if code == EXIT_CONFIG:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not out.exists()
+                continue
+            rows = out.read_text().splitlines()[1:]
+            values = [float(v) for row in rows for v in row.split(",")
+                      if v != "semi-analytic"]
+            assert rows and all(math.isfinite(v) for v in values), (d, argv)
 
 
 def _fresh_interpreter(code, *args):

@@ -42,6 +42,20 @@ class TestSubbandNumerology:
             SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180,
                               filter_len=88)
 
+    def test_filter_len_is_bounded_by_the_fft(self):
+        # 2 * n_fft + 1 taps at most; 10**9 + 1 is refused by the
+        # constructor, and no filter is designed
+        kw = dict(n_fft=64, n_cp=8, scs_hz=15e3, n_used=24)
+        assert SubbandNumerology(**kw, filter_len=129).filter_len == 129
+        for n in (131, 10 ** 9 + 1):
+            with pytest.raises(ConfigError, match=r"filter_len .*\(129\)"):
+                SubbandNumerology(**kw, filter_len=n)
+
+    def test_rejects_spacing_above_960_khz(self):
+        SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=960e3, n_used=180)
+        with pytest.raises(ConfigError, match="scs_hz"):
+            SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=1920e3, n_used=180)
+
     def test_rejects_overfull_band(self):
         with pytest.raises(ConfigError):
             SubbandNumerology(n_fft=256, n_cp=16, scs_hz=15e3, n_used=240,
@@ -152,6 +166,30 @@ class TestScenarioConfig:
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180)
         with pytest.raises(ConfigError):
             ScenarioConfig(subbands=(nm,), eq_mode="mmse")
+
+    @pytest.mark.parametrize("waveform,rx_filter,r,grid", [
+        ("f-ofdm", True, 422.0, "f-OFDM filter's grid of 1024"),
+        ("f-ofdm", False, 422.0, "f-OFDM filter's grid of 1024"),
+        ("cp-ofdm", True, 1958.0, "receive filter's grid of 4096"),
+        ("w-ofdm", True, 1958.0, "receive filter's grid of 4096"),
+        ("cp-ofdm", False, 1e6, None),
+    ])
+    def test_filter_passband_must_fit_its_grid(self, waveform, rx_filter, r,
+                                               grid):
+        # table1's band 3 (u = 4): n_used 180 plus 2 r subcarriers of
+        # transition may fill, but not pass, 1024 bins for the f-OFDM
+        # filter and 4096 for the receive filter; without either filter
+        # the transition is not used
+        sc = replace(table1(), waveform=waveform, rx_filter=rx_filter)
+
+        def with_r(r):
+            band = replace(sc.subbands[2], transition_hz=r * 15e3)
+            return replace(sc, subbands=(*sc.subbands[:2], band))
+
+        with_r(r)
+        if grid is not None:
+            with pytest.raises(ConfigError, match=f"sub-band 2: .*{grid}"):
+                with_r(r + 0.5)
 
     def test_needs_a_band(self):
         with pytest.raises(ConfigError):

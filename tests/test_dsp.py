@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
-from mixnum.config import (center_frequencies, composite_rate, get_preset,
+from mixnum.config import (ConfigError, ScenarioConfig, SubbandNumerology,
+                           center_frequencies, composite_rate, get_preset,
                            interpolation_filter_len)
 
 from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
@@ -105,8 +106,22 @@ class TestSubbandFilter:
         assert np.all(20 * np.log10(h_stop) < -40)
 
     def test_rejects_overwide_band(self):
-        with pytest.raises(DspError):
-            design_subband_filter(256, 240, 20.0, 101)
+        # the scenario refuses a passband plus transition wider than the
+        # grid, so the design never sees one; a band that fills its grid
+        # exactly is designed
+        def f_ofdm(r):
+            nm = SubbandNumerology(n_fft=256, n_cp=16, scs_hz=15e3,
+                                   n_used=240, filter_len=101,
+                                   transition_hz=r * 15e3)
+            return ScenarioConfig(subbands=(nm,), waveform="f-ofdm",
+                                  f1_hz=0.0)
+
+        with pytest.raises(ConfigError, match="f-OFDM filter's grid of 256"):
+            f_ofdm(20.0)
+        nm = f_ofdm(8.0).subbands[0]
+        taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
+                                     nm.filter_len)
+        assert abs(taps.taps.sum() - 1.0) < 1e-15
 
     @settings(max_examples=20, deadline=None)
     @given(half=st.integers(8, 300), r=st.floats(0.0, 8.0))
@@ -133,10 +148,6 @@ class TestInterpolationFilter:
         # first image of a band at +-186/2 bins sits around 1024 bins
         h = np.abs(response_at(taps, np.array([1024 / 4096.0])))
         assert 20 * np.log10(h[0] / u) < -40
-
-    def test_rejects_non_pow2_u(self):
-        with pytest.raises(DspError):
-            design_interpolation_filter(3, 65)
 
     @pytest.mark.parametrize("u", [2, 4, 8, 16, 32])
     def test_matches_the_band_width_design_bit_for_bit(self, u):
@@ -173,10 +184,6 @@ class TestBlackmanTransition:
     def test_monotone_non_decreasing(self):
         w = blackman_transition(64)
         assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_odd(self):
-        with pytest.raises(DspError):
-            blackman_transition(5)
 
     def test_stays_below_one(self):
         w = blackman_transition(128)
@@ -238,11 +245,6 @@ class TestResampling:
         x = rand_signal(3, 100)
         y = frequency_shift(x, 0.123 * x.rate_hz)
         np.testing.assert_allclose(np.abs(y.samples), np.abs(x.samples))
-
-    def test_shift_beyond_nyquist_rejected(self):
-        x = rand_signal(4, 8)
-        with pytest.raises(DspError):
-            frequency_shift(x, 0.6 * x.rate_hz)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_shift_at_nyquist_alternates_sign(self, sign):
@@ -331,11 +333,6 @@ class TestConvolveFull:
         taps = design_subband_filter(64, 12, 1.0, 33)
         assert len(convolve_full(x, taps)) == 100 + 33 - 1
 
-    def test_empty_signal_rejected(self):
-        with pytest.raises(DspError):
-            convolve_full(ComplexSignal(np.array([]), 1.0),
-                          FilterTaps(np.ones(1)))
-
 
 class TestMixFilterDecimate:
     """The receive front end against the chain it replaces: mix at the
@@ -379,12 +376,6 @@ class TestMixFilterDecimate:
         ref = self._reference(x, f, h, 4)
         np.testing.assert_allclose(y.samples, ref, rtol=1e-9,
                                    atol=1e-9 * np.abs(ref).max())
-
-    def test_shift_beyond_nyquist_rejected(self):
-        x = rand_signal(4, 64)
-        with pytest.raises(DspError):
-            mix_filter_decimate(x, 0.6 * x.rate_hz, FilterTaps(np.ones(3)),
-                                2)
 
 
 def _interpolate_reference(bands, rate_hz, n_out):
@@ -481,17 +472,6 @@ class TestInterpolateMixSum:
         bands = [(rand_signal(seed, n, rate / u), u, h, f * rate, skip)]
         y = interpolate_mix_sum(bands, rate, n_out)
         _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
-
-    def test_rejects_bad_inputs(self):
-        x = rand_signal(5, 64)
-        h = FilterTaps(np.ones(3))
-        with pytest.raises(DspError):
-            interpolate_mix_sum([(x, 2, h, 0.6e6, 0)], 1e6, 100)
-        with pytest.raises(DspError):
-            interpolate_mix_sum([(x, 3, h, 0.0, 0)], 1e6, 100)
-        with pytest.raises(DspError):
-            interpolate_mix_sum([(ComplexSignal(np.array([]), 1.0), 2, h,
-                                  0.0, 0)], 1e6, 100)
 
 
 class TestMultirateCore:

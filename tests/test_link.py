@@ -42,11 +42,6 @@ class TestAwgn:
         b = awgn_from_rng(x, 0.5, np.random.default_rng(9))
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(LinkError):
-            awgn_from_rng(ComplexSignal(np.zeros(4), 1e6), -1.0,
-                          np.random.default_rng(0))
-
     def test_rng_variant_matches_convention(self):
         x = ComplexSignal(np.zeros(10 ** 5), 1e6)
         y = awgn_from_rng(x, 2.0, np.random.default_rng(0))
@@ -250,13 +245,6 @@ class TestReceiveSubband:
         wrong = ComplexSignal(sig.samples, sig.rate_hz / 2)
         with pytest.raises(LinkError):
             receive_subband(wrong, sc, 0)
-
-    def test_short_burst_rejected(self):
-        sc = replace(config.get_preset("bypass"), n_symbols=2)
-        sig = build_composite(sc, seeded_payloads(sc))
-        short = ComplexSignal(sig.samples[:100], sig.rate_hz)
-        with pytest.raises(LinkError):
-            receive_subband(short, sc, 0)
 
     def test_calibration_hash_mismatch_rejected(self):
         sc = replace(config.get_preset("table1"), n_symbols=4)

@@ -5,6 +5,7 @@ import pytest
 from scipy import signal
 
 from mixnum import config, waveform
+from mixnum.cli import EXIT_CONFIG, main
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
 from mixnum.metrics import (WELCH_OVERLAP, WELCH_SEGMENT_LEN, MetricsError,
@@ -13,6 +14,23 @@ from mixnum.metrics import (WELCH_OVERLAP, WELCH_SEGMENT_LEN, MetricsError,
                             semianalytic_run, welch_psd)
 from mixnum.waveform import payload_symbols
 from oracles import qam_ber_awgn, qfunc
+
+
+def scipy_welch(x, fs):
+    """scipy's estimate with welch_psd's settings, FFT-shifted like it."""
+    f, p = signal.welch(x, fs=fs, window="hann", nperseg=WELCH_SEGMENT_LEN,
+                        noverlap=int(WELCH_SEGMENT_LEN * WELCH_OVERLAP),
+                        detrend=False, return_onesided=False,
+                        scaling="density")
+    return np.fft.fftshift(f), np.fft.fftshift(p)
+
+
+def absolute_db(x, fs):
+    """welch_psd's curve of x and its level in dB re 1/Hz: the relative
+    curve plus the maximum of scipy's estimate, which
+    test_matches_scipy_welch holds it to."""
+    curve = welch_psd(ComplexSignal(x, fs))
+    return curve, 10 * np.log10(scipy_welch(x, fs)[1].max()) + curve.psd_db
 
 
 class TestWelchPsd:
@@ -33,8 +51,7 @@ class TestWelchPsd:
         var = 4.0
         x = np.sqrt(var / 2) * (rng.standard_normal(2 ** 18)
                                 + 1j * rng.standard_normal(2 ** 18))
-        curve = welch_psd(ComplexSignal(x, fs))
-        level = curve.peak_db + curve.psd_db  # absolute dB re 1/Hz
+        _, level = absolute_db(x, fs)
         expect = 10 * np.log10(var / fs)
         assert np.all(np.abs(level - expect) < 2.5)
         assert abs(np.mean(level) - expect) < 0.1
@@ -53,8 +70,7 @@ class TestWelchPsd:
         a, b = narrowband(-200e3), narrowband(200e3)
 
         def band_max(sig, lo, hi):
-            c = welch_psd(ComplexSignal(sig, fs))
-            absolute = c.peak_db + c.psd_db
+            c, absolute = absolute_db(sig, fs)
             sel = (c.freq_hz >= lo) & (c.freq_hz <= hi)
             return absolute[sel].max()
 
@@ -72,19 +88,32 @@ class TestWelchPsd:
         rng = np.random.default_rng(n)
         fs = 61.44e6
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f, p = signal.welch(x, fs=fs, window="hann", nperseg=segment_len,
-                            noverlap=int(segment_len * overlap),
-                            detrend=False, return_onesided=False,
-                            scaling="density")
+        f, p = scipy_welch(x, fs)
         curve = welch_psd(ComplexSignal(x, fs))
-        np.testing.assert_allclose(curve.freq_hz, np.fft.fftshift(f),
-                                   rtol=1e-12)
-        linear = 10.0 ** ((curve.peak_db + curve.psd_db) / 10.0)
-        np.testing.assert_allclose(linear, np.fft.fftshift(p), rtol=1e-12)
+        np.testing.assert_allclose(curve.freq_hz, f, rtol=1e-12)
+        np.testing.assert_allclose(10.0 ** (curve.psd_db / 10.0),
+                                   p / p.max(), rtol=1e-12)
 
-    def test_short_signal_rejected(self):
-        with pytest.raises(MetricsError):
-            welch_psd(ComplexSignal(np.zeros(100), 1e6))
+    def test_short_signal_rejected(self, tmp_path, capsys, monkeypatch):
+        # psd refuses a composite shorter than one segment before it builds
+        # anything: one 16-point band at psd's 64-symbol floor holds 1024
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a composite welch_psd cannot take")
+        monkeypatch.setattr("mixnum.cli.build_composite", refuse)
+        nm = config.SubbandNumerology(n_fft=16, n_cp=0, scs_hz=15e3,
+                                      n_used=12)
+        sc = config.ScenarioConfig(subbands=(nm,), f1_hz=0.0,
+                                   rx_filter=False)
+        assert config.composite_length(replace(sc, n_symbols=64)) == 1024
+        path = tmp_path / "short.json"
+        config.save_scenario(sc, path)
+        out = tmp_path / "psd.csv"
+        assert main(["psd", "--scenario", str(path), "--out", str(out)]) == \
+            EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: psd needs") and err.count("\n") == 1
+        assert "holds 1024 samples" in err
 
     def test_resolution(self):
         sig = ComplexSignal(np.ones(2 ** 14), 61.44e6)
@@ -252,11 +281,6 @@ class TestTargetSearch:
         assert all(np.isfinite(v) for _, v in out)
         # wider separation cannot make things worse
         assert out[1][1] <= out[0][1] + 0.02
-
-    def test_bad_target_rejected(self):
-        sc = replace(config.get_preset("single-band"), n_symbols=4)
-        with pytest.raises(MetricsError):
-            ebn0_at_target_ber(sc, 0, target=0.7, m_grid=range(1))
 
     def test_sweep_points_go_through_map(self):
         calls = []

@@ -19,6 +19,12 @@ def random_bits(seed, n):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
 
 
+def levels(cm):
+    """The per-dimension levels, ascending: the distinct real parts of the
+    points."""
+    return np.unique(cm.points.real)
+
+
 class TestConstellation:
     @pytest.mark.parametrize("M", ORDERS)
     def test_unit_average_energy(self, M):
@@ -27,11 +33,14 @@ class TestConstellation:
 
     @pytest.mark.parametrize("M", ORDERS)
     def test_gray_neighbours_differ_by_one_bit(self, M):
+        # labels of points one level step apart, along I or Q
         cm = constellation(M)
-        order = np.argsort(cm.levels)
-        for a, b in zip(order[:-1], order[1:]):
-            diff = np.sum(cm.level_bits[a] != cm.level_bits[b])
-            assert diff == 1
+        step = np.diff(levels(cm)).min()
+        dist = np.abs(cm.points[:, None] - cm.points[None, :])
+        a, b = np.nonzero(np.isclose(dist, step))
+        m = len(levels(cm))
+        assert len(a) == 4 * m * (m - 1)
+        assert all(bin(x ^ y).count("1") == 1 for x, y in zip(a, b))
 
     def test_qpsk_all_zero_label(self):
         cm = constellation(4)
@@ -45,11 +54,7 @@ class TestConstellation:
 
     def test_16qam_scaling(self):
         cm = constellation(16)
-        assert np.max(cm.levels) == pytest.approx(3 / np.sqrt(10))
-
-    def test_rejects_non_square_order(self):
-        with pytest.raises(ModemError):
-            constellation(32)
+        assert np.max(levels(cm)) == pytest.approx(3 / np.sqrt(10))
 
 
 class TestBits:
@@ -63,10 +68,6 @@ class TestBits:
     def test_bits_to_symbols_msb_first(self):
         np.testing.assert_array_equal(
             bits_to_symbols([1, 0, 0, 1], 4), [2, 1])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ModemError):
-            bits_to_symbols([1, 0, 1], 4)
 
 
 class TestModDemod:
@@ -187,7 +188,7 @@ def _cell_oracle(x, sent, sigma, cm):
 
     edges = [-math.inf, *cm.thresholds.tolist(), math.inf]
     terms = []
-    for i in range(len(cm.levels)):
+    for i in range(len(levels(cm))):
         lo, hi = edges[i], edges[i + 1]
         if x <= lo:
             p = above(lo) - above(hi)
@@ -209,8 +210,8 @@ class TestBitErrorKernelTails:
         cm = constellation(M)
         tx = cm.points[label % M]
         rx = complex(tx.real + dx, tx.imag + dy)
-        sent_i = int(np.argmin(np.abs(cm.levels - tx.real)))
-        sent_q = int(np.argmin(np.abs(cm.levels - tx.imag)))
+        sent_i = int(np.argmin(np.abs(levels(cm) - tx.real)))
+        sent_q = int(np.argmin(np.abs(levels(cm) - tx.imag)))
         expect = (_cell_oracle(rx.real, sent_i, sigma, cm)
                   + _cell_oracle(rx.imag, sent_q, sigma, cm)) / np.log2(M)
         p = bit_error_probabilities(np.array([rx]), np.array([tx]), M, sigma)
@@ -224,7 +225,7 @@ class TestBitErrorKernelTails:
         # dimension by 2 Q(alpha/sigma) + Q(3 alpha/sigma) bits: a Q(d)
         # step to each neighbour and Q(3d) more for the two-bit far level
         cm = constellation(16)
-        alpha = cm.levels[2]
+        alpha = levels(cm)[2]
         tx = np.array([alpha + 1j * alpha])
         sigma = alpha / ratio
         d = alpha / sigma

@@ -13,8 +13,8 @@ from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         frequency_shift, wofdm_window)
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (WaveformError, build_burst, build_composite,
-                             compose, interpolation_filter, random_payload,
+from mixnum.waveform import (build_burst, build_composite, compose,
+                             interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
 from oracles import upsample_zero_stuff
@@ -52,11 +52,6 @@ class TestSubcarrierMapping:
         unused = np.setdiff1d(np.arange(nm.n_fft),
                               used_subcarrier_bins(nm.n_fft, nm.n_used))
         assert np.all(grid[:, unused] == 0)
-
-    def test_indivisible_payload_rejected(self):
-        nm = small_band()
-        with pytest.raises(WaveformError):
-            map_to_subcarriers(np.ones(25), nm)
 
 
 class TestCpOfdm:
@@ -185,11 +180,6 @@ class TestWOfdm:
         np.testing.assert_allclose(sig2.samples[:stride],
                                    sig1.samples[:stride], atol=1e-15)
 
-    def test_missing_prefix_rejected(self):
-        nm = small_band()
-        with pytest.raises(WaveformError):
-            build_burst(payload(nm, 1), nm, "w-ofdm")
-
     @pytest.mark.parametrize("n_sym", [1, 2, 7])
     @pytest.mark.parametrize("n_prefix,n_tr", [(1, 0), (4, 2), (7, 6)])
     def test_overlap_add_matches_symbol_loop(self, n_sym, n_prefix, n_tr):
@@ -220,13 +210,6 @@ class TestWOfdm:
         assert _burst_layout(sc, 0) == (0, len(sig))
 
 
-class TestBuildBurst:
-    def test_unknown_waveform(self):
-        nm = small_band()
-        with pytest.raises(WaveformError):
-            build_burst(payload(nm, 1), nm, "ofdm")
-
-
 class TestCompose:
     def test_single_band_identity(self):
         nm = small_band()
@@ -234,13 +217,6 @@ class TestCompose:
         burst = build_burst(payload(nm, 2), nm, "cp-ofdm")
         out = compose([burst], sc)
         np.testing.assert_allclose(out.samples, burst.samples, atol=1e-15)
-
-    def test_band_count_mismatch(self):
-        nm = small_band()
-        sc = ScenarioConfig(subbands=(nm, nm), n_symbols=2)
-        burst = build_burst(payload(nm, 2), nm, "cp-ofdm")
-        with pytest.raises(WaveformError):
-            compose([burst], sc)
 
     def test_f_ofdm_group_delay_compensated(self):
         # symbol 0 of a filtered band must still start at composite sample 0
@@ -289,14 +265,6 @@ class TestCompose:
                               nm, waveform)
                   for i, nm in enumerate(sc.subbands)]
         assert len(compose(bursts, sc)) == composite_length(sc)
-
-    @pytest.mark.parametrize("waveform,n_sym", [("f-ofdm", 2), ("cp-ofdm", 1)],
-                             ids=["f-ofdm-in-cp-ofdm", "one-symbol-short"])
-    def test_wrong_burst_length_rejected(self, waveform, n_sym):
-        nm = small_band()
-        sc = ScenarioConfig(subbands=(nm,), n_symbols=2)
-        with pytest.raises(WaveformError):
-            compose([build_burst(payload(nm, n_sym), nm, waveform)], sc)
 
     def test_composite_rate(self):
         sc = replace(config.get_preset("table1"), n_symbols=1)
