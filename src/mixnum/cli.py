@@ -49,40 +49,46 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _replace_whole(path, text):
+    """Write text to path through <name>.tmp beside it and os.replace: a
+    reader sees the old file or the new one, never a part, and a failed
+    write leaves no temporary behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _write_manifest(out_path, command, sc, seed, outputs, parameters):
-    """Manifest JSON beside the output: the scenario hash, the seed and the
-    run parameters as resolved (after presets, overrides and floors), so
-    the run can be repeated from it; no times, so reruns stay
-    byte-identical."""
+def _write_outputs(out, command, sc, header, rows, parameters):
+    """The CSV at out and the manifest JSON beside it, each replaced whole.
+
+    The manifest holds the scenario hash, the seed and the run parameters
+    as resolved (after presets, overrides and floors), so the run can be
+    repeated from it; no times, so reruns stay byte-identical. Returns the
+    manifest's path."""
     import scipy  # only for its version: the CLI starts without scipy
 
-    out_path = Path(out_path)
     manifest = {
         "command": command,
         "scenario_hash": scenario_hash(sc),
-        "seed": int(seed),
+        "seed": sc.seed,
         "parameters": {"mod_order": sc.mod_order, "n_symbols": sc.n_symbols,
                        **parameters},
         "tool_version": __version__,
         "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out)],
     }
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _replace_whole(path, "".join(",".join(_fmt(v) for v in row) + "\n"
+                                 for row in [header, *rows]))
+    manifest_path = path.with_name(path.name + ".manifest.json")
+    _replace_whole(manifest_path,
+                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest_path
 
 
 def _load_scenario_arg(name, waveform=None, mod_order=None, seed=None,
@@ -160,9 +166,8 @@ def cmd_psd(args):
                 for i in range(len(sc.subbands))]
     curve = welch_psd(build_composite(sc, payloads))
     rows = zip(curve.freq_hz.tolist(), curve.psd_db.tolist())
-    _write_csv(args.out, ["freq_hz", "psd_db"], rows)
-    manifest = _write_manifest(args.out, "psd", sc, sc.seed, [args.out],
-                               {"waveform": sc.waveform})
+    manifest = _write_outputs(args.out, "psd", sc, ["freq_hz", "psd_db"],
+                              rows, {"waveform": sc.waveform})
     raised = (f", {sc.n_symbols} symbols, raised from {asked}"
               if asked < sc.n_symbols else "")
     print(f"wrote {args.out} ({len(curve.freq_hz)} bins, "
@@ -187,11 +192,10 @@ def cmd_ber(args):
         rows = [(i + 1, pt.ebn0_db, pt.ber, method, pt.n_bits, pt.n_errors)
                 for i, points in monte_carlo_curves(sc, cals, grid).items()
                 for pt in points]
-    _write_csv(args.out, ["band", "ebn0_db", "ber", "method", "n_bits",
-                          "n_errors"], rows)
-    manifest = _write_manifest(args.out, "ber", sc, sc.seed, [args.out],
-                               {"waveform": sc.waveform, "method": method,
-                                "ebn0_db": grid})
+    manifest = _write_outputs(
+        args.out, "ber", sc,
+        ["band", "ebn0_db", "ber", "method", "n_bits", "n_errors"], rows,
+        {"waveform": sc.waveform, "method": method, "ebn0_db": grid})
     print(f"wrote {args.out} ({len(rows)} points) and {manifest}")
     return EXIT_OK
 
@@ -233,10 +237,9 @@ def cmd_sweep(args):
                 for sc in scenarios
                 for m, val in ebn0_at_target_ber(
                     sc, band, args.target_ber, m_values, map=pool_map)]
-    _write_csv(args.out, ["m", "waveform", "mod_order", "band", "ebn0_db"],
-               rows)
-    manifest = _write_manifest(
-        args.out, "sweep", base, base.seed, [args.out],
+    manifest = _write_outputs(
+        args.out, "sweep", base,
+        ["m", "waveform", "mod_order", "band", "ebn0_db"], rows,
         {"waveforms": waveforms, "band": band + 1, "m": m_values,
          "target_ber": args.target_ber,
          "scenario_hashes": {sc.waveform: scenario_hash(sc)

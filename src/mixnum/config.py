@@ -134,7 +134,8 @@ class SubbandNumerology:
         if self.n_guard < 0:
             raise ConfigError("n_guard must be non-negative")
         if self.n_used + self.n_guard > self.n_fft:
-            raise ConfigError("n_used + n_guard exceeds n_fft")
+            raise ConfigError(f"n_used + n_guard ({self.n_used} + "
+                              f"{self.n_guard}) exceeds n_fft ({self.n_fft})")
         # the receive filter takes u * (filter_len - 1) + 1 taps: at most
         # two symbols at the composite rate, so the composite cap bounds it
         if (self.filter_len % 2 == 0
@@ -378,13 +379,17 @@ def with_gap(sc: ScenarioConfig, gap_hz: float) -> ScenarioConfig:
     bands edge to edge with a brick-wall target.
     """
     subbands = []
-    for nm in sc.subbands:
+    for k, nm in enumerate(sc.subbands):
         n_guard = gap_hz / nm.scs_hz
         if abs(n_guard - round(n_guard)) > 1e-9:
             raise ConfigError(f"gap {gap_hz} Hz is not a whole number of "
                               f"{nm.scs_hz} Hz subcarriers")
-        subbands.append(replace(nm, n_guard=int(round(n_guard)),
-                                transition_hz=gap_hz / 2.0))
+        try:
+            subbands.append(replace(nm, n_guard=int(round(n_guard)),
+                                    transition_hz=gap_hz / 2.0))
+        except ConfigError as e:
+            raise ConfigError(f"sub-band {k} at a {gap_hz:g} Hz gap: {e}") \
+                from None
     return replace(sc, subbands=tuple(subbands))
 
 

@@ -115,12 +115,10 @@ def blackman_transition(n_tr):
     w(n) = 0.42 - 0.5 cos(pi n / n_tr) + 0.08 cos(2 pi n / n_tr); starts at
     exactly 0 and is monotone non-decreasing on its support.
     """
-    if n_tr == 0:
-        return np.zeros(0)
     n = np.arange(n_tr, dtype=np.float64)
     w = (0.42 - 0.5 * np.cos(np.pi * (n / n_tr))
          + 0.08 * np.cos(2.0 * np.pi * (n / n_tr)))
-    w[0] = 0.0  # analytic value; the float sum of the coefficients is ~1e-17
+    w[:1] = 0.0  # analytic value; the float sum of the coefficients is ~1e-17
     return w
 
 

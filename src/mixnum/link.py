@@ -26,9 +26,9 @@ from math import ceil
 
 import numpy as np
 
-from .config import (ScenarioConfig, _burst_layout, center_frequencies,
-                     composite_length, composite_rate, scenario_hash,
-                     symbols_per_band, upsampling_factor)
+from .config import (ScenarioConfig, center_frequencies, composite_length,
+                     composite_rate, scenario_hash, symbols_per_band,
+                     upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
@@ -135,36 +135,30 @@ def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
     end shifts it back down, filters with h_r and keeps every u-th sample
     from c = skip + gd_r on. The shifts cancel, so but for the dropped head
     this is the polyphase branch g[c mod u::u] of g = h_i * h_r running on
-    the burst itself. The branch is symmetric and odd-length, and its output
-    starts at its centre plus the burst's leading delay. The dropped head
-    reaches only the first gd_r/u outputs, and its share is subtracted
-    there.
+    the burst itself. The branch is symmetric and odd-length, centred on
+    g's centre, so its output for composite sample c sits at c // u. The
+    dropped head reaches only the first gd_r/u outputs, and its share is
+    subtracted there.
     """
-    u = upsampling_factor(sc, i)
-    h_i = interpolation_filter(sc, i)
+    u, h_i, skip = interpolation_filter(sc, i)
     h_r = _receive_taps(sc, i)
-    delay, _ = _burst_layout(sc, i)
-    skip = h_i.group_delay + u * delay
     c = skip + h_r.group_delay
     g = _multirate([(h_i.taps, h_r.taps, 1, 0)], len(h_i) + len(h_r) - 1)
     branch = g.real[c % u::u]
     branch = FilterTaps(0.5 * (branch + branch[::-1]))
-    rx = convolve_full(burst, branch).samples[branch.group_delay + delay:]
-    if skip:
-        head = _multirate([(burst.samples, h_i.taps, u, 0)], skip)
-        lost = _multirate([(head, h_r.taps, 1, c)],
-                          len(range(c, skip + len(h_r) - 1, u)), u)
-        rx[:len(lost)] -= lost
+    rx = convolve_full(burst, branch).samples[c // u:]
+    head = _multirate([(burst.samples, h_i.taps, u, 0)], skip)
+    lost = _multirate([(head, h_r.taps, 1, c)],
+                      len(range(c, skip + len(h_r) - 1, u)), u)
+    rx[:len(lost)] -= lost
     return rx
 
 
 def _calibration_scenario(sc: ScenarioConfig, i: int) -> ScenarioConfig:
     u = upsampling_factor(sc, i)
     u_max = max(upsampling_factor(sc, k) for k in range(len(sc.subbands)))
-    n_needed = ceil(CAL_MIN_SYMBOLS * u / u_max)
-    if sc.n_symbols >= n_needed:
-        return sc
-    return replace(sc, n_symbols=n_needed)
+    return replace(sc, n_symbols=max(sc.n_symbols,
+                                     ceil(CAL_MIN_SYMBOLS * u / u_max)))
 
 
 def _calibration_rng(seed, i, child):

@@ -213,7 +213,7 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
         raise MetricsError(
             f"target BER {target} not bracketed in [{lo}, {hi}] dB "
             f"(ber({lo})={f_lo + target:.4g}, ber({hi})={f_hi + target:.4g})")
-    for _ in range(200):
+    while hi - lo >= BISECT_DB_RESOLUTION / 10.0:
         mid = 0.5 * (lo + hi)
         f_mid = run.ber(mid) - target
         if abs(f_mid) <= BISECT_BER_TOL:
@@ -222,8 +222,6 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < BISECT_DB_RESOLUTION / 10.0:
-            break
     return 0.5 * (lo + hi)
 
 

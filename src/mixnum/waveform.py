@@ -10,7 +10,7 @@ from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                      center_frequencies, composite_length, composite_rate,
                      interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, _tail_add, convolve_full,
+from .dsp import (ComplexSignal, _tail_add, convolve_full,
                   design_interpolation_filter, design_subband_filter,
                   interpolate_mix_sum, wofdm_window)
 from .modem import qam_modulate
@@ -37,8 +37,7 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
 def build_cp_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended."""
     t = np.fft.ifft(grid, axis=1)
-    with_cp = np.concatenate([t[:, -nm.n_cp:] if nm.n_cp else t[:, :0], t],
-                             axis=1)
+    with_cp = np.concatenate([t[:, nm.n_fft - nm.n_cp:], t], axis=1)
     return ComplexSignal(with_cp.reshape(-1), subband_sample_rate(nm))
 
 
@@ -79,30 +78,31 @@ def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
     return _BUILDERS[waveform](map_to_subcarriers(qam, nm), nm)
 
 
-def interpolation_filter(sc: ScenarioConfig, i: int) -> FilterTaps:
-    """Anti-image filter that takes band i up to the composite rate (one
-    unit tap for a band already at that rate)."""
+def interpolation_filter(sc: ScenarioConfig, i: int):
+    """(u, taps, skip) with which compose() takes band i to the composite
+    rate: the upsampling factor, the anti-image filter (a unit tap at u = 1)
+    and the samples it drops from the front, the taps' group delay plus u
+    times the burst's leading delay."""
     u = upsampling_factor(sc, i)
-    return design_interpolation_filter(
+    taps = design_interpolation_filter(
         u, interpolation_filter_len(u, sc.subbands[i].n_cp))
+    return u, taps, taps.group_delay + u * _burst_layout(sc, i)[0]
 
 
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     """Interpolate, shift and sum the per-band bursts.
 
     bursts holds one signal per sub-band. Group delays (band filter and
-    interpolation filter) are compensated by discarding leading samples, so
-    symbol 0 of every band starts at composite sample 0. Each band is taken
+    interpolation filter) are compensated by discarding the leading samples
+    interpolation_filter names, so symbol 0 starts at composite sample 0. Each band is taken
     up to the composite rate at its own rate (dsp.interpolate_mix_sum), as
     if zero-stuffed, filtered and shifted there.
     """
     freqs = center_frequencies(sc)
     bands = []
     for i, sig in enumerate(bursts):
-        u = upsampling_factor(sc, i)
-        delay, _ = _burst_layout(sc, i)
-        taps = interpolation_filter(sc, i)
-        bands.append((sig, u, taps, freqs[i], taps.group_delay + u * delay))
+        u, taps, skip = interpolation_filter(sc, i)
+        bands.append((sig, u, taps, freqs[i], skip))
     return interpolate_mix_sum(bands, composite_rate(sc),
                                composite_length(sc))
 

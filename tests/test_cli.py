@@ -113,6 +113,21 @@ class TestPsdCommand:
                          "--out", str(out)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rerun_replaces_the_files_whole(self, tmp_path):
+        # a new file takes the old one's place: a hard link to the old
+        # CSV keeps its bytes, and no temporary is left beside the outputs
+        out, fresh = tmp_path / "psd.csv", tmp_path / "fresh.csv"
+        out.write_text("old\n")
+        os.link(out, tmp_path / "kept")
+        for path in (out, fresh):
+            assert main(["psd", "--scenario", "bypass",
+                         "--out", str(path)]) == EXIT_OK
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "kept").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.csv", "fresh.csv.manifest.json", "kept", "psd.csv",
+            "psd.csv.manifest.json"]
+
     def test_json_scenario_file(self, tmp_path):
         sc = replace(config.get_preset("single-band"), n_symbols=64)
         path = tmp_path / "scn.json"
@@ -580,6 +595,39 @@ class TestErrorPaths:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
+
+    def test_sweep_names_the_band_and_gap_it_overfills(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # 1008 used subcarriers take 12 guards at m = 1; m = 2 needs 24 of
+        # the 16 left in a 1024-point FFT
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrated before every m was checked")
+        monkeypatch.setattr("mixnum.metrics.calibrate", refuse)
+        bypass = config.get_preset("bypass")
+        path = tmp_path / "full.json"
+        config.save_scenario(replace(bypass, subbands=(
+            replace(bypass.subbands[0], n_used=1008),)), path)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--scenario", str(path), "--waveform", "cp-ofdm",
+                   "--m", "0..4", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sub-band 0 ") and err.count("\n") == 1
+        assert "360000" in err and "(1008 + 24)" in err
+
+    def test_failed_replace_leaves_nothing_at_out(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot replace {dst}")
+        monkeypatch.setattr("mixnum.cli.os.replace", fail)
+        out = tmp_path / "x.csv"
+        rc = main(["psd", "--scenario", "bypass", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot replace ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,r,grid", [
         (["psd", "--waveform", "f-ofdm"], 1000,

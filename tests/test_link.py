@@ -6,7 +6,8 @@ import pytest
 from mixnum import config, link
 from mixnum.config import (center_frequencies, composite_rate, scenario_hash,
                            symbols_per_band, upsampling_factor)
-from mixnum.dsp import ComplexSignal, convolve_full, frequency_shift
+from mixnum.dsp import (ComplexSignal, FilterTaps, convolve_full,
+                        frequency_shift)
 from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_noise,
                          _calibration_scenario, _complex_noise,
                          awgn_from_rng, calibrate, noise_variance_for_ebn0,
@@ -152,7 +153,7 @@ def _composite_path_calibration(sc, i):
                    for k, nm in enumerate(sc.subbands)], sc)
     nm = sc.subbands[i]
     n_sym, stride = symbols_per_band(sc, i), nm.n_fft + nm.n_cp
-    taps = receive_filter(sc, i)
+    taps = receive_filter(sc, i) if sc.rx_filter else FilterTaps(np.ones(1))
 
     def receive(y):
         x = convolve_full(frequency_shift(y, -center_frequencies(sc)[i]),
@@ -176,7 +177,26 @@ def _composite_path_calibration(sc, i):
 def test_band_rate_calibration_matches_composite_path(waveform, band):
     # the band-rate cascade, including the share of the interpolated head
     # that compose() drops, reproduces the composite-rate chain to rounding
-    sc = replace(config.get_preset("table1"), waveform=waveform)
+    _check_band_rate_calibration(
+        replace(config.get_preset("table1"), waveform=waveform), band)
+
+
+@pytest.mark.parametrize("sc,band", [
+    *((replace(config.get_preset("single-band"), waveform=wf), 0)
+      for wf in ("cp-ofdm", "f-ofdm", "w-ofdm")),
+    *((replace(config.get_preset("table1"), rx_filter=False), band)
+      for band in range(3)),
+], ids=["single-band-cp-ofdm", "single-band-f-ofdm", "single-band-w-ofdm",
+        "table1-no-rx-filter-0", "table1-no-rx-filter-1",
+        "table1-no-rx-filter-2"])
+def test_band_rate_calibration_matches_composite_path_off_table1(sc, band):
+    # single-band runs at u = 1: skip is 0 on CP- and w-OFDM and, on
+    # f-OFDM, the burst's leading delay alone. Without a receive filter the
+    # head correction has no outputs to correct
+    _check_band_rate_calibration(sc, band)
+
+
+def _check_band_rate_calibration(sc, band):
     cal = calibrate(sc, band)
     eq, es, gain = _composite_path_calibration(sc, band)
     np.testing.assert_allclose(cal.eq_coeffs, eq, rtol=1e-9)

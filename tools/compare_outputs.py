@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Compare the benchmark jobs' outputs of this checkout with another's.
+
+    python3 tools/compare_outputs.py --parent ../mixnum-parent
+    python3 tools/compare_outputs.py --parent ../mixnum-parent --seeds 11
+
+Every job of every workload in perfbench/workloads.py (warm-ups excepted)
+runs at each seed twice: once on the other checkout's src/ and once on this
+one's, each side in one fresh interpreter with native thread pools pinned
+to one thread, writing into a temporary directory. For each CSV the script
+prints ``identical``, or for each column the largest absolute difference
+(numeric columns) or the number of rows that differ (other columns). Each
+manifest is compared whole except for ``outputs``, which holds the output
+path and so differs by construction.
+
+Exit status: 0 when every CSV is byte-identical and every manifest equal
+apart from its outputs, 1 on any difference or a job that fails on either
+side, 2 when a checkout has no src/mixnum.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# imported, not copied, and read only: no bytecode is written beside it
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
+
+# argv: src directory, JSON list of CLI argument lists; prints one JSON list
+# of exit codes (null for a job that raised) as its last line
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from mixnum.cli import main
+codes = []
+for argv in json.loads(sys.argv[2]):
+    try:
+        codes.append(main(argv))
+    except Exception as exc:
+        print(f"{argv}: raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        codes.append(None)
+print(json.dumps(codes))
+"""
+
+
+def run_side(src, argvs):
+    """Exit codes of CLI runs, one per argument list, on the package in
+    src; None for each when the interpreter itself fails."""
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), json.dumps(argvs)],
+        env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        return [None] * len(argvs)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def compare_csv(a, b):
+    """None when the files are byte-identical, else one note per column
+    that differs."""
+    if a.read_bytes() == b.read_bytes():
+        return None
+    head_a, rows_a = _read_csv(a)
+    head_b, rows_b = _read_csv(b)
+    shape_a = (head_a, [len(r) for r in rows_a])
+    shape_b = (head_b, [len(r) for r in rows_b])
+    if shape_a != shape_b:
+        return [f"columns or rows differ: {len(head_a)} x {len(rows_a)} "
+                f"{head_a} against {len(head_b)} x {len(rows_b)} {head_b}"]
+    notes = []
+    for k, name in enumerate(head_a):
+        col_a, col_b = [r[k] for r in rows_a], [r[k] for r in rows_b]
+        if col_a == col_b:
+            continue
+        try:
+            x, y = np.array(col_a, dtype=float), np.array(col_b, dtype=float)
+        except ValueError:
+            n = sum(p != q for p, q in zip(col_a, col_b))
+            notes.append(f"{name}: {n} rows differ")
+            continue
+        # NaN against NaN is no difference, NaN against a number is inf
+        diff = np.nan_to_num(np.abs(x - y), nan=np.inf)
+        diff[np.isnan(x) & np.isnan(y)] = 0.0
+        notes.append(f"{name}: max |diff| {diff.max():.3g}")
+    return notes
+
+
+def compare_manifest(a, b):
+    """Keys (parameters expanded) in which the manifests differ, outputs
+    aside."""
+    ma, mb = (json.loads(p.read_text()) for p in (a, b))
+    pa, pb = ma.pop("parameters", {}), mb.pop("parameters", {})
+    keys = [k for k in sorted(set(ma) | set(mb))
+            if k != "outputs" and ma.get(k) != mb.get(k)]
+    return keys + [f"parameters.{k}" for k in sorted(set(pa) | set(pb))
+                   if pa.get(k) != pb.get(k)]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, type=Path,
+                   help="checkout to compare this one against")
+    p.add_argument("--seeds", type=int, nargs="+", default=[11, 101])
+    args = p.parse_args(argv)
+    sides = {"parent": args.parent.resolve() / "src", "this": ROOT / "src"}
+    for src in sides.values():
+        if not (src / "mixnum").is_dir():
+            print(f"error: no mixnum package under {src}", file=sys.stderr)
+            return 2
+    # the runner's arguments, as perfbench/run.py appends them
+    names = [(f"{w.name}-{job.label}-s{seed}",
+              list(job.argv) + ["--seed", str(seed), "--threads", "1"])
+             for w in WORKLOADS.values() for job in w.jobs
+             for seed in args.seeds]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {side: Path(tmp) / side for side in sides}
+        codes = {side: run_side(src, [
+                     argv + ["--out", str(out[side] / f"{name}.csv")]
+                     for name, argv in names])
+                 for side, src in sides.items()}
+        n_same_csv = n_same_manifest = 0
+        for k, (name, _) in enumerate(names):
+            if codes["parent"][k] != 0 or codes["this"][k] != 0:
+                print(f"{name}: FAILED (exit codes parent "
+                      f"{codes['parent'][k]}, this {codes['this'][k]})")
+                continue
+            a, b = out["parent"] / f"{name}.csv", out["this"] / f"{name}.csv"
+            notes = compare_csv(a, b)
+            keys = compare_manifest(a.with_name(a.name + ".manifest.json"),
+                                    b.with_name(b.name + ".manifest.json"))
+            n_same_csv += notes is None
+            n_same_manifest += not keys
+            print(f"{name}: " + ("identical" if notes is None
+                                 else "; ".join(notes))
+                  + ("; manifest equal apart from outputs" if not keys
+                     else f"; manifest differs in {', '.join(keys)}"))
+    print(f"{n_same_csv} of {len(names)} CSVs identical, {n_same_manifest} "
+          f"of {len(names)} manifests equal apart from outputs")
+    return 0 if n_same_csv == n_same_manifest == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
