@@ -20,14 +20,15 @@ import re
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, PRESETS, ScenarioConfig,
-                     composite_length, get_preset, load_scenario,
-                     scenario_hash)
+from .config import (ConfigError, F0_HZ, MOD_ORDERS, PRESETS,
+                     ScenarioConfig, WAVEFORMS, composite_length, get_preset,
+                     load_scenario, scenario_hash, with_gap)
 from .link import calibrate
 from .metrics import (WELCH_SEGMENT_LEN, ebn0_at_target_ber,
                       monte_carlo_curves, semianalytic_run, welch_psd)
@@ -49,21 +50,14 @@ def _fmt(x):
     return str(x)
 
 
-def _replace_whole(path, text):
-    """Write text to path through <name>.tmp beside it and os.replace: a
-    reader sees the old file or the new one, never a part, and a failed
-    write leaves no temporary behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_outputs(out, command, sc, header, rows, parameters):
     """The CSV at out and the manifest JSON beside it, each replaced whole.
+
+    Both are written to <name>.tmp beside them before either is moved into
+    place with os.replace, so a reader sees an old file or a new one, never
+    a part, and a failed write leaves no temporary behind. The old manifest
+    is deleted first: a failure between the two replaces leaves the new CSV
+    with no manifest beside it rather than the previous run's.
 
     The manifest holds the scenario hash, the seed and the run parameters
     as resolved (after presets, overrides and floors), so the run can be
@@ -82,12 +76,23 @@ def _write_outputs(out, command, sc, header, rows, parameters):
         "outputs": [str(out)],
     }
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _replace_whole(path, "".join(",".join(_fmt(v) for v in row) + "\n"
-                                 for row in [header, *rows]))
     manifest_path = path.with_name(path.name + ".manifest.json")
-    _replace_whole(manifest_path,
-                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    texts = {path: "".join(",".join(_fmt(v) for v in row) + "\n"
+                           for row in [header, *rows]),
+             manifest_path: json.dumps(manifest, indent=2,
+                                       sort_keys=True) + "\n"}
+    tmps = {p: p.with_name(p.name + ".tmp") for p in texts}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        for p, text in texts.items():
+            with open(tmps[p], "w", newline="") as fh:
+                fh.write(text)
+        manifest_path.unlink(missing_ok=True)
+        for p, tmp in tmps.items():
+            os.replace(tmp, p)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
     return manifest_path
 
 
@@ -182,12 +187,10 @@ def cmd_ber(args):
     method = {"mc": "monte-carlo", "sa": "semi-analytic"}[args.method]
     cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
     if method == "semi-analytic":
-        rows = []
-        for i, cal in cals.items():
-            run = semianalytic_run(sc, i, cal)
-            n_bits = len(run.rx_points) * int(np.log2(sc.mod_order))
-            rows += [(i + 1, db, run.ber(db), method, n_bits, 0)
-                     for db in grid]
+        k = int(np.log2(sc.mod_order))
+        rows = [(i + 1, db, run.ber(db), method, len(run.rx_points) * k, 0)
+                for i, run in semianalytic_run(sc, cals).items()
+                for db in grid]
     else:
         rows = [(i + 1, pt.ebn0_db, pt.ber, method, pt.n_bits, pt.n_errors)
                 for i, points in monte_carlo_curves(sc, cals, grid).items()
@@ -202,19 +205,18 @@ def cmd_ber(args):
 
 def _sweep_workers(requested, n_points):
     """Worker processes worth starting: no more than asked for, than CPUs,
-    or than points evaluated at once."""
+    or than (waveform, separation) points."""
     return max(1, min(requested, os.cpu_count() or 1, n_points))
 
 
 def cmd_sweep(args):
     waveforms = (args.waveform.split(",") if args.waveform is not None
-                 else ["cp-ofdm", "f-ofdm", "w-ofdm"])
+                 else list(WAVEFORMS))
     if len(set(waveforms)) < len(waveforms):
         raise ConfigError(f"--waveform repeats a name: {args.waveform}")
     m_values = _parse_m_range(args.m)
     base = _load_scenario_arg(args.scenario, None, args.mod, args.seed,
                               n_symbols=args.symbols)
-    # every waveform is checked before the first calibration
     scenarios = [_load_scenario_arg(args.scenario, wf, args.mod, args.seed,
                                     n_symbols=args.symbols)
                  for wf in waveforms]
@@ -224,7 +226,11 @@ def cmd_sweep(args):
     if not (0.0 < args.target_ber < 0.5):
         raise ConfigError(
             f"--target-ber must lie in (0, 0.5), got {args.target_ber}")
-    workers = _sweep_workers(args.threads, len(m_values))
+    # every (waveform, m) point's scenario, gap = 12 m f0 with transition
+    # gap/2, is built, and so checked, before the first calibration
+    points = [(sc, m) for sc in scenarios for m in m_values]
+    gapped = [with_gap(sc, 12.0 * m * F0_HZ) for sc, m in points]
+    workers = _sweep_workers(args.threads, len(gapped))
     with ExitStack() as stack:
         pool_map = map
         if workers > 1:
@@ -233,10 +239,10 @@ def cmd_sweep(args):
             from concurrent.futures import ProcessPoolExecutor
             pool_map = stack.enter_context(ProcessPoolExecutor(
                 workers, multiprocessing.get_context("spawn"))).map
-        rows = [(m, sc.waveform, sc.mod_order, band + 1, val)
-                for sc in scenarios
-                for m, val in ebn0_at_target_ber(
-                    sc, band, args.target_ber, m_values, map=pool_map)]
+        values = list(pool_map(partial(ebn0_at_target_ber, i=band,
+                                       target=args.target_ber), gapped))
+    rows = [(m, sc.waveform, sc.mod_order, band + 1, val)
+            for (sc, m), val in zip(points, values)]
     manifest = _write_outputs(
         args.out, "sweep", base,
         ["m", "waveform", "mod_order", "band", "ebn0_db"], rows,
@@ -299,7 +305,7 @@ def build_parser():
         sp.add_argument("--scenario", required=True,
                         help="preset name (table1, single-band, bypass) or "
                              "JSON scenario path")
-        sp.add_argument("--mod", type=int, choices=[4, 16, 64, 256],
+        sp.add_argument("--mod", type=int, choices=MOD_ORDERS,
                         default=None, help="modulation order")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--symbols", type=int, default=None,
@@ -311,13 +317,13 @@ def build_parser():
         sp.add_argument("--out", required=True, help="output CSV path")
 
     sp = sub.add_parser("psd", help="composite-signal PSD")
-    sp.add_argument("--waveform", choices=["cp-ofdm", "f-ofdm", "w-ofdm"])
+    sp.add_argument("--waveform", choices=WAVEFORMS)
     common(sp, "OFDM symbols in the slowest band; psd runs at least "
                f"{PSD_MIN_SYMBOLS}, whether from this flag or the scenario")
     sp.set_defaults(func=cmd_psd)
 
     sp = sub.add_parser("ber", help="BER curves per sub-band")
-    sp.add_argument("--waveform", choices=["cp-ofdm", "f-ofdm", "w-ofdm"])
+    sp.add_argument("--waveform", choices=WAVEFORMS)
     sp.add_argument("--ebn0", required=True, help="grid a:step:b in dB")
     sp.add_argument("--method", choices=["mc", "sa"], default="sa")
     common(sp)

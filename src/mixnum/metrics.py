@@ -1,5 +1,5 @@
-"""PSD estimation, EVM, Monte Carlo and semi-analytic BER, and the
-Eb/N0-at-target-BER separation sweep.
+"""PSD estimation, EVM, Monte Carlo and semi-analytic BER, and the Eb/N0
+at a target BER that each point of the separation sweep solves for.
 
 Both BER estimators share the same calibrated Eb/N0 convention: noise is
 injected at the composite rate with the variance that realizes the requested
@@ -12,12 +12,11 @@ counts errors, serving as the oracle for the semi-analytic result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import (F0_HZ, ScenarioConfig, with_gap)
+from .config import ScenarioConfig
 from .dsp import ComplexSignal
 from .link import (ReceiverCalibration, awgn_from_rng, calibrate,
                    noise_variance_for_ebn0, receive_subband)
@@ -93,19 +92,15 @@ def evm_db(rx, ref) -> float:
 # ---------------------------------------------------------------------------
 # shared burst machinery
 
-def _trial_rngs(seed, trial, n_bands):
-    """Per-band payload generators and the noise seed of one trial; both
-    depend only on (seed, trial)."""
-    ss = np.random.SeedSequence(seed, spawn_key=(trial,))
-    children = ss.spawn(n_bands + 1)
-    return [np.random.default_rng(c) for c in children[:n_bands]], children[-1]
-
-
-def _random_burst(sc: ScenarioConfig, rng_list):
-    """Composite burst with random payloads on every band."""
-    bits, payloads = zip(*(random_payload(sc, i, rng)
-                           for i, rng in enumerate(rng_list)))
-    return build_composite(sc, payloads), payloads, bits
+def _trial(sc: ScenarioConfig, k: int):
+    """Trial k's composite burst, with random payloads on every band, the
+    payloads, their bits and the trial's noise seed; all depend only on
+    (sc.seed, k)."""
+    *band_seeds, noise_seed = np.random.SeedSequence(
+        sc.seed, spawn_key=(k,)).spawn(len(sc.subbands) + 1)
+    bits, payloads = zip(*(random_payload(sc, i, np.random.default_rng(s))
+                           for i, s in enumerate(band_seeds)))
+    return build_composite(sc, payloads), payloads, bits, noise_seed
 
 
 def _sigma_per_dim(sc, cal, ebn0_db, n_symbols):
@@ -132,18 +127,19 @@ class SemiAnalyticRun:
         return float(np.mean(p))
 
 
-def semianalytic_run(sc: ScenarioConfig, i: int,
-                     cal: ReceiverCalibration | None = None
-                     ) -> SemiAnalyticRun:
-    if cal is None:
-        cal = calibrate(sc, i)
-    rngs, _ = _trial_rngs(sc.seed, 0, len(sc.subbands))
-    sig, payloads, _ = _random_burst(sc, rngs)
-    rx = receive_subband(sig, sc, i, cal)
-    return SemiAnalyticRun(sc=sc, cal=cal,
-                           rx_points=rx.reshape(-1),
-                           tx_points=payloads[i],
-                           n_symbols=rx.shape[0])
+def semianalytic_run(sc: ScenarioConfig,
+                     cals: dict[int, ReceiverCalibration]
+                     ) -> dict[int, SemiAnalyticRun]:
+    """Band index -> run for every band in ``cals`` (band index ->
+    calibration), all received from one noiseless composite: trial 0's."""
+    sig, payloads, _, _ = _trial(sc, 0)
+    runs = {}
+    for i, cal in cals.items():
+        rx = receive_subband(sig, sc, i, cal)
+        runs[i] = SemiAnalyticRun(sc=sc, cal=cal, rx_points=rx.reshape(-1),
+                                  tx_points=payloads[i],
+                                  n_symbols=rx.shape[0])
+    return runs
 
 
 def monte_carlo_curves(sc: ScenarioConfig,
@@ -168,8 +164,7 @@ def monte_carlo_curves(sc: ScenarioConfig,
     trial = 0
     while active := [p for p in range(len(pairs))
                      if n_err[p] < min_errors and n_bits[p] < max_bits]:
-        rngs, noise_seed = _trial_rngs(sc.seed, trial, len(sc.subbands))
-        sig, _, bits = _random_burst(sc, rngs)
+        sig, _, bits, noise_seed = _trial(sc, trial)
         for p in active:
             i, _, var_inj = pairs[p]
             noisy = awgn_from_rng(sig, var_inj,
@@ -196,7 +191,7 @@ def monte_carlo_ber(sc: ScenarioConfig, i: int, ebn0_db: float,
 
 
 # ---------------------------------------------------------------------------
-# separation sweep
+# Eb/N0 at a target BER
 
 BISECT_LO_DB = -5.0
 BISECT_HI_DB = 40.0
@@ -225,29 +220,13 @@ def ebn0_for_target(run: SemiAnalyticRun, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ebn0_at_separation(gapped, i: int, target, m):
-    """Eb/N0 (dB) reaching the target BER on gapped[m], the scenario at a
-    separation of m resource blocks, or NaN when the target is not
-    bracketed."""
-    run = semianalytic_run(gapped[m], i)
+def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target) -> float:
+    """Eb/N0 (dB) at which band i of sc, calibrated here, reaches the target
+    BER semi-analytically, or NaN when the target is not bracketed (a
+    distortion floor above it). The sweep calls it once per separation,
+    on the scenario ``config.with_gap`` builds for that separation."""
+    run = semianalytic_run(sc, {i: calibrate(sc, i)})[i]
     try:
         return ebn0_for_target(run, target)
     except MetricsError:
         return float("nan")
-
-
-def ebn0_at_target_ber(sc: ScenarioConfig, i: int, target, m_grid,
-                       map=map):
-    """(m, Eb/N0 dB) pairs: for each separation of m resource blocks the
-    scenario is rebuilt with gap = 12*m*f0 and one-sided transition gap/2,
-    recalibrated and bisected to the target BER.
-
-    Unreachable targets (distortion floor above target) yield NaN. Every
-    separation's scenario is built, and so checked, before the first
-    calibration. The points are evaluated through ``map``; pass an
-    executor's map to run them in parallel.
-    """
-    m_grid = list(m_grid)
-    gapped = {m: with_gap(sc, 12.0 * m * F0_HZ) for m in m_grid}
-    values = map(partial(_ebn0_at_separation, gapped, i, target), m_grid)
-    return list(zip(m_grid, values))

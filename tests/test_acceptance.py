@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mixnum import config
-from mixnum.config import (SubbandNumerology, center_frequencies,
-                           composite_rate, upsampling_factor)
+from mixnum.config import (F0_HZ, SubbandNumerology, center_frequencies,
+                           composite_rate, upsampling_factor, with_gap)
 from mixnum.dsp import blackman_transition, design_subband_filter, wofdm_window
 from mixnum.link import calibrate, receive_subband
 from mixnum.metrics import (ebn0_at_target_ber, evm_db, monte_carlo_ber,
@@ -72,7 +72,7 @@ class TestCriterion2SemiAnalyticVsMonteCarlo:
                          n_symbols=8, seed=3)
             for i in range(3):
                 cal = calibrate(sc, i)
-                run = semianalytic_run(sc, i, cal)
+                run = semianalytic_run(sc, {i: cal})[i]
                 for db in (0.0, 2.0):
                     mc = monte_carlo_ber(sc, i, db, cal=cal)
                     sa = run.ber(db)
@@ -189,9 +189,8 @@ class TestCriterion6PsdOrdering:
 def _sweep(wf, mod_order, band):
     sc = replace(config.get_preset("table1"), waveform=wf,
                  mod_order=mod_order, n_symbols=8, seed=11)
-    return np.array([v for _, v in
-                     ebn0_at_target_ber(sc, band, target=0.05,
-                                        m_grid=range(5))])
+    return np.array([ebn0_at_target_ber(with_gap(sc, 12.0 * m * F0_HZ), band,
+                                        target=0.05) for m in range(5)])
 
 
 class TestCriterion7WaveformOrderings:
@@ -229,7 +228,9 @@ class TestCriterion7WaveformOrderings:
         for wf in WAVEFORMS:
             sc = replace(config.get_preset("table1"), waveform=wf,
                          mod_order=256, n_symbols=8, seed=11)
-            bers = [semianalytic_run(sc, i).ber(24.0) for i in range(3)]
+            runs = semianalytic_run(sc, {i: calibrate(sc, i)
+                                         for i in range(3)})
+            bers = [runs[i].ber(24.0) for i in range(3)]
             ok &= int(np.argmax(bers)) == 2
             details.append(
                 f"{wf} BER@24dB " + "/".join(f"{b:.2e}" for b in bers)

@@ -218,6 +218,28 @@ class TestSweepCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv + [str(two), "--threads", "2"]) == EXIT_OK
         assert one.read_bytes() == two.read_bytes()
+        # the pool's map spans more than one waveform
+        rows = [line.split(",")[:2]
+                for line in one.read_text().splitlines()[1:]]
+        assert rows == [[str(m), wf] for wf in config.WAVEFORMS
+                        for m in range(3)]
+
+    def test_sweep_points_go_through_one_map(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            calls.append([(sc.waveform, sc.subbands[0].n_guard)
+                          for sc in items])
+            return map(fn, items)
+
+        monkeypatch.setattr("mixnum.cli.map", recording_map, raising=False)
+        assert main(["sweep", "--scenario", "single-band", "--symbols", "4",
+                     "--waveform", "w-ofdm,cp-ofdm", "--m", "1..2",
+                     "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+        # 12 m subcarriers of 15 kHz guard at m = 1, 2
+        assert calls == [[("w-ofdm", 12), ("w-ofdm", 24),
+                          ("cp-ofdm", 12), ("cp-ofdm", 24)]]
 
     def test_band_out_of_range(self, tmp_path):
         rc = main(["sweep", "--scenario", "single-band", "--band", "5",
@@ -301,7 +323,7 @@ class TestManifest:
 
     def test_sweep_records_every_waveform_hash(self, tmp_path, monkeypatch):
         monkeypatch.setattr("mixnum.cli.ebn0_at_target_ber",
-                            lambda sc, band, target, m, map: [(0, 1.0)])
+                            lambda sc, i, target: 1.0)
         out = tmp_path / "sweep.csv"
         path = out.with_name(out.name + ".manifest.json")
         runs = []
@@ -629,6 +651,27 @@ class TestErrorPaths:
         assert err.startswith("error: cannot replace ")
         assert err.count("\n") == 1
 
+    def test_failed_manifest_replace_leaves_no_stale_manifest(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "ber.csv"
+        argv = ["ber", "--scenario", "bypass", "--symbols", "4",
+                "--out", str(out)]
+        assert main(argv + ["--ebn0", "0:1:0"]) == EXIT_OK
+        replace_file = os.replace
+        calls = []
+
+        def fail_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(f"cannot replace {dst}")
+            replace_file(src, dst)
+        monkeypatch.setattr("mixnum.cli.os.replace", fail_second)
+        assert main(argv + ["--ebn0", "0:1:2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot replace ")
+        # the new CSV is in place; the old run's manifest is not beside it
+        assert len(out.read_text().splitlines()) == 4
+        assert sorted(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("argv,r,grid", [
         (["psd", "--waveform", "f-ofdm"], 1000,
          "f-OFDM filter's grid of 1024"),
@@ -726,6 +769,22 @@ class _Stop(MetricsError):
     pass
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor and maps in this process: a
+    stopping stub cannot be pickled to a worker."""
+
+    def __init__(self, *args):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
 # flag -> (values that pass its checks, values that fail them)
 _FLAGS = {
     "--scenario": (["table1", "single-band", "bypass"],
@@ -795,6 +854,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
         for name in ("random_payload", "build_composite", "calibrate",
                      "ebn0_at_target_ber"):
             mp.setattr(f"mixnum.cli.{name}", stop)
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
         code = _exit_code(argv)
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_COMPUTE, EXIT_CONFIG), (argv, err)

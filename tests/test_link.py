@@ -324,7 +324,7 @@ class TestRegressionPins:
                      n_symbols=8, seed=11)
         cal = calibrate(sc, 1)
         from mixnum.metrics import semianalytic_run
-        run = semianalytic_run(sc, 1, cal)
+        run = semianalytic_run(sc, {1: cal})[1]
         assert evm_db(run.rx_points, run.tx_points) == pytest.approx(
             -17.507, abs=0.05)
 

@@ -6,6 +6,7 @@ from scipy import signal
 
 from mixnum import config, waveform
 from mixnum.cli import EXIT_CONFIG, main
+from mixnum.config import F0_HZ
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
 from mixnum.metrics import (WELCH_OVERLAP, WELCH_SEGMENT_LEN, MetricsError,
@@ -147,7 +148,7 @@ class TestEvm:
 def bypass_run():
     sc = replace(config.get_preset("bypass"), n_symbols=8, seed=3)
     cal = calibrate(sc, 0)
-    return sc, cal, semianalytic_run(sc, 0, cal)
+    return sc, cal, semianalytic_run(sc, {0: cal})[0]
 
 
 class TestSemiAnalytic:
@@ -167,13 +168,13 @@ class TestSemiAnalytic:
 
     def test_deterministic(self):
         sc = replace(config.get_preset("single-band"), n_symbols=4, seed=7)
-        a = semianalytic_run(sc, 0).ber(3.0)
-        b = semianalytic_run(sc, 0).ber(3.0)
+        a = semianalytic_run(sc, {0: calibrate(sc, 0)})[0].ber(3.0)
+        b = semianalytic_run(sc, {0: calibrate(sc, 0)})[0].ber(3.0)
         assert a == b
 
     def test_run_reuse_matches_one_shot(self, bypass_run):
         sc, cal, run = bypass_run
-        assert semianalytic_run(sc, 0, cal).ber(5.0) == run.ber(5.0)
+        assert semianalytic_run(sc, {0: cal})[0].ber(5.0) == run.ber(5.0)
 
 
 class TestMonteCarlo:
@@ -206,7 +207,7 @@ class TestMonteCarlo:
         sc = replace(config.get_preset("single-band"), waveform="f-ofdm",
                      n_symbols=8, seed=4)
         cal = calibrate(sc, 0)
-        sa = semianalytic_run(sc, 0, cal).ber(2.0)
+        sa = semianalytic_run(sc, {0: cal})[0].ber(2.0)
         mc = monte_carlo_ber(sc, 0, 2.0, cal=cal)
         assert abs(sa - mc.ber) / mc.ber < 0.1
 
@@ -265,7 +266,7 @@ class TestTargetSearch:
     def test_distortionless_qpsk_threshold(self):
         # Q(sqrt(2 gamma)) = 0.05 at Eb/N0 = 1.3125 dB
         sc = replace(config.get_preset("single-band"), n_symbols=8, seed=11)
-        run = semianalytic_run(sc, 0)
+        run = semianalytic_run(sc, {0: calibrate(sc, 0)})[0]
         assert ebn0_for_target(run, 0.05) == pytest.approx(1.3125, abs=0.05)
 
     def test_unbracketed_target_raises(self, bypass_run):
@@ -276,23 +277,13 @@ class TestTargetSearch:
     def test_sweep_structure(self):
         sc = replace(config.get_preset("table1"), waveform="cp-ofdm",
                      n_symbols=4, seed=11)
-        out = ebn0_at_target_ber(sc, 1, target=0.05, m_grid=range(2))
-        assert [m for m, _ in out] == [0, 1]
-        assert all(np.isfinite(v) for _, v in out)
+        out = [ebn0_at_target_ber(config.with_gap(sc, 12.0 * m * F0_HZ), 1,
+                                  target=0.05) for m in range(2)]
+        assert all(np.isfinite(v) for v in out)
         # wider separation cannot make things worse
-        assert out[1][1] <= out[0][1] + 0.02
+        assert out[1] <= out[0] + 0.02
 
-    def test_sweep_points_go_through_map(self):
-        calls = []
-
-        def recording_map(fn, items):
-            items = list(items)
-            calls.append(items)
-            return map(fn, items)
-
+    def test_unbracketed_target_gives_nan(self):
         sc = replace(config.get_preset("single-band"), n_symbols=4, seed=11)
         # above the BER at the -5 dB bracket edge: unreachable, so NaN
-        out = ebn0_at_target_ber(sc, 0, target=0.4999, m_grid=range(1),
-                                 map=recording_map)
-        assert calls == [[0]]
-        assert len(out) == 1 and out[0][0] == 0 and np.isnan(out[0][1])
+        assert np.isnan(ebn0_at_target_ber(sc, 0, target=0.4999))

@@ -7,9 +7,12 @@
 Every job of every workload in perfbench/workloads.py (warm-ups excepted)
 runs at each seed twice: once on the other checkout's src/ and once on this
 one's, each side in one fresh interpreter with native thread pools pinned
-to one thread, writing into a temporary directory. For each CSV the script
-prints ``identical``, or for each column the largest absolute difference
-(numeric columns) or the number of rows that differ (other columns). Each
+to one thread, writing into a temporary directory. At each seed the
+three-waveform ``sweep-256`` sweep also runs as one call with
+``--threads 2``: the benchmark runs every sweep in one process, so this job
+is what checks the worker-pool path. For each CSV the script prints
+``identical``, or for each column the largest absolute difference (numeric
+columns) or the number of rows that differ (other columns). Each
 manifest is compared whole except for ``outputs``, which holds the output
 path and so differs by construction.
 
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # imported, not copied, and read only: no bytecode is written beside it
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WAVEFORMS, WORKLOADS  # noqa: E402
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -131,6 +134,11 @@ def main(argv=None):
               list(job.argv) + ["--seed", str(seed), "--threads", "1"])
              for w in WORKLOADS.values() for job in w.jobs
              for seed in args.seeds]
+    pooled = list(WORKLOADS["sweep-256"].jobs[0].argv)
+    pooled[pooled.index("--waveform") + 1] = ",".join(WAVEFORMS)
+    names += [(f"sweep-256-all-threads2-s{seed}",
+               pooled + ["--seed", str(seed), "--threads", "2"])
+              for seed in args.seeds]
     with tempfile.TemporaryDirectory() as tmp:
         out = {side: Path(tmp) / side for side in sides}
         codes = {side: run_side(src, [
