@@ -312,8 +312,9 @@ def build_parser():
                         help=symbols_help)
         sp.add_argument("--threads", type=_worker_count, default=1,
                         help="worker processes for sweep (capped at the CPU "
-                             "and separation counts); psd and ber accept "
-                             "it and run in one process")
+                             "count and the number of (waveform, separation) "
+                             "points); psd and ber accept it and run in one "
+                             "process")
         sp.add_argument("--out", required=True, help="output CSV path")
 
     sp = sub.add_parser("psd", help="composite-signal PSD")

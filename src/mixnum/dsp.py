@@ -184,7 +184,7 @@ def _block_rows(x, hop, width, lead=0, n_rows=0):
     n_rows = max(n_rows, -(-(lead + len(x)) // hop))
     rows = np.zeros((n_rows, width), dtype=np.complex128)
     first = min(hop - lead, len(x))
-    rows[0, lead:lead + first] = x[:first]
+    rows[:1, lead:lead + first] = x[:first]
     rest = x[first:]
     full = len(rest) // hop
     rows[1:1 + full, :hop] = rest[:full * hop].reshape(full, hop)
@@ -204,6 +204,44 @@ def _tail_add(rows, hop):
     return y
 
 
+def _taps_spectrum(taps, nfft, u, d):
+    """The taps' nfft-point spectrum over d, as u rows of nfft/u bins."""
+    padded = np.zeros(nfft, dtype=np.complex128)
+    padded[:len(taps)] = taps
+    return (np.fft.fft(padded) / d).reshape(u, nfft // u)
+
+
+def _block_spectra(x, n_taps, start, n_out, d):
+    """First half of _multirate for a lone part with u = 1: the FFT'd block
+    rows of x, laid out by len(x), n_taps, start, n_out and d alone."""
+    nfft = _ola_fft_len(n_taps, d)
+    step = (nfft - n_taps + 1) // d * d
+    head = -(-start // step)
+    rows = _block_rows(x[:start + (n_out - 1) * d + 1], step, nfft,
+                       head * step - start, head - (-n_out * d // step))
+    np.fft.fft(rows, axis=1, out=rows)
+    return rows
+
+
+def _filter_spectra(rows, taps, start, n_out, d):
+    """Second half, which only reads the rows: their product with the taps'
+    spectrum, folded d times as it is formed, inverse FFT'd and added."""
+    nfft = rows.shape[1]
+    hop = (nfft - len(taps) + 1) // d
+    spectrum = _taps_spectrum(taps, nfft, d, d)
+    rows = rows.reshape(len(rows), d, nfft // d)
+    acc = rows[:, 0] * spectrum[0]
+    # a row at a time, and rows that no caller keeps go before the tail
+    # add: no second block-sized array is made
+    for k in range(1, d):
+        for r in range(len(rows)):
+            acc[r] += rows[r, k] * spectrum[k]
+    del rows
+    np.fft.ifft(acc, axis=1, out=acc)
+    head = -(-start // (hop * d)) * hop
+    return _tail_add(acc, hop)[head:head + n_out]
+
+
 def _multirate(parts, n_out, d=1):
     """The sum over parts (x, taps, u, start) of (z * taps)[start::d], where
     z is x with u-1 zeros after every sample, each cut or zero-padded to
@@ -213,11 +251,11 @@ def _multirate(parts, n_out, d=1):
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled
     u times, is the spectrum of its zero-stuffed block. Each part's tiled
     spectra are multiplied by its taps' spectrum and accumulated onto one
-    row of block spectra per output block; a lone part with u = 1 filters
-    its own block array in place instead. Each row is then folded d times
-    onto nfft/d bins, which keeps every d-th sample of its block's output,
-    so one inverse FFT of nfft/d per block serves every part and the tails
-    are added at the output rate.
+    row of block spectra per output block; a lone part with u = 1 goes
+    through _block_spectra and _filter_spectra instead. Each row is then
+    folded d times onto nfft/d bins, which keeps every d-th sample of its
+    block's output, so one inverse FFT of nfft/d per block serves every
+    part and the tails are added at the output rate.
 
     A start off the u grid is moved onto it by delaying the taps by
     -start mod u samples. Input sample a = start/u then lands on kept sample
@@ -225,6 +263,12 @@ def _multirate(parts, n_out, d=1):
     begin b rows before the output, the common rows begin as early as the
     largest b needs, and every kept sample falls on the fold's grid.
     """
+    if n_out <= 0:
+        return np.zeros(0, dtype=np.complex128)
+    if len(parts) == 1 and parts[0][2] == 1:
+        x, taps, _, start = parts[0]
+        return _filter_spectra(_block_spectra(x, len(taps), start, n_out, d),
+                               taps, start, n_out, d)
     staged = []
     for x, taps, u, start in parts:
         delay = -start % u
@@ -232,8 +276,6 @@ def _multirate(parts, n_out, d=1):
         a = (start + delay) // u
         # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
         staged.append((x[:a - (-((n_out - 1) * d + 1) // u)], taps, u, a))
-    if n_out <= 0:
-        return np.zeros(0, dtype=np.complex128)
     n_taps = max(len(taps) for _, taps, _, _ in staged)
     m = max([d] + [u for _, _, u, _ in staged])
     nfft = _ola_fft_len(n_taps, m)
@@ -242,32 +284,17 @@ def _multirate(parts, n_out, d=1):
     early = [-(-a * u // step) for _, _, u, a in staged]
     head = max(early)
     n_rows = head - (-n_out // hop)
-
-    def spectrum(taps, u):
-        padded = np.zeros(nfft, dtype=np.complex128)
-        padded[:len(taps)] = taps
-        return (np.fft.fft(padded) / d).reshape(u, nfft // u)
-
-    if len(staged) == 1 and staged[0][2] == 1:
-        # in place: the block array is the largest buffer of the call
-        x, taps, _, a = staged[0]
-        acc = _block_rows(x, step, nfft, head * step - a, n_rows)
-        np.fft.fft(acc, axis=1, out=acc)
-        acc *= spectrum(taps, 1)[0]
-    else:
-        acc = np.zeros((n_rows, nfft), dtype=np.complex128)
-        for (x, taps, u, a), b in zip(staged, early):
-            width = nfft // u
-            rows = _block_rows(x, step // u, width, b * step // u - a)
-            np.fft.fft(rows, axis=1, out=rows)
-            tiles = spectrum(taps, u)
-            dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u,
-                                                              width)
-            term = np.empty_like(rows)
-            for k in range(u):
-                dest[:, k] += np.multiply(rows, tiles[k], out=term)
+    acc = np.zeros((n_rows, nfft), dtype=np.complex128)
+    for (x, taps, u, a), b in zip(staged, early):
+        width = nfft // u
+        rows = _block_rows(x, step // u, width, b * step // u - a)
+        np.fft.fft(rows, axis=1, out=rows)
+        tiles = _taps_spectrum(taps, nfft, u, d)
+        dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
+        term = np.empty_like(rows)
+        for k in range(u):
+            dest[:, k] += np.multiply(rows, tiles[k], out=term)
     if d > 1:
-        # rebinding releases the in-place block array before the tail add
         acc = acc.reshape(n_rows, d, nfft // d).sum(axis=1)
     np.fft.ifft(acc, axis=1, out=acc)
     return _tail_add(acc, hop)[head * hop:head * hop + n_out]
@@ -301,13 +328,29 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
     The mixer moves onto the taps, h[k] exp(-j w (k - gd)) with
     w = 2 pi f_hz / fs, so the filter runs on x itself and decimates inside
     the overlap-add; the output is then shifted at fs/u by f_hz aliased into
-    that band.
+    that band. Its halves are _front_end_spectra and _mix_filter_spectra.
     """
+    return _mix_filter_spectra(lambda: _front_end_spectra(x.samples, h, u),
+                               len(x), x.rate_hz, f_hz, h, u)
+
+
+def _front_end_spectra(x, h, u):
+    """The block spectra of x in mix_filter_decimate's layout, which depends
+    on len(x), len(h) and u only."""
     gd = h.group_delay
-    taps, f_rest = _mix_through(h.taps, -f_hz, x.rate_hz, u, gd)
-    y = _multirate([(x.samples, taps, 1, gd)],
-                   len(range(gd, len(x) + len(h) - 1, u)), u)
-    return frequency_shift(ComplexSignal(y, x.rate_hz / u), -f_rest)
+    return _block_spectra(x, len(h), gd,
+                          len(range(gd, len(x) + len(h) - 1, u)), u)
+
+
+def _mix_filter_spectra(spectra, n, rate_hz, f_hz, h, u):
+    """mix_filter_decimate of the n samples at rate_hz whose block spectra
+    spectra() gives; called in the filter's argument list, so that no frame
+    here keeps block rows the filter could free."""
+    gd = h.group_delay
+    taps, f_rest = _mix_through(h.taps, -f_hz, rate_hz, u, gd)
+    y = _filter_spectra(spectra(), taps, gd,
+                        len(range(gd, n + len(h) - 1, u)), u)
+    return frequency_shift(ComplexSignal(y, rate_hz / u), -f_rest)
 
 
 def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:

@@ -14,9 +14,10 @@ the Eb/N0 convention at the demapper input. The noiseless run builds no
 composite: zero-stuffing, interpolation, the shift up and back down (which
 cancel), the receive filter and decimation are together one band-rate FIR
 on the band's own burst, and calibration shares the demodulation tail with
-traffic. The noise run's unit noise depends only on (seed, band, length),
-and the composite length does not depend on the guard separation, so the
-last draw is kept and a separation sweep draws it once per band.
+traffic. Of the noise run's front end only the taps, which carry the
+mixer, change with the guard separation, so the kept item is the noise's
+block spectra, transformed once per band: a separation sweep applies each
+m's mixed receive taps to them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_length,
                      composite_rate, scenario_hash, symbols_per_band,
                      upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, _multirate, convolve_full,
+from .dsp import (ComplexSignal, FilterTaps, _front_end_spectra,
+                  _mix_filter_spectra, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
                        used_subcarrier_bins)
@@ -168,25 +170,23 @@ def _calibration_rng(seed, i, child):
         np.random.SeedSequence(seed, spawn_key=(0xCA1, i, child)))
 
 
-# the last calibration noise drawn, keyed by (seed, band, length)
-_CAL_NOISE: dict = {}
+# the last noise run's spectra by (seed, band, length, filter length, u)
+_CAL_SPECTRA: dict = {}
 
 
-def _calibration_noise(seed, i, n):
-    """n samples of read-only unit-variance noise for band i's noise run.
-
-    A pure function of its arguments, so the last draw is kept: a sweep
-    over separations recalibrates with the same noise at every m. On a miss
-    the kept draw is dropped before the next one is made, so two draws are
-    never alive at once (functools.lru_cache would evict after drawing).
-    """
-    key = (seed, i, n)
-    if key not in _CAL_NOISE:
-        _CAL_NOISE.clear()
-        noise = _complex_noise(n, 1.0, _calibration_rng(seed, i, 1))
-        noise.flags.writeable = False
-        _CAL_NOISE[key] = noise
-    return _CAL_NOISE[key]
+def _noise_spectra(seed, i, n, h, u):
+    """Read-only front-end block spectra of n samples of band i's unit
+    noise for len(h) receive taps at decimation u. The last entry is kept
+    and, on a miss, dropped before the next draw (lru_cache would evict
+    after drawing); the samples go once their spectra exist."""
+    key = (seed, i, n, len(h), u)
+    if key not in _CAL_SPECTRA:
+        _CAL_SPECTRA.clear()
+        spectra = _front_end_spectra(
+            _complex_noise(n, 1.0, _calibration_rng(seed, i, 1)), h, u)
+        spectra.flags.writeable = False
+        _CAL_SPECTRA[key] = spectra
+    return _CAL_SPECTRA[key]
 
 
 def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
@@ -197,12 +197,15 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     sc.eq_mode selects a per-subcarrier tap (flattens the band exactly) or a
     single scalar tap for the whole band (gain/phase only, leaving the
     filters' in-band shape uncompensated). The noise gain comes from unit
-    white noise of the composite's length through the receiver.
+    white noise of the composite's length through the receiver; the kept
+    item is the noise's block spectra, transformed once per band.
     """
     sc_cal = _calibration_scenario(sc, i)
-    # looked up first, so that a miss frees the previous band's noise
+    n, fs = composite_length(sc_cal), composite_rate(sc_cal)
+    h_r, u = _receive_taps(sc_cal, i), upsampling_factor(sc_cal, i)
+    # looked up first, so that a miss frees the previous band's spectra
     # before this band's runs allocate anything
-    noise = _calibration_noise(sc.seed, i, composite_length(sc_cal))
+    spectra = _noise_spectra(sc.seed, i, n, h_r, u)
     nm = sc_cal.subbands[i]
     _, qam = random_payload(sc_cal, i, _calibration_rng(sc.seed, i, 0),
                             mod_order=4)
@@ -219,8 +222,9 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
         h = 1.0 / eq
         eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
     es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
-    out = receive_subband(ComplexSignal(noise, composite_rate(sc_cal)),
-                          sc_cal, i) * eq[None, :]
+    x = _mix_filter_spectra(lambda: spectra, n, fs,
+                            -center_frequencies(sc_cal)[i], h_r, u)
+    out = _demodulate(x.samples, sc_cal, i) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)
     return ReceiverCalibration(eq_coeffs=eq, es_per_subcarrier=es,
                                noise_gain_per_subcarrier=gain,

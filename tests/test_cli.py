@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixnum
-from mixnum import config, link
+from mixnum import config, dsp, link
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
                         _parse_m_range, _sweep_workers, build_parser, main)
@@ -198,22 +198,34 @@ class TestSweepCommand:
 
     def test_sweep_draws_calibration_noise_once_per_waveform(
             self, tmp_path, monkeypatch):
-        # the noise run depends on (seed, band, length) only, and the
-        # composite length does not change with the separation
+        # the noise run's block spectra depend on the seed, the band, the
+        # composite length, the receive filter's length and u, none of
+        # which changes with the separation: one draw and one forward
+        # block transform per waveform
         draws = []
         draw = link._complex_noise
 
         def counted(n, variance, rng):
-            draws.append(n)
-            return draw(n, variance, rng)
+            draws.append(draw(n, variance, rng))
+            return draws[-1]
+
+        transforms = []
+        block_rows = dsp._block_rows
+
+        def counted_rows(x, *args, **kwargs):
+            if any(np.shares_memory(x, noise) for noise in draws):
+                transforms.append(len(x))
+            return block_rows(x, *args, **kwargs)
 
         monkeypatch.setattr(link, "_complex_noise", counted)
-        monkeypatch.setattr(link, "_CAL_NOISE", {})
+        monkeypatch.setattr(dsp, "_block_rows", counted_rows)
+        monkeypatch.setattr(link, "_CAL_SPECTRA", {})
         argv = ["sweep", "--scenario", "single-band", "--symbols", "4",
                 "--m", "0..2", "--out"]
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main(argv + [str(one), "--threads", "1"]) == EXIT_OK
         assert len(draws) == 3
+        assert len(transforms) == 3
         # a pool of two even on a one-CPU machine
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv + [str(two), "--threads", "2"]) == EXIT_OK
@@ -519,7 +531,7 @@ class TestErrorPaths:
         # one 65536-point symbol fits, but calibration runs 256 of them
         def refuse(*args, **kwargs):
             raise AssertionError("calibration started an oversized run")
-        for name in ("build_burst", "_calibration_noise"):
+        for name in ("build_burst", "_noise_spectra"):
             monkeypatch.setattr(f"mixnum.link.{name}", refuse)
         bypass = config.get_preset("bypass")
         sc = replace(bypass, n_symbols=1, subbands=(

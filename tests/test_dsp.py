@@ -365,6 +365,13 @@ class TestMixFilterDecimate:
         np.testing.assert_allclose(y.samples, ref, rtol=1e-9,
                                    atol=1e-9 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("n_taps", [1, 3])
+    def test_empty_input(self, n_taps):
+        # the unit tap keeps no sample of an empty input
+        x, h = ComplexSignal(np.zeros(0), 2e6), FilterTaps(np.ones(n_taps))
+        y = mix_filter_decimate(x, 1e5, h, 2)
+        np.testing.assert_array_equal(y.samples, self._reference(x, 1e5, h, 2))
+
     def test_receive_filter_at_length(self):
         # table1 band 3: 1409 taps, u = 4, a centre that aliases across the
         # band edge, on a composite-sized input

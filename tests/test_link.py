@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mixnum import config, link
-from mixnum.config import (center_frequencies, composite_rate, scenario_hash,
-                           symbols_per_band, upsampling_factor)
-from mixnum.dsp import (ComplexSignal, FilterTaps, convolve_full,
-                        frequency_shift)
-from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_noise,
-                         _calibration_scenario, _complex_noise,
-                         awgn_from_rng, calibrate, noise_variance_for_ebn0,
-                         receive_filter, receive_subband)
+from mixnum.config import (F0_HZ, center_frequencies, composite_length,
+                           composite_rate, scenario_hash, symbols_per_band,
+                           upsampling_factor, with_gap)
+from mixnum.dsp import (ComplexSignal, FilterTaps, _front_end_spectra,
+                        convolve_full, frequency_shift)
+from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_scenario,
+                         _complex_noise, _noise_spectra, awgn_from_rng,
+                         calibrate, noise_variance_for_ebn0, receive_filter,
+                         receive_subband)
 from mixnum.metrics import evm_db
 from mixnum.waveform import (build_burst, build_composite, compose,
                              payload_symbols, random_payload,
@@ -103,9 +104,9 @@ class TestBypassCalibration:
 def test_table1_calibration_repeats_bit_for_bit(band):
     # the memo is cleared between the runs, so the noise is drawn twice
     sc = config.get_preset("table1")
-    link._CAL_NOISE.clear()
+    link._CAL_SPECTRA.clear()
     a = calibrate(sc, band)
-    link._CAL_NOISE.clear()
+    link._CAL_SPECTRA.clear()
     b = calibrate(sc, band)
     np.testing.assert_array_equal(a.eq_coeffs, b.eq_coeffs)
     np.testing.assert_array_equal(a.es_per_subcarrier, b.es_per_subcarrier)
@@ -113,30 +114,97 @@ def test_table1_calibration_repeats_bit_for_bit(band):
                                   b.noise_gain_per_subcarrier)
 
 
+def band_noise(seed, i, n):
+    """Band i's calibration noise: child 1 of the (0xCA1, i) stream."""
+    ss = np.random.SeedSequence(seed, spawn_key=(0xCA1, i))
+    return complex_noise(n, 1.0, np.random.default_rng(ss.spawn(2)[1]))
+
+
 class TestCalibrationNoise:
+    """The memo of the noise run's front-end block spectra."""
+
+    H = FilterTaps(np.hanning(7))
+
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(link, "_CAL_NOISE", {})
+        monkeypatch.setattr(link, "_CAL_SPECTRA", {})
 
     def test_is_read_only(self):
-        noise = _calibration_noise(3, 0, 64)
-        assert not noise.flags.writeable
+        spectra = _noise_spectra(3, 0, 64, self.H, 2)
+        assert not spectra.flags.writeable
         with pytest.raises(ValueError):
-            noise[0] = 0.0
+            spectra[0, 0] = 0.0
 
     def test_is_the_second_child_of_the_band_stream(self):
-        ss = np.random.SeedSequence(3, spawn_key=(0xCA1, 1))
-        want = complex_noise(100, 1.0, np.random.default_rng(ss.spawn(2)[1]))
-        assert _calibration_noise(3, 1, 100).tobytes() == want.tobytes()
+        want = _front_end_spectra(band_noise(3, 1, 100), self.H, 2)
+        got = _noise_spectra(3, 1, 100, self.H, 2)
+        assert got.tobytes() == want.tobytes()
 
     def test_memo_holds_at_most_one_entry(self):
-        first = _calibration_noise(3, 0, 64)
-        assert _calibration_noise(3, 0, 64) is first
-        for key in [(3, 1, 64), (4, 1, 64), (4, 1, 65), (3, 0, 64)]:
-            _calibration_noise(*key)
-            assert list(link._CAL_NOISE) == [key]
-        # a dropped draw is redrawn bit for bit
-        assert _calibration_noise(3, 0, 64).tobytes() == first.tobytes()
+        first = _noise_spectra(3, 0, 64, self.H, 2)
+        # equal taps of another value are the same layout
+        assert _noise_spectra(3, 0, 64, FilterTaps(np.ones(7)), 2) is first
+        for key, h in [((3, 1, 64, 7, 2), self.H),
+                       ((4, 1, 64, 7, 2), self.H),
+                       ((4, 1, 65, 7, 2), self.H),
+                       ((4, 1, 65, 3, 2), FilterTaps(np.ones(3))),
+                       ((4, 1, 65, 3, 1), FilterTaps(np.ones(3))),
+                       ((3, 0, 64, 7, 2), self.H)]:
+            _noise_spectra(*key[:3], h, key[4])
+            assert list(link._CAL_SPECTRA) == [key]
+
+    def test_entry_is_dropped_before_the_next_draw(self, monkeypatch):
+        kept = []
+        draw = link._complex_noise
+
+        def counted(n, variance, rng):
+            kept.append(len(link._CAL_SPECTRA))
+            return draw(n, variance, rng)
+
+        monkeypatch.setattr(link, "_complex_noise", counted)
+        for seed in (3, 3, 4, 3):
+            _noise_spectra(seed, 0, 64, self.H, 2)
+        assert kept == [0, 0, 0]
+
+    def test_dropped_entry_is_recomputed_bit_for_bit(self):
+        first = _noise_spectra(3, 0, 64, self.H, 2).tobytes()
+        _noise_spectra(3, 1, 64, self.H, 2)
+        assert _noise_spectra(3, 0, 64, self.H, 2).tobytes() == first
+
+
+@pytest.mark.parametrize("sc,band", [
+    *((replace(config.get_preset("table1"), waveform=wf), band)
+      for wf in config.WAVEFORMS for band in range(3)),
+    *((replace(config.get_preset("single-band"), waveform=wf), 0)
+      for wf in config.WAVEFORMS),
+    (config.get_preset("bypass"), 0),
+], ids=[*(f"table1-{wf}-{band}" for wf in config.WAVEFORMS
+          for band in range(3)),
+        *(f"single-band-{wf}" for wf in config.WAVEFORMS), "bypass"])
+def test_noise_run_matches_receive_subband(sc, band, monkeypatch):
+    # the noise run applies band i's taps at separation m to spectra kept
+    # from the first m, and gets receive_subband's points byte for byte;
+    # bypass has no receive filter, which gives the unit-tap layout
+    runs = []
+    demodulate = link._demodulate
+
+    def spy(x, sc, i, eq=None):
+        runs.append(demodulate(x, sc, i, eq))
+        return runs[-1]
+
+    monkeypatch.setattr(link, "_CAL_SPECTRA", {})
+    for m in range(3):
+        sc_m = with_gap(sc, 12 * m * F0_HZ)
+        sc_cal = _calibration_scenario(sc_m, band)
+        noise = ComplexSignal(
+            band_noise(sc.seed, band, composite_length(sc_cal)),
+            composite_rate(sc_cal))
+        monkeypatch.setattr(link, "_demodulate", spy)
+        calibrate(sc_m, band)
+        monkeypatch.setattr(link, "_demodulate", demodulate)
+        want = receive_subband(noise, sc_cal, band)
+        assert runs[-1].tobytes() == want.tobytes()
+    assert len(link._CAL_SPECTRA) == 1
 
 
 def _composite_path_calibration(sc, i):

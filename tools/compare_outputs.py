@@ -10,7 +10,11 @@ one's, each side in one fresh interpreter with native thread pools pinned
 to one thread, writing into a temporary directory. At each seed the
 three-waveform ``sweep-256`` sweep also runs as one call with
 ``--threads 2``: the benchmark runs every sweep in one process, so this job
-is what checks the worker-pool path. For each CSV the script prints
+is what checks the worker-pool path. Two more jobs per seed cover receive
+layouts that the benchmark's table1 jobs never run: a three-waveform
+``single-band`` sweep (one band at the composite rate, u = 1) and a
+semi-analytic ``ber`` on ``bypass`` (no receive filter, so a unit tap).
+For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
 manifest is compared whole except for ``outputs``, which holds the output
@@ -139,6 +143,15 @@ def main(argv=None):
     names += [(f"sweep-256-all-threads2-s{seed}",
                pooled + ["--seed", str(seed), "--threads", "2"])
               for seed in args.seeds]
+    layouts = {
+        "single-band-sweep": ["sweep", "--scenario", "single-band",
+                              "--waveform", ",".join(WAVEFORMS),
+                              "--m", "0..2", "--symbols", "8"],
+        "bypass-ber-sa": ["ber", "--scenario", "bypass", "--method", "sa",
+                          "--ebn0", "0:2:10"]}
+    names += [(f"{label}-s{seed}",
+               argv + ["--seed", str(seed), "--threads", "1"])
+              for label, argv in layouts.items() for seed in args.seeds]
     with tempfile.TemporaryDirectory() as tmp:
         out = {side: Path(tmp) / side for side in sides}
         codes = {side: run_side(src, [
