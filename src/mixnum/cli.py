@@ -188,7 +188,7 @@ def cmd_ber(args):
     cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
     if method == "semi-analytic":
         k = int(np.log2(sc.mod_order))
-        rows = [(i + 1, db, run.ber(db), method, len(run.rx_points) * k, 0)
+        rows = [(i + 1, db, run.ber(db), method, len(run.noise_gain) * k, 0)
                 for i, run in semianalytic_run(sc, cals).items()
                 for db in grid]
     else:

@@ -7,7 +7,7 @@ unscaled, inverse scaled by 1/N, so Parseval reads sum|x|^2 = sum|X|^2 / N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt, log2
 
 import numpy as np
@@ -177,20 +177,25 @@ def _ola_fft_len(n_taps, u=1):
     return nfft
 
 
-def _block_rows(x, hop, width, lead=0, n_rows=0):
-    """The overlap-add block layout: x after lead zeros (lead < hop), cut
-    into rows of hop samples, each row zero-padded to width; at least
-    n_rows rows."""
-    n_rows = max(n_rows, -(-(lead + len(x)) // hop))
+def _block_rows(n, hop, width, lead=0, n_rows=0):
+    """The overlap-add block layout of n samples: zeroed rows of width for
+    the samples after lead zeros (lead < hop), hop to a row; at least
+    n_rows rows. Returns the rows and three views of them, which samples
+    0..n-1 fill in order, each view row by row."""
+    n_rows = max(n_rows, -(-(lead + n) // hop))
     rows = np.zeros((n_rows, width), dtype=np.complex128)
-    first = min(hop - lead, len(x))
-    rows[:1, lead:lead + first] = x[:first]
-    rest = x[first:]
-    full = len(rest) // hop
-    rows[1:1 + full, :hop] = rest[:full * hop].reshape(full, hop)
-    if len(rest) > full * hop:
-        rows[1 + full, :len(rest) - full * hop] = rest[full * hop:]
-    return rows
+    first = min(hop - lead, n)
+    full, last = divmod(n - first, hop)
+    return rows, (rows[:1, lead:lead + first], rows[1:1 + full, :hop],
+                  rows[1 + full:2 + full, :last])
+
+
+def _fill(views, x):
+    """Copy x into the views in order, as far as they reach."""
+    k = 0
+    for view in views:
+        view[...] = x[k:k + view.size].reshape(view.shape)
+        k += view.size
 
 
 def _tail_add(rows, hop):
@@ -211,14 +216,17 @@ def _taps_spectrum(taps, nfft, u, d):
     return (np.fft.fft(padded) / d).reshape(u, nfft // u)
 
 
-def _block_spectra(x, n_taps, start, n_out, d):
+def _block_spectra(n, fill, n_taps, start, n_out, d):
     """First half of _multirate for a lone part with u = 1: the FFT'd block
-    rows of x, laid out by len(x), n_taps, start, n_out and d alone."""
+    rows of n samples, laid out by n, n_taps, start, n_out and d alone.
+    fill(views) writes the samples into _block_rows' views."""
     nfft = _ola_fft_len(n_taps, d)
     step = (nfft - n_taps + 1) // d * d
     head = -(-start // step)
-    rows = _block_rows(x[:start + (n_out - 1) * d + 1], step, nfft,
-                       head * step - start, head - (-n_out * d // step))
+    rows, views = _block_rows(min(n, start + (n_out - 1) * d + 1), step,
+                              nfft, head * step - start,
+                              head - (-n_out * d // step))
+    fill(views)
     np.fft.fft(rows, axis=1, out=rows)
     return rows
 
@@ -267,8 +275,9 @@ def _multirate(parts, n_out, d=1):
         return np.zeros(0, dtype=np.complex128)
     if len(parts) == 1 and parts[0][2] == 1:
         x, taps, _, start = parts[0]
-        return _filter_spectra(_block_spectra(x, len(taps), start, n_out, d),
-                               taps, start, n_out, d)
+        return _filter_spectra(
+            _block_spectra(len(x), partial(_fill, x=x), len(taps), start,
+                           n_out, d), taps, start, n_out, d)
     staged = []
     for x, taps, u, start in parts:
         delay = -start % u
@@ -287,7 +296,9 @@ def _multirate(parts, n_out, d=1):
     acc = np.zeros((n_rows, nfft), dtype=np.complex128)
     for (x, taps, u, a), b in zip(staged, early):
         width = nfft // u
-        rows = _block_rows(x, step // u, width, b * step // u - a)
+        rows, views = _block_rows(len(x), step // u, width,
+                                  b * step // u - a)
+        _fill(views, x)
         np.fft.fft(rows, axis=1, out=rows)
         tiles = _taps_spectrum(taps, nfft, u, d)
         dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
@@ -337,9 +348,15 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
 def _front_end_spectra(x, h, u):
     """The block spectra of x in mix_filter_decimate's layout, which depends
     on len(x), len(h) and u only."""
+    return _front_end_filled(len(x), partial(_fill, x=x), h, u)
+
+
+def _front_end_filled(n, fill, h, u):
+    """_front_end_spectra of n samples that fill writes, as _block_spectra
+    takes them."""
     gd = h.group_delay
-    return _block_spectra(x, len(h), gd,
-                          len(range(gd, len(x) + len(h) - 1, u)), u)
+    return _block_spectra(n, fill, len(h), gd,
+                          len(range(gd, n + len(h) - 1, u)), u)
 
 
 def _mix_filter_spectra(spectra, n, rate_hz, f_hz, h, u):

@@ -30,7 +30,7 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_length,
                      composite_rate, scenario_hash, symbols_per_band,
                      upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, _front_end_spectra,
+from .dsp import (ComplexSignal, FilterTaps, _front_end_filled,
                   _mix_filter_spectra, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
@@ -43,20 +43,23 @@ class LinkError(ValueError):
     pass
 
 
-def _complex_noise(n, variance, rng):
-    """n samples of circular complex Gaussian noise of the given variance;
-    all real parts are drawn before all imaginary parts, into one buffer."""
-    noise = np.empty(n, dtype=np.complex128)
-    noise.real = rng.standard_normal(n)
-    noise.imag = rng.standard_normal(n)
-    noise *= np.sqrt(variance / 2.0)
-    return noise
+def _complex_noise(views, variance, rng):
+    """Fill the views, in order, with circular complex Gaussian noise of the
+    given variance: the real parts of all of them are drawn before the
+    imaginary parts, so any split of n samples gives the same noise."""
+    for view in views:
+        view.real = rng.standard_normal(view.shape)
+    for view in views:
+        view.imag = rng.standard_normal(view.shape)
+    for view in views:
+        view *= np.sqrt(variance / 2.0)
 
 
 def awgn_from_rng(x: ComplexSignal, variance, rng) -> ComplexSignal:
     """Add circular complex Gaussian noise of the given per-sample variance,
     drawn from a caller-managed generator (one substream per trial)."""
-    noise = _complex_noise(len(x), variance, rng)
+    noise = np.empty(len(x), dtype=np.complex128)
+    _complex_noise([noise], variance, rng)
     noise += x.samples
     return ComplexSignal(noise, x.rate_hz)
 
@@ -172,18 +175,31 @@ def _calibration_rng(seed, i, child):
 
 # the last noise run's spectra by (seed, band, length, filter length, u)
 _CAL_SPECTRA: dict = {}
+# noise samples per draw into the block rows, split at row boundaries
+_DRAW_SAMPLES = 1 << 14
 
 
 def _noise_spectra(seed, i, n, h, u):
     """Read-only front-end block spectra of n samples of band i's unit
     noise for len(h) receive taps at decimation u. The last entry is kept
     and, on a miss, dropped before the next draw (lru_cache would evict
-    after drawing); the samples go once their spectra exist."""
+    after drawing). The noise is drawn a few rows at a time straight into
+    the block rows, so its samples never exist on their own."""
     key = (seed, i, n, len(h), u)
     if key not in _CAL_SPECTRA:
         _CAL_SPECTRA.clear()
-        spectra = _front_end_spectra(
-            _complex_noise(n, 1.0, _calibration_rng(seed, i, 1)), h, u)
+        rng = _calibration_rng(seed, i, 1)
+
+        def draw(views):
+            parts = [part for view in views for part in
+                     np.array_split(view, 1 + view.size // _DRAW_SAMPLES)]
+            # samples the layout cuts are drawn all the same: the stream
+            # stays n real parts, then n imaginary parts
+            cut = np.empty(n - sum(part.size for part in parts),
+                           dtype=np.complex128)
+            _complex_noise(parts + [cut], 1.0, rng)
+
+        spectra = _front_end_filled(n, draw, h, u)
         spectra.flags.writeable = False
         _CAL_SPECTRA[key] = spectra
     return _CAL_SPECTRA[key]

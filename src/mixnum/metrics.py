@@ -4,9 +4,10 @@ at a target BER that each point of the separation sweep solves for.
 Both BER estimators share the same calibrated Eb/N0 convention: noise is
 injected at the composite rate with the variance that realizes the requested
 Eb/N0 at the demapper input. The semi-analytic path receives one noiseless
-burst (interferers active) and averages the analytic Gaussian bit-error
-kernel over the equalized points; Monte Carlo actually injects the noise and
-counts errors, serving as the oracle for the semi-analytic result.
+burst (interferers active), builds the bit-error kernel's sigma-free tables
+from it once, and at each Eb/N0 averages the kernel's per-sigma half over
+the equalized points; Monte Carlo actually injects the noise and counts
+errors, serving as the oracle for the semi-analytic result.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .config import ScenarioConfig
 from .dsp import ComplexSignal
 from .link import (ReceiverCalibration, awgn_from_rng, calibrate,
                    noise_variance_for_ebn0, receive_subband)
-from .modem import bit_error_probabilities, qam_demodulate
+from .modem import (bit_error_probabilities, bit_error_tables,
+                    qam_demodulate)
 from .waveform import build_composite, random_payload
 
 DEFAULT_MIN_ERRORS = 100
@@ -103,27 +105,21 @@ def _trial(sc: ScenarioConfig, k: int):
     return build_composite(sc, payloads), payloads, bits, noise_seed
 
 
-def _sigma_per_dim(sc, cal, ebn0_db, n_symbols):
-    """Per-point per-dimension noise std at the demapper for the given Eb/N0."""
-    var_inj = noise_variance_for_ebn0(sc, cal, ebn0_db)
-    sigma2_sub = var_inj * cal.noise_gain_per_subcarrier
-    return np.sqrt(np.tile(sigma2_sub, n_symbols) / 2.0)
-
-
 @dataclass(frozen=True)
 class SemiAnalyticRun:
-    """One noiseless received burst, reusable across Eb/N0 points."""
+    """One noiseless received burst, reusable across Eb/N0 points: the
+    kernel's sigma-free tables and each point's noise gain, both
+    read-only."""
 
     sc: ScenarioConfig
     cal: ReceiverCalibration
-    rx_points: np.ndarray       # flattened equalized points
-    tx_points: np.ndarray
-    n_symbols: int
+    tables: tuple               # modem.bit_error_tables of the burst
+    noise_gain: np.ndarray      # per point, the subcarrier's noise gain
 
     def ber(self, ebn0_db: float) -> float:
-        sigma = _sigma_per_dim(self.sc, self.cal, ebn0_db, self.n_symbols)
-        p = bit_error_probabilities(self.rx_points, self.tx_points,
-                                    self.sc.mod_order, sigma)
+        var_inj = noise_variance_for_ebn0(self.sc, self.cal, ebn0_db)
+        sigma = np.sqrt(var_inj * self.noise_gain / 2.0)
+        p = bit_error_probabilities(self.tables, self.sc.mod_order, sigma)
         return float(np.mean(p))
 
 
@@ -136,9 +132,12 @@ def semianalytic_run(sc: ScenarioConfig,
     runs = {}
     for i, cal in cals.items():
         rx = receive_subband(sig, sc, i, cal)
-        runs[i] = SemiAnalyticRun(sc=sc, cal=cal, rx_points=rx.reshape(-1),
-                                  tx_points=payloads[i],
-                                  n_symbols=rx.shape[0])
+        gain = np.tile(cal.noise_gain_per_subcarrier, rx.shape[0])
+        gain.flags.writeable = False
+        runs[i] = SemiAnalyticRun(
+            sc=sc, cal=cal, noise_gain=gain,
+            tables=bit_error_tables(rx.reshape(-1), payloads[i],
+                                    sc.mod_order))
     return runs
 
 

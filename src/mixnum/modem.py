@@ -8,9 +8,13 @@ for QPSK. A symbol's bits are the I-dimension bits (MSB first) followed by
 the Q-dimension bits. Ties at a decision boundary decode toward the lower
 (more negative) level.
 
-The kernel imports scipy.special on its first call, not with this module:
-that import takes longer than the rest of the command line's start-up, and
-psd and Monte Carlo runs never call the kernel.
+The kernel has two halves. bit_error_tables does the work that does not
+depend on the noise once per received burst: the sent levels, the signed
+threshold distances and the weight rows. bit_error_probabilities then
+does only the per-sigma work at each Eb/N0 point: divide, erfc and a
+weighted row sum. Only this half imports scipy.special, on its first call
+and not with this module: that import takes longer than the rest of the
+command line's start-up, and psd and Monte Carlo runs never call it.
 """
 
 from __future__ import annotations
@@ -109,40 +113,43 @@ def qam_demodulate(points, M: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
-def _dim_bit_error(coords, sent, sigma, cm):
-    """Expected number of erroneous bits in one dimension.
+def bit_error_tables(rx_points, tx_points, M):
+    """The sigma-free half of the bit-error kernel: for each noiseless
+    demapper input in rx_points, sent as the point in tx_points, the signed
+    threshold distances S[t, j]*(theta_j - x) and the weights E[t, j],
+    each (2, n, sqrt M - 1) with the I rows above the Q rows, read-only.
 
-    coords : (n,) noiseless received coordinates
-    sent   : (n,) sent ascending level indices
-    sigma  : scalar or (n,) positive per-dimension noise std
-
-    The Gray Hamming distance from the sent level changes by +-1 at each
-    threshold, so the expected distance is the sum over thresholds of that
-    step times the probability of crossing the threshold on the side away
-    from the sent level: one Gaussian tail each, never a difference of
-    tails, so small probabilities keep their relative accuracy.
-    """
-    from scipy.special import erfc
-    scale = np.sqrt(2.0) * np.broadcast_to(sigma, coords.shape)
-    z = cm.thresholds - coords[:, None]
-    z /= scale[:, None]
-    z *= cm.tail_sign[sent]
-    return 0.5 * np.einsum("nj,nj->n", cm.tail_weight[sent], erfc(z, out=z))
-
-
-def bit_error_probabilities(rx_points, tx_points, M, sigma_per_dim):
-    """Per-point probability that AWGN of the given per-dimension std flips
-    each Gray bit, averaged over the symbol's bits.
-
-    rx_points are the noiseless demapper inputs; tx_points identify the
-    transmitted constellation points (their bits are the reference).
+    The Gray Hamming distance from the sent level t changes by E[t, j] =
+    +-1 at threshold j, so the expected distance is the sum over
+    thresholds of that step times the probability of crossing the
+    threshold on the side away from the sent level: one Gaussian tail
+    each, never a difference of tails, so small probabilities keep their
+    relative accuracy.
     """
     cm = constellation(M)
     rx = np.asarray(rx_points, dtype=np.complex128)
     tx = np.asarray(tx_points, dtype=np.complex128)
+    sent = _decide_levels(np.stack([tx.real, tx.imag]), cm)
+    distances = cm.thresholds - np.stack([rx.real, rx.imag])[..., None]
+    distances *= cm.tail_sign[sent]
+    tables = (distances, cm.tail_weight[sent])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def bit_error_probabilities(tables, M, sigma_per_dim):
+    """Per-point probability that AWGN of the given per-dimension std
+    (scalar or one per point) flips each Gray bit, averaged over the
+    symbol's bits: the per-sigma half of the kernel, on the tables
+    bit_error_tables gives for the same M.
+    """
+    from scipy.special import erfc
+    distances, weights = tables
     sigma = np.asarray(sigma_per_dim, dtype=np.float64)
-    if np.any(sigma <= 0):
+    if not np.all(sigma > 0):
         raise ModemError("sigma must be positive")
-    errs = (_dim_bit_error(rx.real, _decide_levels(tx.real, cm), sigma, cm)
-            + _dim_bit_error(rx.imag, _decide_levels(tx.imag, cm), sigma, cm))
-    return errs / cm.bits_per_symbol
+    scale = np.sqrt(2.0) * np.broadcast_to(sigma, distances.shape[1:2])
+    z = distances / scale[:, None]
+    errs = 0.5 * np.einsum("dnj,dnj->dn", weights, erfc(z, out=z))
+    return (errs[0] + errs[1]) / constellation(M).bits_per_symbol

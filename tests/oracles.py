@@ -4,6 +4,7 @@ import numpy as np
 from scipy.special import erfc
 
 from mixnum.dsp import ComplexSignal, DspError, _windowed_sinc
+from mixnum.modem import ModemError, _decide_levels, constellation
 
 
 def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:
@@ -61,3 +62,28 @@ def qam_ber_awgn(M: int, ebn0_lin):
             total = total + sgn * wgt * qfunc(
                 (2 * i + 1) * np.sqrt(3.0 * k * gamma / (M - 1)))
     return (2.0 / (m * kd)) * total
+
+
+def bit_error_probabilities_one_shot(rx_points, tx_points, M, sigma_per_dim):
+    """The bit-error kernel in one call, as it was before its sigma-free
+    half moved to modem.bit_error_tables: every dimension's sent levels,
+    distances and weight rows are formed again at each sigma, in the
+    same floating-point order."""
+    cm = constellation(M)
+    rx = np.asarray(rx_points, dtype=np.complex128)
+    tx = np.asarray(tx_points, dtype=np.complex128)
+    sigma = np.asarray(sigma_per_dim, dtype=np.float64)
+    if np.any(sigma <= 0):
+        raise ModemError("sigma must be positive")
+
+    def dim_bit_error(coords, sent):
+        scale = np.sqrt(2.0) * np.broadcast_to(sigma, coords.shape)
+        z = cm.thresholds - coords[:, None]
+        z /= scale[:, None]
+        z *= cm.tail_sign[sent]
+        return 0.5 * np.einsum("nj,nj->n", cm.tail_weight[sent],
+                               erfc(z, out=z))
+
+    errs = (dim_bit_error(rx.real, _decide_levels(tx.real, cm))
+            + dim_bit_error(rx.imag, _decide_levels(tx.imag, cm)))
+    return errs / cm.bits_per_symbol

@@ -205,20 +205,23 @@ class TestSweepCommand:
         draws = []
         draw = link._complex_noise
 
-        def counted(n, variance, rng):
-            draws.append(draw(n, variance, rng))
-            return draws[-1]
+        def counted(views, variance, rng):
+            draws.append(views)
+            return draw(views, variance, rng)
 
         transforms = []
-        block_rows = dsp._block_rows
+        block_spectra = dsp._block_spectra
 
-        def counted_rows(x, *args, **kwargs):
-            if any(np.shares_memory(x, noise) for noise in draws):
-                transforms.append(len(x))
-            return block_rows(x, *args, **kwargs)
+        def counted_spectra(*args):
+            # the noise is drawn into the block rows it transforms
+            spectra = block_spectra(*args)
+            if any(np.shares_memory(spectra, view)
+                   for views in draws for view in views):
+                transforms.append(spectra)
+            return spectra
 
         monkeypatch.setattr(link, "_complex_noise", counted)
-        monkeypatch.setattr(dsp, "_block_rows", counted_rows)
+        monkeypatch.setattr(dsp, "_block_spectra", counted_spectra)
         monkeypatch.setattr(link, "_CAL_SPECTRA", {})
         argv = ["sweep", "--scenario", "single-band", "--symbols", "4",
                 "--m", "0..2", "--out"]

@@ -53,9 +53,22 @@ class TestAwgn:
         (0, 1.0, 0), (1, 1.0, 1), (7, 0.5, 2), (1000, 2.5, 3),
         (4097, 1e-300, 4), (333, 0.0, 5), (10 ** 5, 1.0, 6)])
     def test_noise_matches_the_oracle_byte_for_byte(self, n, variance, seed):
-        got = _complex_noise(n, variance, np.random.default_rng(seed))
+        got = np.empty(n, dtype=np.complex128)
+        _complex_noise([got], variance, np.random.default_rng(seed))
         want = complex_noise(n, variance, np.random.default_rng(seed))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cuts", [(), (0,), (5,), (1, 2, 3), (0, 0, 999)])
+    def test_noise_split_across_views_is_the_same_noise(self, cuts):
+        # the real parts of every view come before the imaginary parts,
+        # and nothing outside the views is written
+        n = 1000
+        buffer = np.zeros(n + 2, dtype=np.complex128)
+        views = [buffer[1 + a:1 + b] for a, b in zip((0, *cuts), (*cuts, n))]
+        _complex_noise(views, 0.7, np.random.default_rng(5))
+        want = complex_noise(n, 0.7, np.random.default_rng(5))
+        assert buffer[1:-1].tobytes() == want.tobytes()
+        assert buffer[0] == buffer[-1] == 0
 
     def test_noise_added_to_a_signal_matches_the_oracle(self):
         x = ComplexSignal(np.arange(50) * (1 - 2j), 1e6)
@@ -140,6 +153,16 @@ class TestCalibrationNoise:
         got = _noise_spectra(3, 1, 100, self.H, 2)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [10, 11, 13, 40000])
+    def test_layout_that_cuts_samples_keeps_the_stream(self, n):
+        # a unit tap at u = 4 keeps no sample past the last decimated
+        # one, so the rows hold fewer than n samples: the imaginary parts
+        # still follow all n real parts
+        h = FilterTaps(np.ones(1))
+        want = _front_end_spectra(band_noise(3, 1, n), h, 4)
+        got = _noise_spectra(3, 1, n, h, 4)
+        assert got.tobytes() == want.tobytes()
+
     def test_memo_holds_at_most_one_entry(self):
         first = _noise_spectra(3, 0, 64, self.H, 2)
         # equal taps of another value are the same layout
@@ -157,9 +180,9 @@ class TestCalibrationNoise:
         kept = []
         draw = link._complex_noise
 
-        def counted(n, variance, rng):
+        def counted(views, variance, rng):
             kept.append(len(link._CAL_SPECTRA))
-            return draw(n, variance, rng)
+            return draw(views, variance, rng)
 
         monkeypatch.setattr(link, "_complex_noise", counted)
         for seed in (3, 3, 4, 3):
@@ -391,10 +414,11 @@ class TestRegressionPins:
         sc = replace(config.get_preset("table1"), waveform="f-ofdm",
                      n_symbols=8, seed=11)
         cal = calibrate(sc, 1)
-        from mixnum.metrics import semianalytic_run
-        run = semianalytic_run(sc, {1: cal})[1]
-        assert evm_db(run.rx_points, run.tx_points) == pytest.approx(
-            -17.507, abs=0.05)
+        # the semi-analytic run's burst: trial 0's composite
+        from mixnum.metrics import _trial
+        sig, payloads, _, _ = _trial(sc, 0)
+        rx = receive_subband(sig, sc, 1, cal)
+        assert evm_db(rx, payloads[1]) == pytest.approx(-17.507, abs=0.05)
 
     def test_receive_filter_stopband(self):
         sc = config.get_preset("table1")

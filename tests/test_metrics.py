@@ -176,6 +176,17 @@ class TestSemiAnalytic:
         sc, cal, run = bypass_run
         assert semianalytic_run(sc, {0: cal})[0].ber(5.0) == run.ber(5.0)
 
+    def test_run_keeps_its_tables_read_only(self, bypass_run):
+        # every Eb/N0 point reads the same sigma-free tables and gains
+        _, _, run = bypass_run
+        for array in (*run.tables, run.noise_gain):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        before = [a.tobytes() for a in (*run.tables, run.noise_gain)]
+        run.ber(3.0)
+        assert [a.tobytes() for a in (*run.tables, run.noise_gain)] == before
+
 
 class TestMonteCarlo:
     def test_bypass_matches_qfunc(self):

@@ -7,16 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from mixnum.config import get_preset
 from mixnum.modem import (ModemError, bit_error_probabilities,
-                          bits_to_symbols, constellation, qam_demodulate,
-                          qam_modulate)
+                          bit_error_tables, bits_to_symbols, constellation,
+                          qam_demodulate, qam_modulate)
 from mixnum.waveform import random_payload
-from oracles import qam_ber_awgn, qfunc
+from oracles import bit_error_probabilities_one_shot, qam_ber_awgn, qfunc
 
 ORDERS = (4, 16, 64, 256)
 
 
 def random_bits(seed, n):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+
+
+def kernel(rx, tx, M, sigma):
+    """Both halves of the bit-error kernel in one call."""
+    return bit_error_probabilities(bit_error_tables(rx, tx, M), M, sigma)
 
 
 def levels(cm):
@@ -113,37 +118,82 @@ class TestBitErrorKernel:
         # every Eb/N0 the command line takes gives a positive sigma
         pts = qam_modulate(random_bits(0, 200), 4)
         with pytest.raises(ModemError):
-            bit_error_probabilities(pts, pts, 4, 0.0)
+            kernel(pts, pts, 4, 0.0)
         sigma = np.full(len(pts), 0.1)
         sigma[7] = 0.0
         with pytest.raises(ModemError):
-            bit_error_probabilities(pts, pts, 4, sigma)
+            kernel(pts, pts, 4, sigma)
 
     # sigma = 0 itself is rejected; the two tests below check the sigma -> 0
     # limit, where every tail is exactly 0 or 1 and the kernel reduces to
     # hard decisions
     def test_zero_sigma_noiseless_is_zero(self):
         pts = qam_modulate(random_bits(0, 200), 4)
-        p = bit_error_probabilities(pts, pts, 4, 1e-3)
+        p = kernel(pts, pts, 4, 1e-3)
         np.testing.assert_array_equal(p, 0.0)
 
     def test_zero_sigma_counts_hard_errors(self):
         tx = qam_modulate([0, 0], 4)
         rx = -tx  # diagonally opposite: both bits wrong
         np.testing.assert_array_equal(
-            bit_error_probabilities(rx, tx, 4, 1e-3), [1.0])
+            kernel(rx, tx, 4, 1e-3), [1.0])
 
     def test_qpsk_on_point_matches_qfunc(self):
         tx = qam_modulate([0, 0], 4)
         sigma = 0.2
         expect = qfunc(np.abs(tx.real) / sigma)
-        np.testing.assert_allclose(bit_error_probabilities(tx, tx, 4, sigma),
+        np.testing.assert_allclose(kernel(tx, tx, 4, sigma),
                                    expect, rtol=1e-12)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ModemError):
-            bit_error_probabilities(np.array([1 + 1j]), np.array([1 + 1j]),
-                                    4, -0.1)
+            kernel(np.array([1 + 1j]), np.array([1 + 1j]), 4, -0.1)
+
+    def test_nan_sigma_rejected(self):
+        # a NaN sigma would give a NaN BER, not an error
+        pts = qam_modulate(random_bits(0, 200), 4)
+        with pytest.raises(ModemError):
+            kernel(pts, pts, 4, np.nan)
+        sigma = np.full(len(pts), 0.1)
+        sigma[3] = np.nan
+        with pytest.raises(ModemError):
+            kernel(pts, pts, 4, sigma)
+
+    @pytest.mark.parametrize("M", ORDERS)
+    @pytest.mark.parametrize("per_point", [False, True],
+                             ids=["scalar-sigma", "per-point-sigma"])
+    def test_halves_match_the_one_shot_kernel_byte_for_byte(self, M,
+                                                            per_point):
+        rng = np.random.default_rng(M)
+        n = 2000
+        tx = constellation(M).points[rng.integers(0, M, n)]
+        rx = tx + 0.1 * (rng.standard_normal(n)
+                         + 1j * rng.standard_normal(n)) / np.sqrt(M)
+        tables = bit_error_tables(rx, tx, M)
+        for sigma in (0.003, 0.03, 0.3):
+            if per_point:
+                sigma = sigma * rng.uniform(0.5, 2.0, n)
+            got = bit_error_probabilities(tables, M, sigma)
+            want = bit_error_probabilities_one_shot(rx, tx, M, sigma)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", ORDERS)
+    def test_tables_are_read_only_and_stacked_i_over_q(self, M):
+        cm = constellation(M)
+        rx = cm.points * (1.1 - 0.2j)
+        tables = bit_error_tables(rx, cm.points, M)
+        for table in tables:
+            assert table.shape == (2, M, len(cm.thresholds))
+            assert not table.flags.writeable
+        distances, weights = tables
+        for d, part in enumerate(("real", "imag")):
+            x = getattr(rx, part)
+            sent = np.searchsorted(cm.thresholds,
+                                   getattr(cm.points, part))
+            np.testing.assert_array_equal(
+                distances[d],
+                cm.tail_sign[sent] * (cm.thresholds - x[:, None]))
+            np.testing.assert_array_equal(weights[d], cm.tail_weight[sent])
 
     @pytest.mark.parametrize("M", ORDERS)
     def test_kernel_average_equals_closed_form(self, M):
@@ -154,22 +204,22 @@ class TestBitErrorKernel:
         for ebn0_db in (0.0, 6.0, 12.0):
             gamma = 10 ** (ebn0_db / 10)
             sigma = np.sqrt(1.0 / (2 * k * gamma))
-            p = bit_error_probabilities(cm.points, cm.points, M, sigma)
+            p = kernel(cm.points, cm.points, M, sigma)
             assert np.mean(p) == pytest.approx(
                 float(qam_ber_awgn(M, gamma)), rel=1e-10)
 
     def test_displaced_point_moves_probability_up(self):
         tx = qam_modulate([0, 0], 4)
         nudged = tx - 0.2 * (1 + 1j)  # toward the decision boundaries
-        assert (bit_error_probabilities(nudged, tx, 4, 0.1)
-                > bit_error_probabilities(tx, tx, 4, 0.1)).all()
+        assert (kernel(nudged, tx, 4, 0.1)
+                > kernel(tx, tx, 4, 0.1)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(re=st.floats(-2, 2), im=st.floats(-2, 2),
            sigma=st.floats(0.01, 1.0), M=st.sampled_from(ORDERS))
     def test_probability_bounds(self, re, im, sigma, M):
         tx = constellation(M).points[:1]
-        p = bit_error_probabilities(np.array([re + 1j * im]), tx, M, sigma)
+        p = kernel(np.array([re + 1j * im]), tx, M, sigma)
         assert p.shape == (1,) and 0.0 <= p[0] <= 1.0
 
 
@@ -214,7 +264,7 @@ class TestBitErrorKernelTails:
         sent_q = int(np.argmin(np.abs(levels(cm) - tx.imag)))
         expect = (_cell_oracle(rx.real, sent_i, sigma, cm)
                   + _cell_oracle(rx.imag, sent_q, sigma, cm)) / np.log2(M)
-        p = bit_error_probabilities(np.array([rx]), np.array([tx]), M, sigma)
+        p = kernel(np.array([rx]), np.array([tx]), M, sigma)
         # subnormal results carry no relative precision
         np.testing.assert_allclose(p, [expect], rtol=1e-12,
                                    atol=np.finfo(float).tiny)
@@ -234,7 +284,7 @@ class TestBitErrorKernelTails:
             return 0.5 * math.erfc(v / math.sqrt(2.0))
 
         expect = 2 * (2 * q(d) + q(3 * d)) / 4
-        assert bit_error_probabilities(tx, tx, 16, sigma)[0] == \
+        assert kernel(tx, tx, 16, sigma)[0] == \
             pytest.approx(expect, rel=1e-12, abs=0)
 
 

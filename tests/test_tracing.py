@@ -10,12 +10,13 @@ import importlib
 import importlib.util
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mixnum
-from mixnum import cli
+from mixnum import cli, config
 from mixnum.config import scenario_hash
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -61,12 +62,12 @@ def traced(spans, argv, out):
     recorded = list(tracer.spans)
     assert recorded and not any(s.error for s in recorded)
     wall = sum(s.duration for s in recorded if s.parent < 0)
-    return spans.layer_metrics(recorded, wall, scenario_hash)
+    return spans.layer_metrics(recorded, wall, scenario_hash), recorded
 
 
 def test_traced_psd_job_gives_layer_metrics(spans, tmp_path):
-    m = traced(spans, ["psd", "--scenario", "table1", "--waveform", "f-ofdm",
-                       "--symbols", "64"], tmp_path / "psd.csv")
+    m, _ = traced(spans, ["psd", "--scenario", "table1", "--waveform",
+                          "f-ofdm", "--symbols", "64"], tmp_path / "psd.csv")
     assert m["cli.main.calls"] == 1
     assert m["waveform.build_burst.calls"] == 3
     assert m["waveform.compose.calls"] == 1
@@ -76,32 +77,42 @@ def test_traced_psd_job_gives_layer_metrics(spans, tmp_path):
 
 
 def test_traced_semianalytic_ber_job_gives_layer_metrics(spans, tmp_path):
-    m = traced(spans, ["ber", "--scenario", "table1", "--waveform", "w-ofdm",
-                       "--method", "sa", "--mod", "256", "--ebn0", "0:10:20",
-                       "--symbols", "4"], tmp_path / "ber.csv")
+    m, recorded = traced(spans, ["ber", "--scenario", "table1", "--waveform",
+                                 "w-ofdm", "--method", "sa", "--mod", "256",
+                                 "--ebn0", "0:10:20", "--symbols", "4"],
+                         tmp_path / "ber.csv")
     assert m["link.calibrate.calls"] == 3
     assert m["link.calibrate.distinct_ratio"] == 1.0
     # one run, on one composite, for all three bands
     assert m["metrics.semianalytic_run.calls"] == 1
     assert m["waveform.compose.calls"] == 1
-    assert m["modem.bit_error_probabilities.m256.points"] > 0
+    # one kernel call per point (3 bands x 3 Eb/N0 points), each over
+    # every received point of its band; the sigma-free tables are built
+    # inside the run's span
+    kernel = "modem.bit_error_probabilities.m256"
+    assert sum(s.name == kernel for s in recorded) == 9
+    sc = replace(config.get_preset("table1"), n_symbols=4)
+    n_points = sum(config.symbols_per_band(sc, i) * nm.n_used
+                   for i, nm in enumerate(sc.subbands))
+    assert m[f"{kernel}.points"] == 3 * n_points
     assert m["link.receive_subband.calls"] > 0
     assert m["dsp.frequency_shift.samples"] > 0
 
 
 def test_traced_monte_carlo_ber_job_gives_layer_metrics(spans, tmp_path):
-    m = traced(spans, ["ber", "--scenario", "bypass", "--method", "mc",
-                       "--ebn0", "0:2:2", "--symbols", "4"],
-               tmp_path / "mc.csv")
+    m, _ = traced(spans, ["ber", "--scenario", "bypass", "--method", "mc",
+                          "--ebn0", "0:2:2", "--symbols", "4"],
+                  tmp_path / "mc.csv")
     assert m["link.calibrate.calls"] > 0
     assert m["link.awgn_from_rng.samples"] > 0
     assert m["link.receive_subband.calls"] > 0
 
 
 def test_traced_sweep_job_gives_layer_metrics(spans, tmp_path):
-    m = traced(spans, ["sweep", "--scenario", "single-band", "--mod", "16",
-                       "--m", "0..1", "--symbols", "4", "--band", "1",
-                       "--waveform", "cp-ofdm"], tmp_path / "sweep.csv")
+    m, _ = traced(spans, ["sweep", "--scenario", "single-band", "--mod",
+                          "16", "--m", "0..1", "--symbols", "4", "--band",
+                          "1", "--waveform", "cp-ofdm"],
+                  tmp_path / "sweep.csv")
     assert m["link.calibrate.calls"] > 0
     assert m["link.receive_subband.calls"] > 0
     assert m["metrics.ebn0_for_target.evals_per_solve"] > 2

@@ -14,6 +14,8 @@ is what checks the worker-pool path. Two more jobs per seed cover receive
 layouts that the benchmark's table1 jobs never run: a three-waveform
 ``single-band`` sweep (one band at the composite rate, u = 1) and a
 semi-analytic ``ber`` on ``bypass`` (no receive filter, so a unit tap).
+Three semi-analytic ``ber`` jobs on ``table1`` at 4-, 16- and 64-QAM cover
+the bit-error kernel's tables at the orders the benchmark does not run.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -148,7 +150,11 @@ def main(argv=None):
                               "--waveform", ",".join(WAVEFORMS),
                               "--m", "0..2", "--symbols", "8"],
         "bypass-ber-sa": ["ber", "--scenario", "bypass", "--method", "sa",
-                          "--ebn0", "0:2:10"]}
+                          "--ebn0", "0:2:10"],
+        **{f"table1-ber-sa-m{mod}": ["ber", "--scenario", "table1",
+                                     "--waveform", "f-ofdm", "--method", "sa",
+                                     "--mod", str(mod), "--ebn0", "0:2:20"]
+           for mod in (4, 16, 64)}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
