@@ -137,28 +137,64 @@ def wofdm_window(n_fft, n_cp_star, n_prefix, n_tr):
 def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     """Multiply by exp(+j 2 pi f n / fs); magnitudes unchanged.
 
-    The one mixer of the chain. interpolate_mix_sum() shifts each band up
-    with it at the band's own rate, before interpolating, and
-    mix_filter_decimate() shifts the receiver's band-rate output back down
-    with it; both move the composite-rate part of the shift onto their
-    filter taps. The phasor is the outer product of about sqrt(n) block-start
-    phasors and about sqrt(n) in-block phasors, so it costs two short exp
-    tables and one complex multiply per sample instead of an exp per
-    sample, for any |f_hz| up to fs/2.
+    The one mixer of the chain. mix_filter_decimate() shifts the receiver's
+    band-rate output back down with it, and interpolate_mix_sum() applies
+    the same phasor to each band at the band's own rate as it writes the
+    band into its block rows; both move the composite-rate part of the
+    shift onto their filter taps. The phasor is the outer product of about
+    sqrt(n) block-start phasors and about sqrt(n) in-block phasors
+    (_phasor_table), made a few rows at a time (_phasor_pieces), so it costs
+    two short exp tables and one complex multiply per sample instead of an
+    exp per sample, for any |f_hz| up to fs/2.
     """
     if f_hz == 0.0:
         return x
-    n = len(x)
-    block = max(1, isqrt(n))
-    rows = -(-n // block)
-    w = 2j * np.pi * f_hz / x.rate_hz
-    # filled in place: a fresh temporary per product costs more than the math
-    out = np.empty(rows * block, dtype=np.complex128)
-    np.multiply(np.exp(w * (block * np.arange(rows)))[:, None],
-                np.exp(w * np.arange(block)), out=out.reshape(rows, block))
-    out = out[:n]
-    out *= x.samples
+    out = np.empty(len(x), dtype=np.complex128)
+    _shift_into(out, x.samples, _phasor_table(len(x), f_hz, x.rate_hz), 0)
     return ComplexSignal(out, x.rate_hz)
+
+
+# phasor samples made at a time: pieces stay small, and no phasor the
+# length of the signal is ever made
+_PHASOR_PIECE = 1 << 14
+
+
+def _phasor_table(n, f_hz, rate_hz):
+    """The two exp tables of frequency_shift's phasor for n samples at
+    rate_hz: sample k = r*block + c, block = isqrt(n), is starts[r] *
+    steps[c]. Returns (starts, steps)."""
+    block = max(1, isqrt(n))
+    w = 2j * np.pi * f_hz / rate_hz
+    return (np.exp(w * (block * np.arange(-(-n // block)))),
+            np.exp(w * np.arange(block)))
+
+
+def _phasor_pieces(table, k, m):
+    """Yield (j, p) in order, p being the phasor's samples k+j onwards, until
+    the pieces cover samples k..k+m-1. Whole rows of the table come as one
+    outer product, at most _PHASOR_PIECE samples at a time, and part rows
+    from their start phasor times a slice of the steps: each sample is the
+    one product that frequency_shift's outer product forms for it."""
+    starts, steps = table
+    block = len(steps)
+    j = 0
+    while j < m:
+        r, c = divmod(k + j, block)
+        rows = (m - j) // block
+        if c or not rows:
+            p = starts[r] * steps[c:c + m - j]
+        else:
+            rows = min(rows, max(1, _PHASOR_PIECE // block))
+            p = np.multiply(starts[r:r + rows, None], steps).reshape(-1)
+        yield j, p
+        j += len(p)
+
+
+def _shift_into(out, x, table, k):
+    """out[:] = x times the phasor's samples k..k+len(x)-1, piece by piece;
+    x itself is left as it is."""
+    for j, p in _phasor_pieces(table, k, len(x)):
+        np.multiply(p, x[j:j + len(p)], out=out[j:j + len(p)])
 
 
 def _ola_fft_len(n_taps, u=1):
@@ -196,6 +232,16 @@ def _fill(views, x):
     for view in views:
         view[...] = x[k:k + view.size].reshape(view.shape)
         k += view.size
+
+
+def _fill_shifted(views, x, table):
+    """_fill of x shifted by table's phasor (_phasor_table of all of x),
+    written row by row: no shifted copy of x is made."""
+    k = 0
+    for view in views:
+        for row in view:
+            _shift_into(row, x[k:k + len(row)], table, k)
+            k += len(row)
 
 
 def _tail_add(rows, hop):
@@ -238,7 +284,11 @@ def _filter_spectra(rows, taps, start, n_out, d):
     hop = (nfft - len(taps) + 1) // d
     spectrum = _taps_spectrum(taps, nfft, d, d)
     rows = rows.reshape(len(rows), d, nfft // d)
-    acc = rows[:, 0] * spectrum[0]
+    if d == 1 and rows.flags.writeable:
+        # rows no caller keeps take the product in place
+        acc = np.multiply(rows[:, 0], spectrum[0], out=rows[:, 0])
+    else:
+        acc = rows[:, 0] * spectrum[0]
     # a row at a time, and rows that no caller keeps go before the tail
     # add: no second block-sized array is made
     for k in range(1, d):
@@ -251,9 +301,11 @@ def _filter_spectra(rows, taps, start, n_out, d):
 
 
 def _multirate(parts, n_out, d=1):
-    """The sum over parts (x, taps, u, start) of (z * taps)[start::d], where
-    z is x with u-1 zeros after every sample, each cut or zero-padded to
-    n_out samples, computed without z and without the samples d drops.
+    """The sum over parts (x, taps, u, start, fill) of (z * taps)[start::d],
+    where z is x with u-1 zeros after every sample, each cut or zero-padded
+    to n_out samples, computed without z and without the samples d drops.
+    fill(views, x) writes x into _block_rows' views: _fill copies it, and
+    _fill_shifted shifts it as it goes in.
 
     Every x is cut into blocks of step/u samples, one common step that is a
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled
@@ -274,37 +326,41 @@ def _multirate(parts, n_out, d=1):
     if n_out <= 0:
         return np.zeros(0, dtype=np.complex128)
     if len(parts) == 1 and parts[0][2] == 1:
-        x, taps, _, start = parts[0]
+        x, taps, _, start, fill = parts[0]
         return _filter_spectra(
-            _block_spectra(len(x), partial(_fill, x=x), len(taps), start,
+            _block_spectra(len(x), partial(fill, x=x), len(taps), start,
                            n_out, d), taps, start, n_out, d)
     staged = []
-    for x, taps, u, start in parts:
+    for x, taps, u, start, fill in parts:
         delay = -start % u
         taps = np.concatenate([np.zeros(delay), taps])
         a = (start + delay) // u
         # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
-        staged.append((x[:a - (-((n_out - 1) * d + 1) // u)], taps, u, a))
-    n_taps = max(len(taps) for _, taps, _, _ in staged)
-    m = max([d] + [u for _, _, u, _ in staged])
+        staged.append((x[:a - (-((n_out - 1) * d + 1) // u)], taps, u, a,
+                       fill))
+    n_taps = max(len(part[1]) for part in staged)
+    m = max([d] + [part[2] for part in staged])
     nfft = _ola_fft_len(n_taps, m)
     step = (nfft - n_taps + 1) // m * m
     hop = step // d
-    early = [-(-a * u // step) for _, _, u, a in staged]
+    early = [-(-a * u // step) for _, _, u, a, _ in staged]
     head = max(early)
     n_rows = head - (-n_out // hop)
     acc = np.zeros((n_rows, nfft), dtype=np.complex128)
-    for (x, taps, u, a), b in zip(staged, early):
+    for (x, taps, u, a, fill), b in zip(staged, early):
         width = nfft // u
         rows, views = _block_rows(len(x), step // u, width,
                                   b * step // u - a)
-        _fill(views, x)
+        fill(views, x)
         np.fft.fft(rows, axis=1, out=rows)
         tiles = _taps_spectrum(taps, nfft, u, d)
         dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
-        term = np.empty_like(rows)
-        for k in range(u):
-            dest[:, k] += np.multiply(rows, tiles[k], out=term)
+        # a row at a time, as in _filter_spectra, and this part's rows go
+        # before the next part's are made
+        for r in range(len(rows)):
+            for k in range(u):
+                dest[r, k] += rows[r] * tiles[k]
+        del rows, views
     if d > 1:
         acc = acc.reshape(n_rows, d, nfft // d).sum(axis=1)
     np.fft.ifft(acc, axis=1, out=acc)
@@ -326,7 +382,7 @@ def _mix_through(taps, f_hz, rate_hz, u, origin):
 
 def convolve_full(x: ComplexSignal, h: FilterTaps) -> ComplexSignal:
     """Full linear convolution (overlap-add); output length len(x) + L - 1."""
-    return ComplexSignal(_multirate([(x.samples, h.taps, 1, 0)],
+    return ComplexSignal(_multirate([(x.samples, h.taps, 1, 0, _fill)],
                                     len(x) + len(h) - 1), x.rate_hz)
 
 
@@ -381,9 +437,12 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
     rate_hz. The mixer moves onto the taps, h[k] exp(j w (k - skip)) with
     w = 2 pi f_hz / rate_hz, and x is shifted at rate_hz/u by f_hz aliased
     into that band, which is the same phasor on every u-th sample; the
-    overlap-add then interpolates, and all bands share its inverse FFTs. A
-    band at rate_hz whose filter is the unit tap passes straight through:
-    it is shifted in the time domain and added.
+    overlap-add then interpolates, and all bands share its inverse FFTs.
+    That shift is frequency_shift's phasor for all of x, applied as x is
+    written into its block rows. A band at rate_hz whose filter is the unit
+    tap passes straight through: it is shifted in the time domain and added,
+    a piece of the phasor at a time. No shifted copy of a band is made, and
+    no band's samples are changed.
     """
     direct, parts = [], []
     for x, u, h, f_hz, skip in bands:
@@ -391,12 +450,21 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
             direct.append((x.samples[skip:skip + n_out], f_hz))
             continue
         taps, f_rest = _mix_through(h.taps, f_hz, rate_hz, u, skip)
-        x = frequency_shift(ComplexSignal(x.samples, rate_hz / u), f_rest)
-        parts.append((x.samples, taps, u, skip))
+        fill = _fill
+        if f_rest != 0.0:
+            fill = partial(_fill_shifted, table=_phasor_table(
+                len(x), f_rest, rate_hz / u))
+        parts.append((x.samples, taps, u, skip, fill))
     if parts and n_out > 0:
         out = _multirate(parts, n_out)
     else:
         out = np.zeros(n_out, dtype=np.complex128)
     for x, f_hz in direct:
-        out[:len(x)] += frequency_shift(ComplexSignal(x, rate_hz), f_hz).samples
+        if f_hz == 0.0:
+            out[:len(x)] += x
+            continue
+        table = _phasor_table(len(x), f_hz, rate_hz)
+        for j, p in _phasor_pieces(table, 0, len(x)):
+            p *= x[j:j + len(p)]
+            out[j:j + len(p)] += p
     return ComplexSignal(out, rate_hz)

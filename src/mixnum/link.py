@@ -30,7 +30,7 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_length,
                      composite_rate, scenario_hash, symbols_per_band,
                      upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, _front_end_filled,
+from .dsp import (ComplexSignal, FilterTaps, _fill, _front_end_filled,
                   _mix_filter_spectra, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
@@ -148,12 +148,13 @@ def _single_band_rx(burst: ComplexSignal, sc: ScenarioConfig, i: int):
     u, h_i, skip = interpolation_filter(sc, i)
     h_r = _receive_taps(sc, i)
     c = skip + h_r.group_delay
-    g = _multirate([(h_i.taps, h_r.taps, 1, 0)], len(h_i) + len(h_r) - 1)
+    g = _multirate([(h_i.taps, h_r.taps, 1, 0, _fill)],
+                   len(h_i) + len(h_r) - 1)
     branch = g.real[c % u::u]
     branch = FilterTaps(0.5 * (branch + branch[::-1]))
     rx = convolve_full(burst, branch).samples[c // u:]
-    head = _multirate([(burst.samples, h_i.taps, u, 0)], skip)
-    lost = _multirate([(head, h_r.taps, 1, c)],
+    head = _multirate([(burst.samples, h_i.taps, u, 0, _fill)], skip)
+    lost = _multirate([(head, h_r.taps, 1, c, _fill)],
                       len(range(c, skip + len(h_r) - 1, u)), u)
     rx[:len(lost)] -= lost
     return rx

@@ -10,7 +10,7 @@ from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                      center_frequencies, composite_length, composite_rate,
                      interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, _tail_add, convolve_full,
+from .dsp import (ComplexSignal, convolve_full,
                   design_interpolation_filter, design_subband_filter,
                   interpolate_mix_sum, wofdm_window)
 from .modem import qam_modulate
@@ -34,18 +34,28 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
     return grid
 
 
+def _cp_symbols(grid, n_cp, rows):
+    """IFFT each symbol of grid into the payload columns of rows, one row of
+    n_cp + n_fft samples per symbol, then copy each row's CP from its
+    tail."""
+    np.fft.ifft(grid, axis=1, out=rows[:, n_cp:])
+    rows[:, :n_cp] = rows[:, rows.shape[1] - n_cp:]
+
+
 def build_cp_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended."""
-    t = np.fft.ifft(grid, axis=1)
-    with_cp = np.concatenate([t[:, nm.n_fft - nm.n_cp:], t], axis=1)
-    return ComplexSignal(with_cp.reshape(-1), subband_sample_rate(nm))
+    rows = np.empty((len(grid), nm.n_fft + nm.n_cp), dtype=np.complex128)
+    _cp_symbols(grid, nm.n_cp, rows)
+    return ComplexSignal(rows.reshape(-1), subband_sample_rate(nm))
 
 
 def build_f_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     """CP-OFDM convolved with the band's windowed-sinc lowpass."""
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    return convolve_full(build_cp_ofdm(grid, nm), taps)
+    burst = build_cp_ofdm(grid, nm)
+    del grid  # the filter's block rows need the room
+    return convolve_full(burst, taps)
 
 
 def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
@@ -55,16 +65,29 @@ def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     effective CP of n_cp - n_prefix samples, so the stride matches CP-OFDM.
     Each extended symbol is shaped by the Blackman-edged window and its last
     n_prefix + 1 samples overlap the head of the next symbol.
+
+    An extended symbol is a CP-OFDM symbol followed by a suffix, its first
+    n_prefix + 1 samples. So the CP-OFDM symbols are built in place in the
+    burst, one stride apart, and only the suffixes are kept apart and then
+    added. The window is exactly 1 between its edges, so only the edges are
+    multiplied.
     """
-    n_cp_star = nm.n_cp - nm.n_prefix
-    t = np.fft.ifft(grid, axis=1)
-    ext = np.concatenate(
-        [t[:, -(n_cp_star + nm.n_prefix):], t, t[:, :nm.n_prefix + 1]], axis=1)
-    win = wofdm_window(nm.n_fft, n_cp_star, nm.n_prefix, nm.n_transition)
-    ext = ext * win[None, :]
     stride = nm.n_fft + nm.n_cp
-    burst = _tail_add(ext, stride)[:len(grid) * stride + nm.n_prefix + 1]
-    return ComplexSignal(burst, subband_sample_rate(nm))
+    n_sym = len(grid)
+    win = wofdm_window(nm.n_fft, nm.n_cp - nm.n_prefix, nm.n_prefix,
+                       nm.n_transition)
+    # one stride of room past the last symbol for its suffix
+    burst = np.empty((n_sym + 1) * stride, dtype=np.complex128)
+    rows = burst[:n_sym * stride].reshape(n_sym, stride)
+    _cp_symbols(grid, nm.n_cp, rows)
+    suffix = rows[:, nm.n_cp:nm.n_cp + nm.n_prefix + 1] * win[stride:]
+    edge = nm.n_prefix + nm.n_transition // 2
+    rows[:, :edge] *= win[:edge]
+    rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
+    burst[n_sym * stride:] = 0.0
+    burst[stride:].reshape(n_sym, stride)[:, :nm.n_prefix + 1] += suffix
+    return ComplexSignal(burst[:n_sym * stride + nm.n_prefix + 1],
+                         subband_sample_rate(nm))
 
 
 _BUILDERS = {

@@ -451,15 +451,17 @@ class TestInterpolateMixSum:
 
     def test_no_zero_stuffing_and_no_output_rate_shift(self, monkeypatch):
         # dsp has no zero-stuffing primitive, and interpolated bands are
-        # mixed at their own rate only
+        # mixed at their own rate only: every phasor the mixer makes is at
+        # a band's rate
         assert not hasattr(dsp, "upsample_zero_stuff")
         rates = []
+        phasor_table = dsp._phasor_table
 
-        def shift(x, f_hz):
-            rates.append(x.rate_hz)
-            return frequency_shift(x, f_hz)
+        def table(n, f_hz, rate_hz):
+            rates.append(rate_hz)
+            return phasor_table(n, f_hz, rate_hz)
 
-        monkeypatch.setattr(dsp, "frequency_shift", shift)
+        monkeypatch.setattr(dsp, "_phasor_table", table)
         rate = 8e6
         bands = [(rand_signal(u, 500, rate / u), u,
                   _symmetric_taps(u, 8 * u + 1), 0.3 * rate, u)
@@ -480,6 +482,31 @@ class TestInterpolateMixSum:
         y = interpolate_mix_sum(bands, rate, n_out)
         _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           layout=st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 100),
+                                     st.integers(1, 1500),
+                                     st.floats(-0.5, 0.5),
+                                     st.integers(0, 300)),
+                           min_size=1, max_size=3),
+           n_out=st.integers(1, 6000))
+    def test_leaves_every_argument_unchanged(self, seed, layout, n_out):
+        # bands are shifted as they are written into the block rows, or a
+        # piece at a time when they pass straight through (log_u = -1: a
+        # unit tap at u = 1), never in place
+        rate = 1e6
+        bands = [(rand_signal(seed + k, n, rate / (1 << max(log_u, 0))),
+                  1 << max(log_u, 0),
+                  FilterTaps([1.0]) if log_u < 0
+                  else _symmetric_taps(seed + k, 2 * half + 1),
+                  f * rate, skip)
+                 for k, (log_u, half, n, f, skip) in enumerate(layout)]
+        before = [(x.samples.tobytes(), h.taps.tobytes())
+                  for x, _, h, _, _ in bands]
+        interpolate_mix_sum(bands, rate, n_out)
+        assert [(x.samples.tobytes(), h.taps.tobytes())
+                for x, _, h, _, _ in bands] == before
+
 
 class TestMultirateCore:
     """The one overlap-add core with both rate changes at once, against
@@ -498,4 +525,5 @@ class TestMultirateCore:
             z = upsample_zero_stuff(ComplexSignal(x, 1.0), k)
             y = convolve_full(z, FilterTaps(taps)).samples[start::d][:n_out]
             ref[:len(y)] += y
-        _assert_close(dsp._multirate(parts, n_out, d), ref)
+        _assert_close(dsp._multirate([part + (dsp._fill,) for part in parts],
+                                     n_out, d), ref)

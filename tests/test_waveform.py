@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,12 @@ from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                            composite_rate, scenario_from_dict,
                            upsampling_factor)
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
-                        frequency_shift, wofdm_window)
+                        frequency_shift, interpolate_mix_sum,
+                        mix_filter_decimate, wofdm_window)
+from mixnum.link import receive_filter
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (build_burst, build_composite, compose,
+from mixnum.waveform import (build_burst, build_composite, build_cp_ofdm,
+                             build_f_ofdm, build_w_ofdm, compose,
                              interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
@@ -323,6 +327,66 @@ class TestComposeMatchesChain:
     def test_json_scenario_has_u8(self):
         sc = scenario_from_dict(json.loads(U8_SCENARIO_JSON))
         assert [upsampling_factor(sc, i) for i in range(2)] == [8, 1]
+
+
+WAVEFORMS = ["cp-ofdm", "f-ofdm", "w-ofdm"]
+
+# tracemalloc peak of build_composite on table1 at 64 symbols, in bytes per
+# composite sample: 66.0-67.1 measured for the three waveforms, so one more
+# composite-length array (16 bytes a sample) breaks it
+PEAK_BYTES_PER_COMPOSITE_SAMPLE = 72
+
+
+class TestTransmitChainMemory:
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_chain_leaves_every_argument_unchanged(self, waveform):
+        sc = replace(config.get_preset("table1"), waveform=waveform,
+                     n_symbols=4)
+        rng = np.random.default_rng(5)
+        freqs = center_frequencies(sc)
+        bursts, bands = [], []
+        for i, nm in enumerate(sc.subbands):
+            qam = random_payload(sc, i, rng)[1]
+            grid = map_to_subcarriers(qam, nm)
+            before = grid.tobytes()
+            for build in (build_cp_ofdm, build_f_ofdm, build_w_ofdm):
+                build(grid, nm)
+                assert grid.tobytes() == before, build.__name__
+            bursts.append(build_burst(qam, nm, waveform))
+            u, h, skip = interpolation_filter(sc, i)
+            bands.append((bursts[i], u, h, freqs[i], skip))
+        kept = [b.samples.tobytes() for b in bursts]
+        composite = compose(bursts, sc)
+        assert [b.samples.tobytes() for b in bursts] == kept
+        interpolate_mix_sum(bands, composite_rate(sc), composite_length(sc))
+        assert [b.samples.tobytes() for b in bursts] == kept
+        for i, (burst, nm) in enumerate(zip(bursts, sc.subbands)):
+            h = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
+                                      nm.filter_len)
+            convolve_full(burst, h)
+            assert burst.samples.tobytes() == kept[i]
+        rx = composite.samples.tobytes()
+        for i in range(len(bursts)):
+            mix_filter_decimate(composite, freqs[i], receive_filter(sc, i),
+                                upsampling_factor(sc, i))
+            assert composite.samples.tobytes() == rx
+
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_build_composite_peak_per_composite_sample(self, waveform):
+        sc = replace(config.get_preset("table1"), waveform=waveform,
+                     n_symbols=64)
+        rng = np.random.default_rng(11)
+        payloads = [random_payload(sc, i, rng)[1]
+                    for i in range(len(sc.subbands))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_composite(sc, payloads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BYTES_PER_COMPOSITE_SAMPLE * composite_length(sc)
 
 
 class TestPayloadSymbols:

@@ -16,6 +16,11 @@ layouts that the benchmark's table1 jobs never run: a three-waveform
 semi-analytic ``ber`` on ``bypass`` (no receive filter, so a unit tap).
 Three semi-analytic ``ber`` jobs on ``table1`` at 4-, 16- and 64-QAM cover
 the bit-error kernel's tables at the orders the benchmark does not run.
+Four ``psd`` jobs cover transmit layouts that the benchmark's 512-symbol
+``psd`` jobs do not: ``single-band`` and ``bypass`` (one band at the
+composite rate, passed through with a zero shift) and ``table1`` f-OFDM and
+w-OFDM at 64 symbols, whose bands end in a partial block row and a partial
+phasor row at other offsets than at 512 symbols.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -154,7 +159,12 @@ def main(argv=None):
         **{f"table1-ber-sa-m{mod}": ["ber", "--scenario", "table1",
                                      "--waveform", "f-ofdm", "--method", "sa",
                                      "--mod", str(mod), "--ebn0", "0:2:20"]
-           for mod in (4, 16, 64)}}
+           for mod in (4, 16, 64)},
+        "single-band-psd": ["psd", "--scenario", "single-band"],
+        "bypass-psd": ["psd", "--scenario", "bypass"],
+        **{f"table1-psd-{wf}-64": ["psd", "--scenario", "table1",
+                                   "--waveform", wf, "--symbols", "64"]
+           for wf in ("f-ofdm", "w-ofdm")}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
