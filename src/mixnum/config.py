@@ -23,13 +23,14 @@ WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
 MOD_ORDERS = (4, 16, 64, 256)
 # Upper bound on composite samples (compose's output length), checked from
 # the numerology before anything is built. Peak memory grows by at most
-# about 110 bytes per composite sample, whatever the numerology: psd by
-# 78-81 bytes on table1 (0.34-0.35 MB per symbol of 4352 samples) and
-# 65-76 with every n_fft 4096 (1.13-1.33 MB per symbol of 17408 samples),
-# 64 to 128 symbols; ber and sweep by 107-108 bytes on table1, 256 to 512
-# symbols, where calibration runs at the job's length. So the cap is about
-# 1 GB, an extrapolation. table1 reaches it just past 2048 symbols, its
-# former symbol cap.
+# about 95 bytes per composite sample, whatever the numerology: psd by
+# 47-48 bytes on table1 (0.21 MB per symbol of 4352 samples) and 47-50
+# with every n_fft 4096 (0.81-0.88 MB per symbol of 17408 samples), 64 to
+# 128 symbols, which is the bursts and the composite, the overlap-add
+# working in bounded chunks; ber and sweep by 59-91 bytes on table1, 256
+# to 512 symbols, where calibration runs at the job's length. So the cap
+# is under 1 GB, an extrapolation. table1 reaches it just past 2048
+# symbols, its former symbol cap.
 MAX_COMPOSITE_SAMPLES = 9_000_000
 MAX_INTERP_TAPS = 1025
 

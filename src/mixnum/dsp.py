@@ -213,46 +213,85 @@ def _ola_fft_len(n_taps, u=1):
     return nfft
 
 
-def _block_rows(n, hop, width, lead=0, n_rows=0):
-    """The overlap-add block layout of n samples: zeroed rows of width for
-    the samples after lead zeros (lead < hop), hop to a row; at least
-    n_rows rows. Returns the rows and three views of them, which samples
-    0..n-1 fill in order, each view row by row."""
-    n_rows = max(n_rows, -(-(lead + n) // hop))
-    rows = np.zeros((n_rows, width), dtype=np.complex128)
-    first = min(hop - lead, n)
-    full, last = divmod(n - first, hop)
-    return rows, (rows[:1, lead:lead + first], rows[1:1 + full, :hop],
-                  rows[1 + full:2 + full, :last])
+def _block_rows(n, hop, width, lead, j0, j1):
+    """Rows j0..j1-1 of the overlap-add block layout of n samples: zeroed
+    rows of width, row j holding the samples from j*hop - lead on, hop to
+    a row (row 0 opens with lead < hop zeros). Returns the rows, the first
+    sample k that they hold and three views of them, which samples k, k+1,
+    ... fill in order, each view row by row."""
+    k = min(max(j0 * hop - lead, 0), n)
+    m = min(max(j1 * hop - lead, 0), n) - k
+    lead = lead if j0 == 0 else 0
+    rows = np.zeros((j1 - j0, width), dtype=np.complex128)
+    first = min(hop - lead, m)
+    full, last = divmod(m - first, hop)
+    return rows, k, (rows[:1, lead:lead + first], rows[1:1 + full, :hop],
+                     rows[1 + full:2 + full, :last])
 
 
-def _fill(views, x):
-    """Copy x into the views in order, as far as they reach."""
-    k = 0
+def _fill(views, x, k):
+    """Copy x from sample k on into the views in order, as far as they
+    reach."""
     for view in views:
         view[...] = x[k:k + view.size].reshape(view.shape)
         k += view.size
 
 
-def _fill_shifted(views, x, table):
+def _fill_shifted(views, x, k, table):
     """_fill of x shifted by table's phasor (_phasor_table of all of x),
-    written row by row: no shifted copy of x is made."""
-    k = 0
+    written row by row: no shifted copy of x is made, and phasor sample k
+    is the same product wherever the rows are cut."""
     for view in views:
         for row in view:
             _shift_into(row, x[k:k + len(row)], table, k)
             k += len(row)
 
 
-def _tail_add(rows, hop):
-    """Overlap-add of time-domain block rows, row j starting at sample
-    j*hop; every row is at most 2*hop long. Returns (rows + 1)*hop
-    samples."""
-    n_rows, width = rows.shape
-    y = np.zeros((n_rows + 1) * hop, dtype=np.complex128)
-    y[:n_rows * hop].reshape(n_rows, hop)[:] = rows[:, :hop]
-    y[hop:].reshape(n_rows, hop)[:, :width - hop] += rows[:, hop:]
-    return y
+# block points of overlap-add rows made at a time: a chunk's rows stay
+# small, and _multirate makes no block array the length of its signal
+_OLA_CHUNK = 1 << 17
+
+
+def _rows_into(out, rows, k, hop, add):
+    """Write, or add, row i of rows into out from sample k + i*hop on, as
+    far as out reaches; rows are at most hop long and k >= 0."""
+    n, width = rows.shape
+    full = min(n, max(len(out) - k, 0) // hop)
+    pairs = [(out[k:k + full * hop].reshape(full, hop)[:, :width],
+              rows[:full])]
+    if full < n:
+        end = out[k + full * hop:k + full * hop + width]
+        pairs.append((end, rows[full, :len(end)]))
+    for dest, src in pairs:
+        if add:
+            dest += src
+        else:
+            dest[...] = src
+
+
+def _overlap_add(spectra, nfft, head, hop, n_out):
+    """n_out samples from sample head*hop on of the overlap-add of block
+    rows, row j starting at sample j*hop. spectra(r0, r1) gives the folded
+    spectra of rows r0..r1-1, about _OLA_CHUNK block points of nfft at a
+    time; each chunk is inverse FFT'd in place and added straight into the
+    result, and the width - hop tail of its last row is carried into the
+    next chunk. Rows before head - 1 reach no output sample and are not
+    asked for."""
+    out = np.empty(n_out, dtype=np.complex128)
+    per = max(1, _OLA_CHUNK // nfft)
+    n_rows = head - (-n_out // hop)
+    carry = None
+    for r0 in range(max(head - 1, 0), n_rows, per):
+        acc = spectra(r0, min(r0 + per, n_rows))
+        np.fft.ifft(acc, axis=1, out=acc)
+        k = (r0 - head) * hop
+        cut = int(r0 < head)  # row head - 1 reaches the output by its tail
+        _rows_into(out, acc[cut:, :hop], k + cut * hop, hop, False)
+        if carry is not None:
+            _rows_into(out, carry[None], k, hop, True)
+        _rows_into(out, acc[:-1, hop:], k + hop, hop, True)
+        carry = acc[-1, hop:].copy()
+    return out
 
 
 def _taps_spectrum(taps, nfft, u, d):
@@ -262,60 +301,69 @@ def _taps_spectrum(taps, nfft, u, d):
     return (np.fft.fft(padded) / d).reshape(u, nfft // u)
 
 
+def _fold_product(rows, spectrum, d):
+    """The product of block spectra rows and a spectrum given as d rows of
+    nfft/d bins, folded d times as it is formed: at d = 1 in place in rows
+    when they may be written, else a row at a time into one new array."""
+    rows = rows.reshape(len(rows), d, -1)
+    if d == 1 and rows.flags.writeable:
+        return np.multiply(rows[:, 0], spectrum[0], out=rows[:, 0])
+    acc = rows[:, 0] * spectrum[0]
+    for k in range(1, d):
+        for r in range(len(rows)):
+            acc[r] += rows[r, k] * spectrum[k]
+    return acc
+
+
 def _block_spectra(n, fill, n_taps, start, n_out, d):
-    """First half of _multirate for a lone part with u = 1: the FFT'd block
-    rows of n samples, laid out by n, n_taps, start, n_out and d alone.
-    fill(views) writes the samples into _block_rows' views."""
+    """The receive front end's FFT'd block rows of n samples, laid out by n,
+    n_taps, start, n_out and d alone, as _multirate lays out a lone part
+    with u = 1. fill(views) writes the samples into _block_rows' views."""
     nfft = _ola_fft_len(n_taps, d)
     step = (nfft - n_taps + 1) // d * d
     head = -(-start // step)
-    rows, views = _block_rows(min(n, start + (n_out - 1) * d + 1), step,
-                              nfft, head * step - start,
-                              head - (-n_out * d // step))
+    rows, _, views = _block_rows(min(n, start + (n_out - 1) * d + 1), step,
+                                 nfft, head * step - start, 0,
+                                 head - (-n_out * d // step))
     fill(views)
     np.fft.fft(rows, axis=1, out=rows)
     return rows
 
 
 def _filter_spectra(rows, taps, start, n_out, d):
-    """Second half, which only reads the rows: their product with the taps'
-    spectrum, folded d times as it is formed, inverse FFT'd and added."""
+    """The front end's second half, which only reads the rows: their
+    product with the taps' spectrum, folded d times, inverse FFT'd and
+    added, a chunk of rows at a time."""
     nfft = rows.shape[1]
     hop = (nfft - len(taps) + 1) // d
     spectrum = _taps_spectrum(taps, nfft, d, d)
-    rows = rows.reshape(len(rows), d, nfft // d)
-    if d == 1 and rows.flags.writeable:
-        # rows no caller keeps take the product in place
-        acc = np.multiply(rows[:, 0], spectrum[0], out=rows[:, 0])
-    else:
-        acc = rows[:, 0] * spectrum[0]
-    # a row at a time, and rows that no caller keeps go before the tail
-    # add: no second block-sized array is made
-    for k in range(1, d):
-        for r in range(len(rows)):
-            acc[r] += rows[r, k] * spectrum[k]
-    del rows
-    np.fft.ifft(acc, axis=1, out=acc)
-    head = -(-start // (hop * d)) * hop
-    return _tail_add(acc, hop)[head:head + n_out]
+    return _overlap_add(
+        lambda r0, r1: _fold_product(rows[r0:r1], spectrum, d), nfft,
+        -(-start // (hop * d)), hop, n_out)
 
 
 def _multirate(parts, n_out, d=1):
     """The sum over parts (x, taps, u, start, fill) of (z * taps)[start::d],
     where z is x with u-1 zeros after every sample, each cut or zero-padded
     to n_out samples, computed without z and without the samples d drops.
-    fill(views, x) writes x into _block_rows' views: _fill copies it, and
-    _fill_shifted shifts it as it goes in.
+    fill(views, x, k) writes x from sample k on into _block_rows' views:
+    _fill copies it, and _fill_shifted shifts it as it goes in.
 
     Every x is cut into blocks of step/u samples, one common step that is a
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled
     u times, is the spectrum of its zero-stuffed block. Each part's tiled
     spectra are multiplied by its taps' spectrum and accumulated onto one
-    row of block spectra per output block; a lone part with u = 1 goes
-    through _block_spectra and _filter_spectra instead. Each row is then
+    row of block spectra per output block, in part order; a lone part with
+    u = 1 takes the product in its own rows instead. Each row is then
     folded d times onto nfft/d bins, which keeps every d-th sample of its
     block's output, so one inverse FFT of nfft/d per block serves every
     part and the tails are added at the output rate.
+
+    The rows are made a chunk of about _OLA_CHUNK block points at a time
+    (_overlap_add): each part fills and transforms only its rows that reach
+    the chunk, the chunk goes straight into the n_out-sample result, and
+    its last row's tail is carried into the next chunk. Memory beyond the
+    inputs and the result is then a few chunks, whatever the length.
 
     A start off the u grid is moved onto it by delaying the taps by
     -start mod u samples. Input sample a = start/u then lands on kept sample
@@ -325,11 +373,6 @@ def _multirate(parts, n_out, d=1):
     """
     if n_out <= 0:
         return np.zeros(0, dtype=np.complex128)
-    if len(parts) == 1 and parts[0][2] == 1:
-        x, taps, _, start, fill = parts[0]
-        return _filter_spectra(
-            _block_spectra(len(x), partial(fill, x=x), len(taps), start,
-                           n_out, d), taps, start, n_out, d)
     staged = []
     for x, taps, u, start, fill in parts:
         delay = -start % u
@@ -342,29 +385,44 @@ def _multirate(parts, n_out, d=1):
     m = max([d] + [part[2] for part in staged])
     nfft = _ola_fft_len(n_taps, m)
     step = (nfft - n_taps + 1) // m * m
-    hop = step // d
     early = [-(-a * u // step) for _, _, u, a, _ in staged]
     head = max(early)
-    n_rows = head - (-n_out // hop)
-    acc = np.zeros((n_rows, nfft), dtype=np.complex128)
-    for (x, taps, u, a, fill), b in zip(staged, early):
-        width = nfft // u
-        rows, views = _block_rows(len(x), step // u, width,
-                                  b * step // u - a)
-        fill(views, x)
-        np.fft.fft(rows, axis=1, out=rows)
-        tiles = _taps_spectrum(taps, nfft, u, d)
-        dest = acc[head - b:head - b + len(rows)].reshape(len(rows), u, width)
-        # a row at a time, as in _filter_spectra, and this part's rows go
-        # before the next part's are made
-        for r in range(len(rows)):
-            for k in range(u):
-                dest[r, k] += rows[r] * tiles[k]
-        del rows, views
-    if d > 1:
-        acc = acc.reshape(n_rows, d, nfft // d).sum(axis=1)
-    np.fft.ifft(acc, axis=1, out=acc)
-    return _tail_add(acc, hop)[head * hop:head * hop + n_out]
+    # per part: x, its tiled spectrum, u, fill, its lead zeros, the common
+    # row of its row 0 and its row count
+    laid = [(x, _taps_spectrum(taps, nfft, u, d), u, fill, b * step // u - a,
+             head - b, -(-(b * step // u - a + len(x)) // (step // u)))
+            for (x, taps, u, a, fill), b in zip(staged, early)]
+
+    def transformed(x, u, fill, lead, j0, j1):
+        rows, k, views = _block_rows(len(x), step // u, nfft // u, lead, j0,
+                                     j1)
+        fill(views, x, k)
+        return np.fft.fft(rows, axis=1, out=rows)
+
+    def spectra(r0, r1):
+        if len(laid) == 1 and laid[0][2] == 1:
+            # a lone part at u = 1 takes the product in its own rows
+            x, tiles, u, fill, lead, _, _ = laid[0]
+            return _fold_product(transformed(x, u, fill, lead, r0, r1),
+                                 tiles.reshape(d, -1), d)
+        acc = np.zeros((r1 - r0, nfft), dtype=np.complex128)
+        for x, tiles, u, fill, lead, row0, n_rows in laid:
+            j0, j1 = max(r0 - row0, 0), min(r1 - row0, n_rows)
+            if j0 >= j1:
+                continue
+            rows = transformed(x, u, fill, lead, j0, j1)
+            dest = acc[row0 + j0 - r0:row0 + j1 - r0].reshape(j1 - j0, u, -1)
+            # a row at a time, and this part's rows go before the next
+            # part's are made
+            for r in range(j1 - j0):
+                for t in range(u):
+                    dest[r, t] += rows[r] * tiles[t]
+            del rows
+        if d > 1:
+            acc = acc.reshape(r1 - r0, d, nfft // d).sum(axis=1)
+        return acc
+
+    return _overlap_add(spectra, nfft, head, step // d, n_out)
 
 
 def _mix_through(taps, f_hz, rate_hz, u, origin):
@@ -404,7 +462,7 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
 def _front_end_spectra(x, h, u):
     """The block spectra of x in mix_filter_decimate's layout, which depends
     on len(x), len(h) and u only."""
-    return _front_end_filled(len(x), partial(_fill, x=x), h, u)
+    return _front_end_filled(len(x), partial(_fill, x=x, k=0), h, u)
 
 
 def _front_end_filled(n, fill, h, u):

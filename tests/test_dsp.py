@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -527,3 +529,41 @@ class TestMultirateCore:
             ref[:len(y)] += y
         _assert_close(dsp._multirate([part + (dsp._fill,) for part in parts],
                                      n_out, d), ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 4]),
+           layout=st.lists(st.tuples(st.sampled_from([1, 2, 4]),
+                                     st.integers(0, 60), st.integers(1, 3000),
+                                     st.integers(0, 300), st.booleans()),
+                           min_size=1, max_size=3),
+           n_rows=st.integers(1, 12), end=st.floats(0, 1),
+           in_tail=st.booleans(), chunk_rows=st.integers(1, 3))
+    def test_chunk_edges_leave_no_trace(self, seed, d, layout, n_rows, end,
+                                        in_tail, chunk_rows):
+        # the rows are made a chunk at a time and each chunk's last tail is
+        # carried into the next: chunks of one to three block rows give the
+        # bytes of one chunk over all rows (every input here fits in one)
+        rng = np.random.default_rng(seed)
+        parts = []
+        for k, (u, half, n, start, shifted) in enumerate(layout):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            fill = dsp._fill
+            if shifted:
+                fill = partial(dsp._fill_shifted, table=dsp._phasor_table(
+                    n, rng.uniform(-0.5, 0.5), 1.0))
+            parts.append((x, _symmetric_taps(seed + k, 2 * half + 1).taps,
+                          u, start, fill))
+        # the layout _multirate picks: the output starts on a row, so it
+        # ends inside the tail carried into its last row when it ends
+        # within width - hop samples of that row's start
+        n_taps = max(len(taps) + -start % u for _, taps, u, start, _ in parts)
+        m = max([d] + [u for _, _, u, _, _ in parts])
+        nfft = dsp._ola_fft_len(n_taps, m)
+        hop = (nfft - n_taps + 1) // m * m // d
+        reach = max(nfft // d - hop, 1) if in_tail else hop
+        n_out = (n_rows - 1) * hop + 1 + int(end * (reach - 1))
+        whole = dsp._multirate(parts, n_out, d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * nfft)
+            chunked = dsp._multirate(parts, n_out, d)
+        assert chunked.tobytes() == whole.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixnum import config
+from mixnum import config, dsp
 from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                            center_frequencies, composite_length,
                            composite_rate, scenario_from_dict,
@@ -335,6 +335,24 @@ WAVEFORMS = ["cp-ofdm", "f-ofdm", "w-ofdm"]
 # composite sample: 66.0-67.1 measured for the three waveforms, so one more
 # composite-length array (16 bytes a sample) breaks it
 PEAK_BYTES_PER_COMPOSITE_SAMPLE = 72
+# tracemalloc peak of one compose or convolve_full call beyond its inputs
+# and its result, whatever the length: the overlap-add works a chunk of
+# dsp._OLA_CHUNK block points (16 bytes each) at a time. 4.3-5.8 MB was
+# measured on table1 at 64 and 512 symbols, so one result-sized array
+# (35.7 MB at 512 symbols) breaks it.
+CHUNK_WORK_BYTES = 4 * 16 * dsp._OLA_CHUNK
+
+
+def _traced_peak(call):
+    """call()'s result and its tracemalloc peak above what was live."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestTransmitChainMemory:
@@ -387,6 +405,28 @@ class TestTransmitChainMemory:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_BYTES_PER_COMPOSITE_SAMPLE * composite_length(sc)
+
+    @pytest.mark.parametrize("n_symbols", [64, 512])
+    def test_compose_peak_beyond_its_result_is_bounded(self, n_symbols):
+        sc = replace(config.get_preset("table1"), n_symbols=n_symbols)
+        rng = np.random.default_rng(11)
+        bursts = [build_burst(random_payload(sc, i, rng)[1], nm, sc.waveform)
+                  for i, nm in enumerate(sc.subbands)]
+        composite, peak = _traced_peak(lambda: compose(bursts, sc))
+        assert peak - composite.samples.nbytes <= CHUNK_WORK_BYTES
+
+    @pytest.mark.parametrize("n_symbols", [64, 512])
+    def test_f_ofdm_filter_peak_beyond_its_result_is_bounded(self,
+                                                             n_symbols):
+        sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                     n_symbols=n_symbols)
+        nm = sc.subbands[1]
+        qam = random_payload(sc, 1, np.random.default_rng(11))[1]
+        burst = build_cp_ofdm(map_to_subcarriers(qam, nm), nm)
+        h = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
+                                  nm.filter_len)
+        filtered, peak = _traced_peak(lambda: convolve_full(burst, h))
+        assert peak - filtered.samples.nbytes <= CHUNK_WORK_BYTES
 
 
 class TestPayloadSymbols:

@@ -20,7 +20,12 @@ Four ``psd`` jobs cover transmit layouts that the benchmark's 512-symbol
 ``psd`` jobs do not: ``single-band`` and ``bypass`` (one band at the
 composite rate, passed through with a zero shift) and ``table1`` f-OFDM and
 w-OFDM at 64 symbols, whose bands end in a partial block row and a partial
-phasor row at other offsets than at 512 symbols.
+phasor row at other offsets than at 512 symbols. Two more ``psd`` jobs end
+compose's overlap-add on a chunk of one block row (table1 composites are
+overlap-added in rows of 8192 points, 7168 samples apart, 16 rows to a
+chunk): table1 CP-OFDM at 78 symbols, whose output ends past the tail
+carried into that row, and table1 f-OFDM at 130 symbols, whose output ends
+inside it.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -164,7 +169,10 @@ def main(argv=None):
         "bypass-psd": ["psd", "--scenario", "bypass"],
         **{f"table1-psd-{wf}-64": ["psd", "--scenario", "table1",
                                    "--waveform", wf, "--symbols", "64"]
-           for wf in ("f-ofdm", "w-ofdm")}}
+           for wf in ("f-ofdm", "w-ofdm")},
+        **{f"table1-psd-{wf}-{n}": ["psd", "--scenario", "table1",
+                                    "--waveform", wf, "--symbols", str(n)]
+           for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130))}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
