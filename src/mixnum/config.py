@@ -24,13 +24,14 @@ MOD_ORDERS = (4, 16, 64, 256)
 # Upper bound on composite samples (compose's output length), checked from
 # the numerology before anything is built. Peak memory grows by at most
 # about 95 bytes per composite sample, whatever the numerology: psd by
-# 47-48 bytes on table1 (0.21 MB per symbol of 4352 samples) and 47-50
-# with every n_fft 4096 (0.81-0.88 MB per symbol of 17408 samples), 64 to
-# 128 symbols, which is the bursts and the composite, the overlap-add
-# working in bounded chunks; ber and sweep by 59-91 bytes on table1, 256
-# to 512 symbols, where calibration runs at the job's length. So the cap
-# is under 1 GB, an extrapolation. table1 reaches it just past 2048
-# symbols, its former symbol cap.
+# 21-28 bytes on table1 (0.09-0.12 MB per symbol of 4352 samples) and
+# 16-17 with every n_fft 4096 (0.27-0.29 MB per symbol of 17408 samples),
+# 64 to 128 symbols, which is the composite and Welch, the bursts being
+# made a chunk of symbols at a time and the overlap-add working in bounded
+# chunks; ber and sweep by 47-66 bytes on table1, 256 to 512 symbols,
+# where calibration runs at the job's length. So the cap is under 1 GB,
+# an extrapolation. table1 reaches it just past 2048 symbols, its former
+# symbol cap.
 MAX_COMPOSITE_SAMPLES = 9_000_000
 MAX_INTERP_TAPS = 1025
 

@@ -252,6 +252,59 @@ def _fill_shifted(views, x, k, table):
 _OLA_CHUNK = 1 << 17
 
 
+def _per_chunk(width):
+    """Items of width points that make one chunk of about _OLA_CHUNK
+    points, at least one: overlap-add rows, or the symbols of a burst that
+    is made in pieces."""
+    return max(1, _OLA_CHUNK // width)
+
+
+class _Stream:
+    """The n samples of a signal made in consecutive pieces, read in order:
+    x[k:k + m] gives samples k..k+m-1 for a k at or past the end of the
+    previous read, a view of one piece or, where the samples span pieces, a
+    copy. Pieces are made only when a read reaches them and dropped once
+    it has passed them, so only the piece being read is kept. A whole
+    signal is a stream of one piece."""
+
+    def __init__(self, n, pieces):
+        self._n = n
+        self._pieces = iter(pieces)
+        self._piece = np.zeros(0, dtype=np.complex128)
+        self._at = 0  # the sample that _piece starts with
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, cut):
+        k, stop = cut.start, min(cut.stop, self._n)
+        taken = []
+        while k < stop:
+            end = self._at + len(self._piece)
+            if k >= end:
+                self._at, self._piece = end, next(self._pieces)
+                continue
+            taken.append(self._piece[k - self._at:stop - self._at])
+            k += len(taken[-1])
+        if len(taken) == 1:
+            return taken[0]
+        return np.concatenate(taken or [np.zeros(0, dtype=np.complex128)])
+
+    def whole(self):
+        """All n samples of a stream not yet read, as one array: a lone
+        piece of all n is the array itself, else the pieces are copied in
+        order into one array as they are made."""
+        out, k = None, 0
+        for piece in self._pieces:
+            if out is None and len(piece) == self._n:
+                return piece
+            if out is None:
+                out = np.empty(self._n, dtype=np.complex128)
+            out[k:k + len(piece)] = piece
+            k += len(piece)
+        return np.zeros(0, dtype=np.complex128) if out is None else out
+
+
 def _rows_into(out, rows, k, hop, add):
     """Write, or add, row i of rows into out from sample k + i*hop on, as
     far as out reaches; rows are at most hop long and k >= 0."""
@@ -269,28 +322,41 @@ def _rows_into(out, rows, k, hop, add):
             dest[...] = src
 
 
-def _overlap_add(spectra, nfft, head, hop, n_out):
-    """n_out samples from sample head*hop on of the overlap-add of block
-    rows, row j starting at sample j*hop. spectra(r0, r1) gives the folded
-    spectra of rows r0..r1-1, about _OLA_CHUNK block points of nfft at a
-    time; each chunk is inverse FFT'd in place and added straight into the
-    result, and the width - hop tail of its last row is carried into the
-    next chunk. Rows before head - 1 reach no output sample and are not
-    asked for."""
-    out = np.empty(n_out, dtype=np.complex128)
-    per = max(1, _OLA_CHUNK // nfft)
+def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
+    """Yield n_out samples from sample head*hop on of the overlap-add of
+    block rows, row j starting at sample j*hop, in consecutive pieces, one
+    per chunk: views of out when it is given, else new arrays.
+    spectra(r0, r1) gives the folded spectra of rows r0..r1-1, about
+    _OLA_CHUNK block points of nfft at a time; each chunk is inverse FFT'd
+    in place and added straight into its piece, and the width - hop tail
+    of its last row is carried into the next piece. Rows before head - 1
+    reach no output sample and are not asked for."""
+    per = _per_chunk(nfft)
     n_rows = head - (-n_out // hop)
     carry = None
     for r0 in range(max(head - 1, 0), n_rows, per):
-        acc = spectra(r0, min(r0 + per, n_rows))
+        r1 = min(r0 + per, n_rows)
+        acc = spectra(r0, r1)
         np.fft.ifft(acc, axis=1, out=acc)
         k = (r0 - head) * hop
+        lo, hi = max(k, 0), min((r1 - head) * hop, n_out)
+        piece = (np.empty(hi - lo, dtype=np.complex128) if out is None
+                 else out[lo:hi])
         cut = int(r0 < head)  # row head - 1 reaches the output by its tail
-        _rows_into(out, acc[cut:, :hop], k + cut * hop, hop, False)
+        _rows_into(piece, acc[cut:, :hop], k + cut * hop - lo, hop, False)
         if carry is not None:
-            _rows_into(out, carry[None], k, hop, True)
-        _rows_into(out, acc[:-1, hop:], k + hop, hop, True)
+            _rows_into(piece, carry[None], k - lo, hop, True)
+        _rows_into(piece, acc[:-1, hop:], k + hop - lo, hop, True)
         carry = acc[-1, hop:].copy()
+        del acc  # freed before the consumer, which may make more rows, runs
+        yield piece
+
+
+def _written(n, pieces):
+    """The n-sample array that pieces(out) fills with its views of out."""
+    out = np.empty(n, dtype=np.complex128)
+    for _ in pieces(out):
+        pass
     return out
 
 
@@ -337,17 +403,25 @@ def _filter_spectra(rows, taps, start, n_out, d):
     nfft = rows.shape[1]
     hop = (nfft - len(taps) + 1) // d
     spectrum = _taps_spectrum(taps, nfft, d, d)
-    return _overlap_add(
+    return _written(n_out, lambda out: _overlap_add(
         lambda r0, r1: _fold_product(rows[r0:r1], spectrum, d), nfft,
-        -(-start // (hop * d)), hop, n_out)
+        -(-start // (hop * d)), hop, n_out, out))
 
 
 def _multirate(parts, n_out, d=1):
+    """_multirate_pieces as one array."""
+    return _written(max(n_out, 0),
+                    lambda out: _multirate_pieces(parts, n_out, d, out))
+
+
+def _multirate_pieces(parts, n_out, d=1, out=None):
     """The sum over parts (x, taps, u, start, fill) of (z * taps)[start::d],
     where z is x with u-1 zeros after every sample, each cut or zero-padded
-    to n_out samples, computed without z and without the samples d drops.
-    fill(views, x, k) writes x from sample k on into _block_rows' views:
-    _fill copies it, and _fill_shifted shifts it as it goes in.
+    to n_out samples, computed without z and without the samples d drops,
+    yielded in consecutive pieces as _overlap_add makes them (views of out
+    when it is given). x is an array or a _Stream, which is read once, in
+    order. fill(views, x, k) writes x from sample k on into _block_rows'
+    views: _fill copies it, and _fill_shifted shifts it as it goes in.
 
     Every x is cut into blocks of step/u samples, one common step that is a
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled
@@ -361,9 +435,10 @@ def _multirate(parts, n_out, d=1):
 
     The rows are made a chunk of about _OLA_CHUNK block points at a time
     (_overlap_add): each part fills and transforms only its rows that reach
-    the chunk, the chunk goes straight into the n_out-sample result, and
-    its last row's tail is carried into the next chunk. Memory beyond the
-    inputs and the result is then a few chunks, whatever the length.
+    the chunk, which reads its x a chunk further, the chunk goes straight
+    into its piece of the result, and its last row's tail is carried into
+    the next chunk. Memory beyond the inputs and the result is then a few
+    chunks, whatever the length.
 
     A start off the u grid is moved onto it by delaying the taps by
     -start mod u samples. Input sample a = start/u then lands on kept sample
@@ -372,45 +447,46 @@ def _multirate(parts, n_out, d=1):
     largest b needs, and every kept sample falls on the fold's grid.
     """
     if n_out <= 0:
-        return np.zeros(0, dtype=np.complex128)
+        return
     staged = []
     for x, taps, u, start, fill in parts:
         delay = -start % u
         taps = np.concatenate([np.zeros(delay), taps])
         a = (start + delay) // u
         # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
-        staged.append((x[:a - (-((n_out - 1) * d + 1) // u)], taps, u, a,
-                       fill))
-    n_taps = max(len(part[1]) for part in staged)
-    m = max([d] + [part[2] for part in staged])
+        staged.append((x, min(len(x), a - (-((n_out - 1) * d + 1) // u)),
+                       taps, u, a, fill))
+    n_taps = max(len(part[2]) for part in staged)
+    m = max([d] + [part[3] for part in staged])
     nfft = _ola_fft_len(n_taps, m)
     step = (nfft - n_taps + 1) // m * m
-    early = [-(-a * u // step) for _, _, u, a, _ in staged]
+    early = [-(-a * u // step) for _, _, _, u, a, _ in staged]
     head = max(early)
-    # per part: x, its tiled spectrum, u, fill, its lead zeros, the common
-    # row of its row 0 and its row count
-    laid = [(x, _taps_spectrum(taps, nfft, u, d), u, fill, b * step // u - a,
-             head - b, -(-(b * step // u - a + len(x)) // (step // u)))
-            for (x, taps, u, a, fill), b in zip(staged, early)]
+    # per part: x, the samples of it that reach the output, its tiled
+    # spectrum, u, fill, its lead zeros, the common row of its row 0 and
+    # its row count
+    laid = [(x, n, _taps_spectrum(taps, nfft, u, d), u, fill,
+             b * step // u - a, head - b,
+             -(-(b * step // u - a + n) // (step // u)))
+            for (x, n, taps, u, a, fill), b in zip(staged, early)]
 
-    def transformed(x, u, fill, lead, j0, j1):
-        rows, k, views = _block_rows(len(x), step // u, nfft // u, lead, j0,
-                                     j1)
+    def transformed(x, n, u, fill, lead, j0, j1):
+        rows, k, views = _block_rows(n, step // u, nfft // u, lead, j0, j1)
         fill(views, x, k)
         return np.fft.fft(rows, axis=1, out=rows)
 
     def spectra(r0, r1):
-        if len(laid) == 1 and laid[0][2] == 1:
+        if len(laid) == 1 and laid[0][3] == 1:
             # a lone part at u = 1 takes the product in its own rows
-            x, tiles, u, fill, lead, _, _ = laid[0]
-            return _fold_product(transformed(x, u, fill, lead, r0, r1),
+            x, n, tiles, u, fill, lead, _, _ = laid[0]
+            return _fold_product(transformed(x, n, u, fill, lead, r0, r1),
                                  tiles.reshape(d, -1), d)
         acc = np.zeros((r1 - r0, nfft), dtype=np.complex128)
-        for x, tiles, u, fill, lead, row0, n_rows in laid:
+        for x, n, tiles, u, fill, lead, row0, n_rows in laid:
             j0, j1 = max(r0 - row0, 0), min(r1 - row0, n_rows)
             if j0 >= j1:
                 continue
-            rows = transformed(x, u, fill, lead, j0, j1)
+            rows = transformed(x, n, u, fill, lead, j0, j1)
             dest = acc[row0 + j0 - r0:row0 + j1 - r0].reshape(j1 - j0, u, -1)
             # a row at a time, and this part's rows go before the next
             # part's are made
@@ -422,7 +498,7 @@ def _multirate(parts, n_out, d=1):
             acc = acc.reshape(r1 - r0, d, nfft // d).sum(axis=1)
         return acc
 
-    return _overlap_add(spectra, nfft, head, step // d, n_out)
+    yield from _overlap_add(spectra, nfft, head, step // d, n_out, out)
 
 
 def _mix_through(taps, f_hz, rate_hz, u, origin):
@@ -489,7 +565,8 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
     of frequency_shift(convolve_full(z, h)[skip:], f_hz) at rate_hz, where z
     is x with u-1 zeros after every sample, each cut or zero-padded to n_out
     samples. Each x is taken to be sampled at rate_hz/u, with u a power of
-    two.
+    two; it is a ComplexSignal or a _Stream of its samples, which is read
+    once, in order, so a band that is made in pieces never exists whole.
 
     The dual of mix_filter_decimate, computing neither z nor a shift at
     rate_hz. The mixer moves onto the taps, h[k] exp(j w (k - skip)) with
@@ -498,31 +575,36 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
     overlap-add then interpolates, and all bands share its inverse FFTs.
     That shift is frequency_shift's phasor for all of x, applied as x is
     written into its block rows. A band at rate_hz whose filter is the unit
-    tap passes straight through: it is shifted in the time domain and added,
-    a piece of the phasor at a time. No shifted copy of a band is made, and
-    no band's samples are changed.
+    tap passes straight through: it is read, shifted in the time domain and
+    added a piece of the phasor at a time. No shifted copy of a band is
+    made, and no band's samples are changed.
     """
     direct, parts = [], []
     for x, u, h, f_hz, skip in bands:
+        if isinstance(x, ComplexSignal):
+            x = x.samples  # read by the same slices as a _Stream
         if u == 1 and len(h) == 1 and h.taps[0] == 1.0:
-            direct.append((x.samples[skip:skip + n_out], f_hz))
+            direct.append((x, f_hz, skip))
             continue
         taps, f_rest = _mix_through(h.taps, f_hz, rate_hz, u, skip)
         fill = _fill
         if f_rest != 0.0:
             fill = partial(_fill_shifted, table=_phasor_table(
                 len(x), f_rest, rate_hz / u))
-        parts.append((x.samples, taps, u, skip, fill))
+        parts.append((x, taps, u, skip, fill))
     if parts and n_out > 0:
         out = _multirate(parts, n_out)
     else:
         out = np.zeros(n_out, dtype=np.complex128)
-    for x, f_hz in direct:
+    for x, f_hz, skip in direct:
+        m = max(min(len(x) - skip, n_out), 0)
         if f_hz == 0.0:
-            out[:len(x)] += x
+            for j in range(0, m, _PHASOR_PIECE):
+                end = min(j + _PHASOR_PIECE, m)
+                out[j:end] += x[skip + j:skip + end]
             continue
-        table = _phasor_table(len(x), f_hz, rate_hz)
-        for j, p in _phasor_pieces(table, 0, len(x)):
-            p *= x[j:j + len(p)]
+        table = _phasor_table(m, f_hz, rate_hz)
+        for j, p in _phasor_pieces(table, 0, m):
+            p *= x[skip + j:skip + j + len(p)]
             out[j:j + len(p)] += p
     return ComplexSignal(out, rate_hz)

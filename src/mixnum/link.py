@@ -180,13 +180,18 @@ _CAL_SPECTRA: dict = {}
 _DRAW_SAMPLES = 1 << 14
 
 
+def _spectra_key(seed, i, n, h, u):
+    return (seed, i, n, len(h), u)
+
+
 def _noise_spectra(seed, i, n, h, u):
     """Read-only front-end block spectra of n samples of band i's unit
-    noise for len(h) receive taps at decimation u. The last entry is kept
-    and, on a miss, dropped before the next draw (lru_cache would evict
-    after drawing). The noise is drawn a few rows at a time straight into
-    the block rows, so its samples never exist on their own."""
-    key = (seed, i, n, len(h), u)
+    noise for len(h) receive taps at decimation u. Only the last entry is
+    kept: a miss drops it before anything is drawn (lru_cache would evict
+    after drawing), and calibrate drops it as it starts. The noise is drawn
+    a few rows at a time straight into the block rows, so its samples never
+    exist on their own."""
+    key = _spectra_key(seed, i, n, h, u)
     if key not in _CAL_SPECTRA:
         _CAL_SPECTRA.clear()
         rng = _calibration_rng(seed, i, 1)
@@ -206,6 +211,27 @@ def _noise_spectra(seed, i, n, h, u):
     return _CAL_SPECTRA[key]
 
 
+def _noiseless_run(sc_cal: ScenarioConfig, i: int, seed, eq_mode):
+    """Equalizer and per-subcarrier symbol energy of band i from its
+    known-symbol calibration burst, received alone without noise."""
+    nm = sc_cal.subbands[i]
+    _, qam = random_payload(sc_cal, i, _calibration_rng(seed, i, 0),
+                            mod_order=4)
+    tx = qam.reshape(-1, nm.n_used)
+    burst = build_burst(qam, nm, sc_cal.waveform)
+    rx = _demodulate(_single_band_rx(burst, sc_cal, i), sc_cal, i)
+    small = np.abs(rx).min(axis=0) < 1e-12
+    if np.any(small):
+        bad = int(np.argmax(small))
+        raise LinkError(f"degenerate response on used subcarrier {bad}")
+    eq = np.mean(tx / rx, axis=0)
+    if eq_mode == "scalar":
+        # least-squares common tap: argmin_s sum_k |s h_k - 1|^2
+        h = 1.0 / eq
+        eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
+    return eq, np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
+
+
 def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     """One-tap equalizer, symbol energy and noise gain for band i.
 
@@ -220,25 +246,13 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     sc_cal = _calibration_scenario(sc, i)
     n, fs = composite_length(sc_cal), composite_rate(sc_cal)
     h_r, u = _receive_taps(sc_cal, i), upsampling_factor(sc_cal, i)
-    # looked up first, so that a miss frees the previous band's spectra
-    # before this band's runs allocate anything
+    if _spectra_key(sc.seed, i, n, h_r, u) not in _CAL_SPECTRA:
+        # another band's spectra go before this band's runs allocate
+        # anything; the noise, a stream of its own, is drawn after the
+        # noiseless run has released its burst
+        _CAL_SPECTRA.clear()
+    eq, es = _noiseless_run(sc_cal, i, sc.seed, sc.eq_mode)
     spectra = _noise_spectra(sc.seed, i, n, h_r, u)
-    nm = sc_cal.subbands[i]
-    _, qam = random_payload(sc_cal, i, _calibration_rng(sc.seed, i, 0),
-                            mod_order=4)
-    tx = qam.reshape(-1, nm.n_used)
-    burst = build_burst(qam, nm, sc_cal.waveform)
-    rx = _demodulate(_single_band_rx(burst, sc_cal, i), sc_cal, i)
-    small = np.abs(rx).min(axis=0) < 1e-12
-    if np.any(small):
-        bad = int(np.argmax(small))
-        raise LinkError(f"degenerate response on used subcarrier {bad}")
-    eq = np.mean(tx / rx, axis=0)
-    if sc.eq_mode == "scalar":
-        # least-squares common tap: argmin_s sum_k |s h_k - 1|^2
-        h = 1.0 / eq
-        eq = np.full_like(eq, np.vdot(h, np.ones_like(h)) / np.vdot(h, h))
-    es = np.mean(np.abs(rx * eq[None, :]) ** 2, axis=0)
     x = _mix_filter_spectra(lambda: spectra, n, fs,
                             -center_frequencies(sc_cal)[i], h_r, u)
     out = _demodulate(x.samples, sc_cal, i) * eq[None, :]

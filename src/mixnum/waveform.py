@@ -10,9 +10,12 @@ from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                      center_frequencies, composite_length, composite_rate,
                      interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
-from .dsp import (ComplexSignal, convolve_full,
-                  design_interpolation_filter, design_subband_filter,
-                  interpolate_mix_sum, wofdm_window)
+from .dsp import (ComplexSignal, _fill, _multirate_pieces, _per_chunk,
+                  _Stream, design_interpolation_filter,
+                  design_subband_filter, interpolate_mix_sum, wofdm_window)
+# not called here since the f-OFDM filter streams, but the benchmark's
+# recorder test calls convolve_full through this binding (ROADMAP item 1)
+from .dsp import convolve_full  # noqa: F401
 from .modem import qam_modulate
 
 
@@ -42,23 +45,34 @@ def _cp_symbols(grid, n_cp, rows):
     rows[:, :n_cp] = rows[:, rows.shape[1] - n_cp:]
 
 
-def build_cp_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
-    """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended."""
-    rows = np.empty((len(grid), nm.n_fft + nm.n_cp), dtype=np.complex128)
-    _cp_symbols(grid, nm.n_cp, rows)
-    return ComplexSignal(rows.reshape(-1), subband_sample_rate(nm))
+def _cp_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
+    """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended,
+    a piece per grid."""
+    stride = nm.n_fft + nm.n_cp
+
+    def pieces():
+        for grid in grids:
+            rows = np.empty((len(grid), stride), dtype=np.complex128)
+            _cp_symbols(grid, nm.n_cp, rows)
+            del grid
+            yield rows.reshape(-1)
+
+    return _Stream(n_sym * stride, pieces())
 
 
-def build_f_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
-    """CP-OFDM convolved with the band's windowed-sinc lowpass."""
+def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
+    """CP-OFDM convolved with the band's windowed-sinc lowpass: the filter's
+    overlap-add reads the CP-OFDM pieces as it needs them and gives its
+    output a chunk of rows at a time, the row tail carried between
+    chunks."""
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    burst = build_cp_ofdm(grid, nm)
-    del grid  # the filter's block rows need the room
-    return convolve_full(burst, taps)
+    n = n_sym * (nm.n_fft + nm.n_cp) + len(taps) - 1
+    return _Stream(n, _multirate_pieces(
+        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n))
 
 
-def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
+def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     """Windowed OFDM with prefix/suffix extension and overlap-add.
 
     The CP budget is split into a prefix of n_prefix samples and an
@@ -67,38 +81,69 @@ def build_w_ofdm(grid, nm: SubbandNumerology) -> ComplexSignal:
     n_prefix + 1 samples overlap the head of the next symbol.
 
     An extended symbol is a CP-OFDM symbol followed by a suffix, its first
-    n_prefix + 1 samples. So the CP-OFDM symbols are built in place in the
-    burst, one stride apart, and only the suffixes are kept apart and then
-    added. The window is exactly 1 between its edges, so only the edges are
-    multiplied.
+    n_prefix + 1 samples. So each grid's CP-OFDM symbols are built in place
+    in its piece, one stride apart, and only the suffixes are kept apart and
+    then added; the last suffix is carried into the next piece, and after
+    the last symbol it is the burst's last n_prefix + 1 samples. The window
+    is exactly 1 between its edges, so only the edges are multiplied.
     """
     stride = nm.n_fft + nm.n_cp
-    n_sym = len(grid)
+    overlap = nm.n_prefix + 1
     win = wofdm_window(nm.n_fft, nm.n_cp - nm.n_prefix, nm.n_prefix,
                        nm.n_transition)
-    # one stride of room past the last symbol for its suffix
-    burst = np.empty((n_sym + 1) * stride, dtype=np.complex128)
-    rows = burst[:n_sym * stride].reshape(n_sym, stride)
-    _cp_symbols(grid, nm.n_cp, rows)
-    suffix = rows[:, nm.n_cp:nm.n_cp + nm.n_prefix + 1] * win[stride:]
     edge = nm.n_prefix + nm.n_transition // 2
-    rows[:, :edge] *= win[:edge]
-    rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
-    burst[n_sym * stride:] = 0.0
-    burst[stride:].reshape(n_sym, stride)[:, :nm.n_prefix + 1] += suffix
-    return ComplexSignal(burst[:n_sym * stride + nm.n_prefix + 1],
-                         subband_sample_rate(nm))
+
+    def pieces():
+        done, carry = 0, None
+        for grid in grids:
+            done += len(grid)
+            piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
+                             dtype=np.complex128)
+            rows = piece[:len(grid) * stride].reshape(len(grid), stride)
+            _cp_symbols(grid, nm.n_cp, rows)
+            del grid
+            suffix = rows[:, nm.n_cp:nm.n_cp + overlap] * win[stride:]
+            rows[:, :edge] *= win[:edge]
+            rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
+            if carry is not None:
+                rows[0, :overlap] += carry
+            rows[1:, :overlap] += suffix[:-1]
+            carry = suffix[-1]
+            if done == n_sym:
+                tail = piece[len(rows) * stride:]
+                tail[...] = 0.0
+                tail += carry
+            yield piece
+
+    return _Stream(n_sym * stride + overlap, pieces())
 
 
-_BUILDERS = {
-    "cp-ofdm": build_cp_ofdm,
-    "f-ofdm": build_f_ofdm,
-    "w-ofdm": build_w_ofdm,
+_STREAMS = {
+    "cp-ofdm": _cp_ofdm,
+    "f-ofdm": _f_ofdm,
+    "w-ofdm": _w_ofdm,
 }
 
 
+def _burst_stream(qam, nm: SubbandNumerology, waveform: str,
+                  per=None) -> _Stream:
+    """Band burst of the QAM payload qam as a _Stream, made per symbols at a
+    time (by default as many as make one overlap-add chunk): each piece's
+    subcarrier grid is mapped from its slice of qam only when a read
+    reaches it, and qam itself is only read."""
+    qam = np.asarray(qam, dtype=np.complex128)
+    stride = nm.n_fft + nm.n_cp
+    step = (per or _per_chunk(stride)) * nm.n_used
+    grids = (map_to_subcarriers(qam[k:k + step], nm)
+             for k in range(0, len(qam), step))
+    return _STREAMS[waveform](grids, nm, len(qam) // nm.n_used)
+
+
 def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
-    return _BUILDERS[waveform](map_to_subcarriers(qam, nm), nm)
+    """Band burst of the QAM payload qam, made in one piece."""
+    per = max(len(qam) // nm.n_used, 1)
+    return ComplexSignal(_burst_stream(qam, nm, waveform, per).whole(),
+                         subband_sample_rate(nm))
 
 
 def interpolation_filter(sc: ScenarioConfig, i: int):
@@ -115,11 +160,13 @@ def interpolation_filter(sc: ScenarioConfig, i: int):
 def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
     """Interpolate, shift and sum the per-band bursts.
 
-    bursts holds one signal per sub-band. Group delays (band filter and
+    bursts holds one signal per sub-band, a ComplexSignal or a _Stream of
+    its samples that is read once, in order. Group delays (band filter and
     interpolation filter) are compensated by discarding the leading samples
-    interpolation_filter names, so symbol 0 starts at composite sample 0. Each band is taken
-    up to the composite rate at its own rate (dsp.interpolate_mix_sum), as
-    if zero-stuffed, filtered and shifted there.
+    interpolation_filter names, so symbol 0 starts at composite sample 0.
+    Each band is taken up to the composite rate at its own rate
+    (dsp.interpolate_mix_sum), as if zero-stuffed, filtered and shifted
+    there.
     """
     freqs = center_frequencies(sc)
     bands = []
@@ -131,8 +178,10 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
 
 
 def build_composite(sc: ScenarioConfig, payloads) -> ComplexSignal:
-    """Build every band's burst from its QAM payload and combine them."""
-    return compose([build_burst(payloads[i], nm, sc.waveform)
+    """Build every band's burst from its QAM payload and combine them. Each
+    burst is made a chunk of symbols at a time as compose reads it, so no
+    whole burst or subcarrier grid exists at once."""
+    return compose([_burst_stream(payloads[i], nm, sc.waveform)
                     for i, nm in enumerate(sc.subbands)], sc)
 
 

@@ -567,3 +567,40 @@ class TestMultirateCore:
             patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * nfft)
             chunked = dsp._multirate(parts, n_out, d)
         assert chunked.tobytes() == whole.tobytes()
+
+
+class TestStreamedBands:
+    """A band given as a _Stream, made in pieces of any size, composes to
+    the bytes of the same band given whole."""
+
+    @staticmethod
+    def _stream(x, cuts):
+        edges = sorted({min(c, len(x)) for c in cuts})
+        return dsp._Stream(len(x), np.split(x, edges))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           bands=st.lists(st.tuples(st.sampled_from([1, 2, 4]),
+                                    st.integers(0, 40000),
+                                    st.integers(0, 300), st.booleans(),
+                                    st.lists(st.integers(0, 40000),
+                                             max_size=6)),
+                          min_size=1, max_size=3),
+           n_out=st.integers(0, 50000))
+    def test_pieces_compose_like_the_whole_band(self, seed, bands, n_out):
+        # u = 1 with a unit tap is the pass-through band, read a phasor
+        # piece at a time; a band may end before n_out or run past it
+        rng = np.random.default_rng(seed)
+        whole, streamed = [], []
+        for k, (u, n, skip, shifted, cuts) in enumerate(bands):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = (FilterTaps(np.ones(1)) if u == 1 and k % 2 == 0
+                 else _symmetric_taps(seed + k, 2 * (10 * u) + 1))
+            f_hz = rng.uniform(-0.4, 0.4) if shifted else 0.0
+            whole.append((ComplexSignal(x, 1.0 / u), u, h, f_hz, skip))
+            streamed.append((self._stream(x, cuts), u, h, f_hz, skip))
+        kept = [band[0].samples.tobytes() for band in whole]
+        ref = interpolate_mix_sum(whole, 1.0, n_out).samples
+        got = interpolate_mix_sum(streamed, 1.0, n_out).samples
+        assert got.tobytes() == ref.tobytes()
+        assert [band[0].samples.tobytes() for band in whole] == kept

@@ -69,9 +69,12 @@ def test_traced_psd_job_gives_layer_metrics(spans, tmp_path):
     m, _ = traced(spans, ["psd", "--scenario", "table1", "--waveform",
                           "f-ofdm", "--symbols", "64"], tmp_path / "psd.csv")
     assert m["cli.main.calls"] == 1
-    assert m["waveform.build_burst.calls"] == 3
+    # compose makes each burst a chunk of symbols at a time as it reads it,
+    # so the bursts and their f-OFDM filters run inside its span, not as
+    # build_burst or convolve_full calls
+    assert m["waveform.build_burst.calls"] == 0
     assert m["waveform.compose.calls"] == 1
-    assert m["dsp.convolve_full.calls"] >= 3  # the f-OFDM burst filters
+    assert m["dsp.convolve_full.calls"] == 0
     assert m["metrics.welch_psd.samples"] == m["waveform.compose.samples_out"]
     assert m["link.spans"] == 0 and m["modem.spans"] == 0
 

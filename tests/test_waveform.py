@@ -4,21 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixnum import config, dsp
 from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                            center_frequencies, composite_length,
                            composite_rate, scenario_from_dict,
-                           upsampling_factor)
+                           subband_sample_rate, upsampling_factor)
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         frequency_shift, interpolate_mix_sum,
                         mix_filter_decimate, wofdm_window)
 from mixnum.link import receive_filter
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (build_burst, build_composite, build_cp_ofdm,
-                             build_f_ofdm, build_w_ofdm, compose,
-                             interpolation_filter, random_payload,
+from mixnum.waveform import (_burst_stream, build_burst, build_composite,
+                             compose, interpolation_filter, random_payload,
                              map_to_subcarriers, payload_symbols,
                              used_subcarrier_bins)
 from oracles import upsample_zero_stuff
@@ -341,6 +340,13 @@ PEAK_BYTES_PER_COMPOSITE_SAMPLE = 72
 # measured on table1 at 64 and 512 symbols, so one result-sized array
 # (35.7 MB at 512 symbols) breaks it.
 CHUNK_WORK_BYTES = 4 * 16 * dsp._OLA_CHUNK
+# tracemalloc peak of build_composite beyond its result, whatever the
+# length: compose's chunks, and for each of the three bands the piece it is
+# reading and the chunk that makes the next one (its subcarrier grid, or
+# for f-OFDM the filter's rows and output). 8.0-13.3 MB was measured on
+# table1 at 64 symbols and 11.9-18.0 MB at 512; the whole bursts (62.5 MB
+# at 512 symbols) break it.
+STREAM_WORK_BYTES = 10 * 16 * dsp._OLA_CHUNK
 
 
 def _traced_peak(call):
@@ -365,11 +371,10 @@ class TestTransmitChainMemory:
         bursts, bands = [], []
         for i, nm in enumerate(sc.subbands):
             qam = random_payload(sc, i, rng)[1]
-            grid = map_to_subcarriers(qam, nm)
-            before = grid.tobytes()
-            for build in (build_cp_ofdm, build_f_ofdm, build_w_ofdm):
-                build(grid, nm)
-                assert grid.tobytes() == before, build.__name__
+            before = qam.tobytes()
+            for wf in WAVEFORMS:
+                build_burst(qam, nm, wf)
+                assert qam.tobytes() == before, wf
             bursts.append(build_burst(qam, nm, waveform))
             u, h, skip = interpolation_filter(sc, i)
             bands.append((bursts[i], u, h, freqs[i], skip))
@@ -416,17 +421,127 @@ class TestTransmitChainMemory:
         assert peak - composite.samples.nbytes <= CHUNK_WORK_BYTES
 
     @pytest.mark.parametrize("n_symbols", [64, 512])
+    def test_build_composite_peak_beyond_its_result_is_bounded(self,
+                                                               n_symbols):
+        for waveform in WAVEFORMS:
+            sc = replace(config.get_preset("table1"), waveform=waveform,
+                         n_symbols=n_symbols)
+            rng = np.random.default_rng(11)
+            payloads = [random_payload(sc, i, rng)[1]
+                        for i in range(len(sc.subbands))]
+            composite, peak = _traced_peak(
+                lambda: build_composite(sc, payloads))
+            assert peak - composite.samples.nbytes <= STREAM_WORK_BYTES, \
+                waveform
+
+    @pytest.mark.parametrize("n_symbols", [64, 512])
     def test_f_ofdm_filter_peak_beyond_its_result_is_bounded(self,
                                                              n_symbols):
         sc = replace(config.get_preset("table1"), waveform="f-ofdm",
                      n_symbols=n_symbols)
         nm = sc.subbands[1]
         qam = random_payload(sc, 1, np.random.default_rng(11))[1]
-        burst = build_cp_ofdm(map_to_subcarriers(qam, nm), nm)
+        burst = build_burst(qam, nm, "cp-ofdm")
         h = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                   nm.filter_len)
         filtered, peak = _traced_peak(lambda: convolve_full(burst, h))
         assert peak - filtered.samples.nbytes <= CHUNK_WORK_BYTES
+
+
+# table1 composites are overlap-added in block rows of 8192 points
+TABLE1_ROW_POINTS = 8192
+
+
+def _streams(sc, payloads):
+    return [_burst_stream(qam, nm, sc.waveform)
+            for qam, nm in zip(payloads, sc.subbands)]
+
+
+def _piece_ends(stream):
+    """Where each piece of a stream not yet read ends."""
+    return np.cumsum([len(piece) for piece in stream._pieces])
+
+
+def _pass_through_reads(sc, stream):
+    """Where compose's reads of table1 band 2, which passes through at the
+    composite rate, start and end: one read per phasor piece."""
+    _, _, skip = interpolation_filter(sc, 1)
+    m = min(len(stream) - skip, composite_length(sc))
+    table = dsp._phasor_table(m, center_frequencies(sc)[1],
+                              composite_rate(sc))
+    return [skip + j for j, _ in dsp._phasor_pieces(table, 0, m)] + [skip + m]
+
+
+def _table1(waveform, n_symbols):
+    sc = replace(config.get_preset("table1"), waveform=waveform,
+                 n_symbols=n_symbols)
+    rng = np.random.default_rng(n_symbols)
+    return sc, [random_payload(sc, i, rng)[1]
+                for i in range(len(sc.subbands))]
+
+
+class TestStreamedBursts:
+    """build_composite makes each burst a chunk of symbols at a time, as
+    compose reads it: at any chunk size the pieces hold build_burst's bytes
+    and the composite is compose's of the whole bursts."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(waveform=st.sampled_from(WAVEFORMS),
+           n_symbols=st.integers(1, 64), chunk_rows=st.integers(1, 3))
+    @example("f-ofdm", 41, 1)
+    @example("f-ofdm", 53, 1)
+    @example("cp-ofdm", 15, 1)
+    @example("w-ofdm", 9, 2)
+    @example("w-ofdm", 4, 1)
+    def test_streamed_bursts_are_byte_identical(self, waveform, n_symbols,
+                                                chunk_rows):
+        sc, payloads = _table1(waveform, n_symbols)
+        kept = [qam.tobytes() for qam in payloads]
+        whole = [build_burst(qam, nm, waveform).samples.tobytes()
+                 for qam, nm in zip(payloads, sc.subbands)]
+        default = build_composite(sc, payloads).samples.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * TABLE1_ROW_POINTS)
+            streamed = [s[0:len(s)].tobytes() for s in _streams(sc, payloads)]
+            chunked = build_composite(sc, payloads).samples.tobytes()
+        bursts = [ComplexSignal(np.frombuffer(b, dtype=np.complex128),
+                                subband_sample_rate(nm))
+                  for b, nm in zip(whole, sc.subbands)]
+        assert streamed == whole
+        assert chunked == default == compose(bursts, sc).samples.tobytes()
+        assert [qam.tobytes() for qam in payloads] == kept
+
+    @pytest.mark.parametrize("waveform,n_symbols,chunk_rows,edge", [
+        ("f-ofdm", 41, 1, "filter tail"),
+        ("f-ofdm", 53, 1, "pass-through end"),
+        ("cp-ofdm", 15, 1, "pass-through end"),
+        ("w-ofdm", 9, 2, "suffix"),
+        ("w-ofdm", 4, 1, "last suffix")])
+    def test_examples_put_an_edge_where_they_say(self, waveform, n_symbols,
+                                                 chunk_rows, edge):
+        # the examples above stay the cases they were chosen for: a piece
+        # of band 3 ends inside its f-OFDM filter's tail; compose's last
+        # read of band 2 spans its last two pieces; a read of band 2 ends
+        # inside a suffix carried into its next piece, or inside the last
+        sc, payloads = _table1(waveform, n_symbols)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * TABLE1_ROW_POINTS)
+            streams = _streams(sc, payloads)
+            if edge == "filter tail":
+                nm = sc.subbands[2]
+                body = config.symbols_per_band(sc, 2) * (nm.n_fft + nm.n_cp)
+                ends = _piece_ends(streams[2])[:-1]
+                assert any(body < e < body + nm.filter_len - 1 for e in ends)
+                return
+            reads = _pass_through_reads(sc, streams[1])
+            ends = _piece_ends(streams[1])
+        overlap = sc.subbands[1].n_prefix + 1
+        if edge == "pass-through end":
+            assert len(ends) > 1 and reads[-2] < ends[-2] < reads[-1]
+        elif edge == "suffix":
+            assert any(e < r < e + overlap for e in ends[:-1] for r in reads)
+        else:
+            assert any(ends[-1] - overlap < r < ends[-1] for r in reads)
 
 
 class TestPayloadSymbols:

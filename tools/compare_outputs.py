@@ -25,7 +25,18 @@ compose's overlap-add on a chunk of one block row (table1 composites are
 overlap-added in rows of 8192 points, 7168 samples apart, 16 rows to a
 chunk): table1 CP-OFDM at 78 symbols, whose output ends past the tail
 carried into that row, and table1 f-OFDM at 130 symbols, whose output ends
-inside it.
+inside it. At 78 symbols the last chunk also reads less than one row of
+bands 1 and 3, so their bursts end just past a chunk edge.
+Four more ``psd`` jobs put a compose chunk edge where a streamed burst
+carries something across it (bursts are made 120 symbols, 130560 samples,
+at a time; band 2 passes through at the composite rate and is read in
+phasor pieces): table1 f-OFDM at 262 symbols, where a chunk starts inside
+the f-OFDM filter tail of bands 1 and 3 and both bursts end in a chunk's
+first row; table1 f-OFDM at 67 symbols, where a read of band 2 ends inside
+its filter tail; table1 w-OFDM at 262 symbols, where a chunk starts inside
+the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at 339
+symbols, where a read of band 2 ends inside the suffix carried from one of
+its pieces into the next.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -172,7 +183,8 @@ def main(argv=None):
            for wf in ("f-ofdm", "w-ofdm")},
         **{f"table1-psd-{wf}-{n}": ["psd", "--scenario", "table1",
                                     "--waveform", wf, "--symbols", str(n)]
-           for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130))}}
+           for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130), ("f-ofdm", 262),
+                         ("f-ofdm", 67), ("w-ofdm", 262), ("w-ofdm", 339))}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
