@@ -22,16 +22,15 @@ PRB_SUBCARRIERS = 12     # resource-block granularity
 WAVEFORMS = ("cp-ofdm", "f-ofdm", "w-ofdm")
 MOD_ORDERS = (4, 16, 64, 256)
 # Upper bound on composite samples (compose's output length), checked from
-# the numerology before anything is built. Peak memory grows by at most
-# about 95 bytes per composite sample, whatever the numerology: psd by
-# 21-28 bytes on table1 (0.09-0.12 MB per symbol of 4352 samples) and
-# 16-17 with every n_fft 4096 (0.27-0.29 MB per symbol of 17408 samples),
-# 64 to 128 symbols, which is the composite and Welch, the bursts being
-# made a chunk of symbols at a time and the overlap-add working in bounded
-# chunks; ber and sweep by 47-66 bytes on table1, 256 to 512 symbols,
-# where calibration runs at the job's length. So the cap is under 1 GB,
-# an extrapolation. table1 reaches it just past 2048 symbols, its former
-# symbol cap.
+# the numerology before anything is built. What it bounds depends on the
+# command (fresh processes on table1, README): psd reads the composite as a
+# stream and holds no whole burst, grid or composite, so it grows only by
+# its payload, about 4.7 bytes per composite sample (61.0 and 71.4 MB at
+# 512 and 1024 CP-OFDM symbols); ber and sweep receive the whole composite
+# and calibrate at the job's length, about 62 bytes per sample with QPSK
+# and 118-126 with 256-QAM semi-analytic (1150 MB at 2048 symbols). So the
+# cap means about 1.2 GB for 256-QAM ber on table1, an extrapolation.
+# table1 reaches it just past 2048 symbols, its former symbol cap.
 MAX_COMPOSITE_SAMPLES = 9_000_000
 MAX_INTERP_TAPS = 1025
 

@@ -259,19 +259,33 @@ def _per_chunk(width):
     return max(1, _OLA_CHUNK // width)
 
 
+def _piece(out, lo, hi):
+    """Samples lo..hi-1 of a result: a view of out, or a new array when
+    out is None."""
+    if out is None:
+        return np.empty(hi - lo, dtype=np.complex128)
+    return out[lo:hi]
+
+
 class _Stream:
     """The n samples of a signal made in consecutive pieces, read in order:
     x[k:k + m] gives samples k..k+m-1 for a k at or past the end of the
     previous read, a view of one piece or, where the samples span pieces, a
-    copy. Pieces are made only when a read reaches them and dropped once
-    it has passed them, so only the piece being read is kept. A whole
-    signal is a stream of one piece."""
+    copy. Pieces are made only when a read reaches them and dropped before
+    the next one is made, so only the piece being read is kept. rate_hz is
+    the sampling rate, where the stream carries one (the composite does).
 
-    def __init__(self, n, pieces):
+    pieces(out) is the generator function that makes them: pieces(None)
+    yields new arrays, to be read, and pieces(out) writes them as views of
+    an n-sample out, which whole() takes instead of any read."""
+
+    def __init__(self, n, pieces, rate_hz=None):
         self._n = n
-        self._pieces = iter(pieces)
+        self._make = pieces
+        self._pieces = pieces(None)
         self._piece = np.zeros(0, dtype=np.complex128)
         self._at = 0  # the sample that _piece starts with
+        self.rate_hz = rate_hz
 
     def __len__(self):
         return self._n
@@ -282,27 +296,27 @@ class _Stream:
         while k < stop:
             end = self._at + len(self._piece)
             if k >= end:
+                self._piece = None  # dropped before the next is made
                 self._at, self._piece = end, next(self._pieces)
                 continue
-            taken.append(self._piece[k - self._at:stop - self._at])
-            k += len(taken[-1])
+            cut = slice(k - self._at, stop - self._at)
+            k = min(end, stop)
+            # a part that the next piece continues is copied, so that no
+            # view keeps this piece alive while the next one is made
+            taken.append(self._piece[cut] if k == stop
+                         else self._piece[cut].copy())
         if len(taken) == 1:
             return taken[0]
         return np.concatenate(taken or [np.zeros(0, dtype=np.complex128)])
 
     def whole(self):
-        """All n samples of a stream not yet read, as one array: a lone
-        piece of all n is the array itself, else the pieces are copied in
-        order into one array as they are made."""
-        out, k = None, 0
-        for piece in self._pieces:
-            if out is None and len(piece) == self._n:
-                return piece
-            if out is None:
-                out = np.empty(self._n, dtype=np.complex128)
-            out[k:k + len(piece)] = piece
-            k += len(piece)
-        return np.zeros(0, dtype=np.complex128) if out is None else out
+        """All n samples of a stream not yet read, as one array that the
+        pieces are written into as they are made."""
+        return _written(self._n, self._make)
+
+    def signal(self):
+        """whole() as a ComplexSignal at the stream's rate."""
+        return ComplexSignal(self.whole(), self.rate_hz)
 
 
 def _rows_into(out, rows, k, hop, add):
@@ -340,8 +354,7 @@ def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
         np.fft.ifft(acc, axis=1, out=acc)
         k = (r0 - head) * hop
         lo, hi = max(k, 0), min((r1 - head) * hop, n_out)
-        piece = (np.empty(hi - lo, dtype=np.complex128) if out is None
-                 else out[lo:hi])
+        piece = _piece(out, lo, hi)
         cut = int(r0 < head)  # row head - 1 reaches the output by its tail
         _rows_into(piece, acc[cut:, :hop], k + cut * hop - lo, hop, False)
         if carry is not None:
@@ -350,6 +363,7 @@ def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
         carry = acc[-1, hop:].copy()
         del acc  # freed before the consumer, which may make more rows, runs
         yield piece
+        del piece  # and the piece before the next one is made
 
 
 def _written(n, pieces):
@@ -560,13 +574,15 @@ def _mix_filter_spectra(spectra, n, rate_hz, f_hz, h, u):
     return frequency_shift(ComplexSignal(y, rate_hz / u), -f_rest)
 
 
-def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
+def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> _Stream:
     """Interpolate, shift and sum: the sum over bands (x, u, h, f_hz, skip)
     of frequency_shift(convolve_full(z, h)[skip:], f_hz) at rate_hz, where z
     is x with u-1 zeros after every sample, each cut or zero-padded to n_out
-    samples. Each x is taken to be sampled at rate_hz/u, with u a power of
-    two; it is a ComplexSignal or a _Stream of its samples, which is read
-    once, in order, so a band that is made in pieces never exists whole.
+    samples, as a _Stream at rate_hz: the sum is made a piece at a time as
+    it is read, so it never exists whole unless it is taken whole. Each x is
+    taken to be sampled at rate_hz/u, with u a power of two; it is a
+    ComplexSignal or a _Stream of its samples, which is read once, in order,
+    so a band that is made in pieces never exists whole either.
 
     The dual of mix_filter_decimate, computing neither z nor a shift at
     rate_hz. The mixer moves onto the taps, h[k] exp(j w (k - skip)) with
@@ -576,15 +592,19 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
     That shift is frequency_shift's phasor for all of x, applied as x is
     written into its block rows. A band at rate_hz whose filter is the unit
     tap passes straight through: it is read, shifted in the time domain and
-    added a piece of the phasor at a time. No shifted copy of a band is
-    made, and no band's samples are changed.
+    added into each piece of the overlap-add's result (or, where no band
+    goes through the overlap-add, of zeros) a piece of the phasor at a time,
+    after that result and in band order. No shifted copy of a band is made,
+    and no band's samples are changed.
     """
     direct, parts = [], []
     for x, u, h, f_hz, skip in bands:
         if isinstance(x, ComplexSignal):
             x = x.samples  # read by the same slices as a _Stream
         if u == 1 and len(h) == 1 and h.taps[0] == 1.0:
-            direct.append((x, f_hz, skip))
+            m = max(min(len(x) - skip, n_out), 0)
+            direct.append((x, skip, m, None if f_hz == 0.0
+                           else _phasor_table(m, f_hz, rate_hz)))
             continue
         taps, f_rest = _mix_through(h.taps, f_hz, rate_hz, u, skip)
         fill = _fill
@@ -592,19 +612,42 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> ComplexSignal:
             fill = partial(_fill_shifted, table=_phasor_table(
                 len(x), f_rest, rate_hz / u))
         parts.append((x, taps, u, skip, fill))
-    if parts and n_out > 0:
-        out = _multirate(parts, n_out)
+    n_out = max(n_out, 0)
+    return _Stream(n_out, partial(_mix_sum_pieces, parts, direct, n_out),
+                   rate_hz)
+
+
+def _zeros(n, out=None):
+    """n zeros in pieces of _OLA_CHUNK samples, views of out when given."""
+    for k in range(0, n, _OLA_CHUNK):
+        piece = _piece(out, k, min(k + _OLA_CHUNK, n))
+        piece[...] = 0.0
+        yield piece
+        del piece
+
+
+def _mix_sum_pieces(parts, direct, n_out, out=None):
+    """interpolate_mix_sum's pieces, views of out when it is given:
+    _multirate_pieces of the parts, or _zeros when there are none, each
+    with the pass-through bands (x, skip, m, table) added over its samples
+    below m (table None: no shift); a band's phasor sample k is the same
+    product wherever the pieces are cut."""
+    if parts:
+        pieces = _multirate_pieces(parts, n_out, 1, out)
     else:
-        out = np.zeros(n_out, dtype=np.complex128)
-    for x, f_hz, skip in direct:
-        m = max(min(len(x) - skip, n_out), 0)
-        if f_hz == 0.0:
-            for j in range(0, m, _PHASOR_PIECE):
-                end = min(j + _PHASOR_PIECE, m)
-                out[j:end] += x[skip + j:skip + end]
-            continue
-        table = _phasor_table(m, f_hz, rate_hz)
-        for j, p in _phasor_pieces(table, 0, m):
-            p *= x[skip + j:skip + j + len(p)]
-            out[j:j + len(p)] += p
-    return ComplexSignal(out, rate_hz)
+        pieces = _zeros(n_out, out)
+    k = 0
+    for piece in pieces:
+        for x, skip, m, table in direct:
+            end = min(k + len(piece), m)
+            if table is None:
+                for j in range(k, end, _PHASOR_PIECE):
+                    stop = min(j + _PHASOR_PIECE, end)
+                    piece[j - k:stop - k] += x[skip + j:skip + stop]
+                continue
+            for j, p in _phasor_pieces(table, k, max(end - k, 0)):
+                p *= x[skip + k + j:skip + k + j + len(p)]
+                piece[j:j + len(p)] += p
+        k += len(piece)
+        yield piece
+        del piece

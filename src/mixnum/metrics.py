@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ScenarioConfig
 from .dsp import ComplexSignal
@@ -30,7 +29,11 @@ DEFAULT_MAX_BITS = 2_000_000
 EVM_FLOOR_DB = -300.0
 WELCH_SEGMENT_LEN = 4096
 WELCH_OVERLAP = 0.5         # fraction of a segment shared with the next
-WELCH_CHUNK_SEGMENTS = 64   # segments per FFT batch; bounds welch_psd memory
+WELCH_CHUNK_SEGMENTS = 64   # segments summed apart before the total
+# segments that welch_psd reads, windows and FFTs at a time; it divides
+# WELCH_CHUNK_SEGMENTS, and bounds welch_psd's memory and a read that
+# spans pieces of a streamed signal
+_WELCH_BATCH = 8
 
 
 class MetricsError(ValueError):
@@ -52,23 +55,60 @@ class BerPoint:
     n_errors: int = 0
 
 
-def welch_psd(x: ComplexSignal) -> PsdCurve:
+def welch_psd(x) -> PsdCurve:
     """Averaged-periodogram PSD, FFT-shifted to span (-fs/2, fs/2].
 
     Welch's method over WELCH_SEGMENT_LEN-sample segments overlapping by
     WELCH_OVERLAP, with a periodic Hann window, no detrending and density
     scaling 1/(fs * sum(w^2)); a partial last segment is dropped.
+
+    x is a ComplexSignal or a _Stream of its samples with its rate (the
+    composite as compose makes it), read once and in order, a few segments
+    at a time: they are windowed into one preallocated array as their new
+    halves are read, the last half carried over to the next, then FFT'd and
+    squared in place. The periodograms are summed in groups of
+    WELCH_CHUNK_SEGMENTS and the groups into the total, so neither x nor
+    its segment array need exist whole.
     """
     segment_len = WELCH_SEGMENT_LEN
     step = segment_len - int(segment_len * WELCH_OVERLAP)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
                              / segment_len)
-    segs = sliding_window_view(x.samples, segment_len)[::step]
+    n_segs = (len(x) - segment_len) // step + 1
+    if n_segs < 1:
+        raise MetricsError(f"welch_psd needs at least {segment_len} "
+                           f"samples, got {len(x)}")
+    samples = x.samples if isinstance(x, ComplexSignal) else x
+    # WELCH_OVERLAP is 1/2, so segment i is samples i*step.. in two halves
+    # of step: the previous segment's second half and one new half
+    frames = np.empty((min(_WELCH_BATCH, n_segs), segment_len),
+                      dtype=np.complex128)
     acc = np.zeros(segment_len)
-    for k in range(0, len(segs), WELCH_CHUNK_SEGMENTS):
-        spec = np.fft.fft(segs[k:k + WELCH_CHUNK_SEGMENTS] * win, axis=1)
-        acc += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
-    p = np.fft.fftshift(acc / (len(segs) * x.rate_hz * np.sum(win ** 2)))
+    prev = samples[0:step]
+    for k in range(0, n_segs, _WELCH_BATCH):
+        spec = frames[:min(_WELCH_BATCH, n_segs - k)]
+        halves = samples[(k + 1) * step:(k + 1 + len(spec)) * step]
+        halves = halves.reshape(len(spec), step)
+        np.multiply(prev, win[:step], out=spec[0, :step])
+        np.multiply(halves[:-1], win[:step], out=spec[1:, :step])
+        np.multiply(halves, win[step:], out=spec[:, step:])
+        prev = halves[-1].copy()
+        del halves  # no piece of x is kept while the next is made
+        np.fft.fft(spec, axis=1, out=spec)
+        # |X|^2 formed in the frames' own memory
+        re, im = spec.real, spec.imag
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        # each group's rows are added in order, as np.sum(axis=0) adds
+        # them, and then the group to the total
+        for i, row in enumerate(re, k):
+            if i % WELCH_CHUNK_SEGMENTS:
+                group += row
+            else:
+                group = row.copy()
+            if (i + 1) % WELCH_CHUNK_SEGMENTS == 0 or i + 1 == n_segs:
+                acc += group
+    p = np.fft.fftshift(acc / (n_segs * x.rate_hz * np.sum(win ** 2)))
     f = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / x.rate_hz))
     with np.errstate(divide="ignore"):
         rel_db = 10.0 * np.log10(p / p.max())
@@ -95,14 +135,15 @@ def evm_db(rx, ref) -> float:
 # shared burst machinery
 
 def _trial(sc: ScenarioConfig, k: int):
-    """Trial k's composite burst, with random payloads on every band, the
-    payloads, their bits and the trial's noise seed; all depend only on
-    (sc.seed, k)."""
+    """Trial k's composite burst, taken whole, with random payloads on
+    every band, the payloads, their bits and the trial's noise seed; all
+    depend only on (sc.seed, k)."""
     *band_seeds, noise_seed = np.random.SeedSequence(
         sc.seed, spawn_key=(k,)).spawn(len(sc.subbands) + 1)
     bits, payloads = zip(*(random_payload(sc, i, np.random.default_rng(s))
                            for i, s in enumerate(band_seeds)))
-    return build_composite(sc, payloads), payloads, bits, noise_seed
+    return (build_composite(sc, payloads).signal(), payloads, bits,
+            noise_seed)
 
 
 @dataclass(frozen=True)

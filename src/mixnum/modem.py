@@ -9,12 +9,13 @@ the Q-dimension bits. Ties at a decision boundary decode toward the lower
 (more negative) level.
 
 The kernel has two halves. bit_error_tables does the work that does not
-depend on the noise once per received burst: the sent levels, the signed
-threshold distances and the weight rows. bit_error_probabilities then
-does only the per-sigma work at each Eb/N0 point: divide, erfc and a
-weighted row sum. Only this half imports scipy.special, on its first call
-and not with this module: that import takes longer than the rest of the
-command line's start-up, and psd and Monte Carlo runs never call it.
+depend on the noise once per received burst: the sent levels and the
+signed threshold distances. bit_error_probabilities then does only the
+per-sigma work at each Eb/N0 point, a chunk of points at a time: divide,
+erfc and a row sum weighted by the sent levels' weight rows. Only this
+half imports scipy.special, on its first call and not with this module:
+that import takes longer than the rest of the command line's start-up,
+and psd and Monte Carlo runs never call it.
 """
 
 from __future__ import annotations
@@ -113,26 +114,36 @@ def qam_demodulate(points, M: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
+# points that bit_error_probabilities (and the tables' build) take at a
+# time: its temporaries stay a few MB, whatever the number of points
+_KERNEL_CHUNK = 1 << 14
+
+
 def bit_error_tables(rx_points, tx_points, M):
     """The sigma-free half of the bit-error kernel: for each noiseless
     demapper input in rx_points, sent as the point in tx_points, the signed
-    threshold distances S[t, j]*(theta_j - x) and the weights E[t, j],
-    each (2, n, sqrt M - 1) with the I rows above the Q rows, read-only.
+    threshold distances S[t, j]*(theta_j - x), (2, n, sqrt M - 1) float64,
+    and the sent levels t, (2, n) uint8, each with the I rows above the Q
+    rows, read-only.
 
     The Gray Hamming distance from the sent level t changes by E[t, j] =
     +-1 at threshold j, so the expected distance is the sum over
     thresholds of that step times the probability of crossing the
     threshold on the side away from the sent level: one Gaussian tail
     each, never a difference of tails, so small probabilities keep their
-    relative accuracy.
+    relative accuracy. The weights E[t, j] are gathered from the sent
+    levels where they are used, so the tables keep 1 byte a dimension for
+    them.
     """
     cm = constellation(M)
     rx = np.asarray(rx_points, dtype=np.complex128)
     tx = np.asarray(tx_points, dtype=np.complex128)
-    sent = _decide_levels(np.stack([tx.real, tx.imag]), cm)
+    sent = _decide_levels(np.stack([tx.real, tx.imag]), cm).astype(np.uint8)
     distances = cm.thresholds - np.stack([rx.real, rx.imag])[..., None]
-    distances *= cm.tail_sign[sent]
-    tables = (distances, cm.tail_weight[sent])
+    for a in range(0, len(rx), _KERNEL_CHUNK):
+        part = slice(a, a + _KERNEL_CHUNK)
+        distances[:, part] *= cm.tail_sign[sent[:, part]]
+    tables = (distances, sent)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -142,14 +153,21 @@ def bit_error_probabilities(tables, M, sigma_per_dim):
     """Per-point probability that AWGN of the given per-dimension std
     (scalar or one per point) flips each Gray bit, averaged over the
     symbol's bits: the per-sigma half of the kernel, on the tables
-    bit_error_tables gives for the same M.
+    bit_error_tables gives for the same M, _KERNEL_CHUNK points at a time.
     """
     from scipy.special import erfc
-    distances, weights = tables
+    cm = constellation(M)
+    distances, sent = tables
     sigma = np.asarray(sigma_per_dim, dtype=np.float64)
     if not np.all(sigma > 0):
         raise ModemError("sigma must be positive")
-    scale = np.sqrt(2.0) * np.broadcast_to(sigma, distances.shape[1:2])
-    z = distances / scale[:, None]
-    errs = 0.5 * np.einsum("dnj,dnj->dn", weights, erfc(z, out=z))
-    return (errs[0] + errs[1]) / constellation(M).bits_per_symbol
+    n = distances.shape[1]
+    scale = np.sqrt(2.0) * np.broadcast_to(sigma, (n,))
+    p = np.empty(n)
+    for a in range(0, n, _KERNEL_CHUNK):
+        part = slice(a, a + _KERNEL_CHUNK)
+        z = distances[:, part] / scale[part, None]
+        errs = 0.5 * np.einsum("dnj,dnj->dn", cm.tail_weight[sent[:, part]],
+                               erfc(z, out=z))
+        p[part] = (errs[0] + errs[1]) / cm.bits_per_symbol
+    return p

@@ -11,7 +11,7 @@ from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                      interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, _fill, _multirate_pieces, _per_chunk,
-                  _Stream, design_interpolation_filter,
+                  _piece, _Stream, design_interpolation_filter,
                   design_subband_filter, interpolate_mix_sum, wofdm_window)
 # not called here since the f-OFDM filter streams, but the benchmark's
 # recorder test calls convolve_full through this binding (ROADMAP item 1)
@@ -50,14 +50,17 @@ def _cp_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     a piece per grid."""
     stride = nm.n_fft + nm.n_cp
 
-    def pieces():
+    def pieces(out):
+        k = 0
         for grid in grids:
-            rows = np.empty((len(grid), stride), dtype=np.complex128)
-            _cp_symbols(grid, nm.n_cp, rows)
+            piece = _piece(out, k, k + len(grid) * stride)
+            _cp_symbols(grid, nm.n_cp, piece.reshape(len(grid), stride))
+            k += len(piece)
             del grid
-            yield rows.reshape(-1)
+            yield piece
+            del piece  # dropped before the next piece is made
 
-    return _Stream(n_sym * stride, pieces())
+    return _Stream(n_sym * stride, pieces)
 
 
 def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
@@ -68,8 +71,8 @@ def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
     n = n_sym * (nm.n_fft + nm.n_cp) + len(taps) - 1
-    return _Stream(n, _multirate_pieces(
-        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n))
+    return _Stream(n, lambda out: _multirate_pieces(
+        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n, 1, out))
 
 
 def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
@@ -93,12 +96,12 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
                        nm.n_transition)
     edge = nm.n_prefix + nm.n_transition // 2
 
-    def pieces():
+    def pieces(out):
         done, carry = 0, None
         for grid in grids:
+            piece = _piece(out, done * stride, (done + len(grid)) * stride
+                           + overlap * (done + len(grid) == n_sym))
             done += len(grid)
-            piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
-                             dtype=np.complex128)
             rows = piece[:len(grid) * stride].reshape(len(grid), stride)
             _cp_symbols(grid, nm.n_cp, rows)
             del grid
@@ -114,8 +117,9 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
                 tail[...] = 0.0
                 tail += carry
             yield piece
+            del piece, rows, suffix
 
-    return _Stream(n_sym * stride + overlap, pieces())
+    return _Stream(n_sym * stride + overlap, pieces)
 
 
 _STREAMS = {
@@ -157,8 +161,10 @@ def interpolation_filter(sc: ScenarioConfig, i: int):
     return u, taps, taps.group_delay + u * _burst_layout(sc, i)[0]
 
 
-def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
-    """Interpolate, shift and sum the per-band bursts.
+def compose(bursts, sc: ScenarioConfig) -> _Stream:
+    """Interpolate, shift and sum the per-band bursts into the composite:
+    a _Stream of composite_length(sc) samples at the composite rate, made a
+    piece at a time as it is read (welch_psd) or taken whole (signal()).
 
     bursts holds one signal per sub-band, a ComplexSignal or a _Stream of
     its samples that is read once, in order. Group delays (band filter and
@@ -177,10 +183,11 @@ def compose(bursts, sc: ScenarioConfig) -> ComplexSignal:
                                composite_length(sc))
 
 
-def build_composite(sc: ScenarioConfig, payloads) -> ComplexSignal:
-    """Build every band's burst from its QAM payload and combine them. Each
-    burst is made a chunk of symbols at a time as compose reads it, so no
-    whole burst or subcarrier grid exists at once."""
+def build_composite(sc: ScenarioConfig, payloads) -> _Stream:
+    """Build every band's burst from its QAM payload and combine them: the
+    composite as compose's _Stream. Each burst is made a chunk of symbols
+    at a time as compose reads it, so no whole burst or subcarrier grid
+    exists at once, nor the composite unless it is taken whole."""
     return compose([_burst_stream(payloads[i], nm, sc.waveform)
                     for i, nm in enumerate(sc.subbands)], sc)
 

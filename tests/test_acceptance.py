@@ -90,7 +90,7 @@ class TestCriterion3PerfectReconstruction:
         sc = replace(config.get_preset("bypass"), n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
-        sig = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads).signal()
         rx = receive_subband(sig, sc, 0, cal)
         evm = evm_db(rx.reshape(-1), payloads[0])
 

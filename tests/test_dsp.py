@@ -16,7 +16,8 @@ from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         mix_filter_decimate, wofdm_window)
 from mixnum import dsp
 from mixnum.link import receive_filter
-from oracles import interpolation_taps, response_at, upsample_zero_stuff
+from oracles import (interpolation_taps, response_at, stream_in_pieces,
+                     upsample_zero_stuff)
 
 
 def rand_signal(seed, n, rate=1e6):
@@ -430,7 +431,7 @@ class TestInterpolateMixSum:
             pytest.skip("skip drops every output sample")
         y = interpolate_mix_sum(bands, rate, n_out)
         assert y.rate_hz == rate
-        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+        _assert_close(y.whole(), _interpolate_reference(bands, rate, n_out))
 
     @pytest.mark.parametrize("n_out", [1, 5000, 40000], ids=["cut", "mid",
                                                              "padded"])
@@ -449,7 +450,7 @@ class TestInterpolateMixSum:
              -0.05 * rate, 0),
         ]
         y = interpolate_mix_sum(bands, rate, n_out)
-        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+        _assert_close(y.whole(), _interpolate_reference(bands, rate, n_out))
 
     def test_no_zero_stuffing_and_no_output_rate_shift(self, monkeypatch):
         # dsp has no zero-stuffing primitive, and interpolated bands are
@@ -468,7 +469,7 @@ class TestInterpolateMixSum:
         bands = [(rand_signal(u, 500, rate / u), u,
                   _symmetric_taps(u, 8 * u + 1), 0.3 * rate, u)
                  for u in (2, 4, 8)]
-        interpolate_mix_sum(bands, rate, 4000)
+        interpolate_mix_sum(bands, rate, 4000).whole()
         assert sorted(rates) == [rate / 8, rate / 4, rate / 2]
 
     @settings(max_examples=40, deadline=None)
@@ -482,7 +483,7 @@ class TestInterpolateMixSum:
         n_out = max(1, u * n + len(h) - 1 - skip + extra)
         bands = [(rand_signal(seed, n, rate / u), u, h, f * rate, skip)]
         y = interpolate_mix_sum(bands, rate, n_out)
-        _assert_close(y.samples, _interpolate_reference(bands, rate, n_out))
+        _assert_close(y.whole(), _interpolate_reference(bands, rate, n_out))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
@@ -505,7 +506,7 @@ class TestInterpolateMixSum:
                  for k, (log_u, half, n, f, skip) in enumerate(layout)]
         before = [(x.samples.tobytes(), h.taps.tobytes())
                   for x, _, h, _, _ in bands]
-        interpolate_mix_sum(bands, rate, n_out)
+        interpolate_mix_sum(bands, rate, n_out).whole()
         assert [(x.samples.tobytes(), h.taps.tobytes())
                 for x, _, h, _, _ in bands] == before
 
@@ -575,8 +576,7 @@ class TestStreamedBands:
 
     @staticmethod
     def _stream(x, cuts):
-        edges = sorted({min(c, len(x)) for c in cuts})
-        return dsp._Stream(len(x), np.split(x, edges))
+        return stream_in_pieces(x, sorted({min(c, len(x)) for c in cuts}))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
@@ -600,7 +600,7 @@ class TestStreamedBands:
             whole.append((ComplexSignal(x, 1.0 / u), u, h, f_hz, skip))
             streamed.append((self._stream(x, cuts), u, h, f_hz, skip))
         kept = [band[0].samples.tobytes() for band in whole]
-        ref = interpolate_mix_sum(whole, 1.0, n_out).samples
-        got = interpolate_mix_sum(streamed, 1.0, n_out).samples
+        ref = interpolate_mix_sum(whole, 1.0, n_out).whole()
+        got = interpolate_mix_sum(streamed, 1.0, n_out).whole()
         assert got.tobytes() == ref.tobytes()
         assert [band[0].samples.tobytes() for band in whole] == kept

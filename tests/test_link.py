@@ -241,7 +241,7 @@ def _composite_path_calibration(sc, i):
     sig = compose([build_burst(qam if k == i else
                                np.zeros(payload_symbols(sc, k)), nm,
                                sc.waveform)
-                   for k, nm in enumerate(sc.subbands)], sc)
+                   for k, nm in enumerate(sc.subbands)], sc).signal()
     nm = sc.subbands[i]
     n_sym, stride = symbols_per_band(sc, i), nm.n_fft + nm.n_cp
     taps = receive_filter(sc, i) if sc.rx_filter else FilterTaps(np.ones(1))
@@ -319,7 +319,7 @@ class TestReceiveSubband:
         sc = replace(config.get_preset("bypass"), n_symbols=8, seed=5)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=6)
-        sig = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads).signal()
         rx = receive_subband(sig, sc, 0, cal)
         assert evm_db(rx.reshape(-1), payloads[0]) < -100
 
@@ -332,7 +332,7 @@ class TestReceiveSubband:
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
             payloads[k] = np.zeros_like(payloads[k])
-        sig = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads).signal()
         rx = receive_subband(sig, sc, 2, cal)
         assert evm_db(rx.reshape(-1), payloads[2]) < -60
 
@@ -345,14 +345,14 @@ class TestReceiveSubband:
         payloads = seeded_payloads(sc, seed=9)
         for k in (0, 1):
             payloads[k] = np.zeros_like(payloads[k])
-        sig = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads).signal()
         rx = receive_subband(sig, sc, 2, cal)
         assert evm_db(rx.reshape(-1), payloads[2]) == pytest.approx(-37.3,
                                                                     abs=0.5)
 
     def test_rate_mismatch_rejected(self):
         sc = replace(config.get_preset("bypass"), n_symbols=2)
-        sig = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc)).signal()
         wrong = ComplexSignal(sig.samples, sig.rate_hz / 2)
         with pytest.raises(LinkError):
             receive_subband(wrong, sc, 0)
@@ -361,14 +361,14 @@ class TestReceiveSubband:
         sc = replace(config.get_preset("table1"), n_symbols=4)
         other = replace(config.get_preset("table1"), n_symbols=4, seed=1)
         cal = calibrate(other, 0)
-        sig = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc)).signal()
         with pytest.raises(LinkError):
             receive_subband(sig, sc, 0, cal)
 
     def test_calibration_band_mismatch_rejected(self):
         sc = replace(config.get_preset("table1"), n_symbols=4)
         cal = calibrate(sc, 1)
-        sig = build_composite(sc, seeded_payloads(sc))
+        sig = build_composite(sc, seeded_payloads(sc)).signal()
         with pytest.raises(LinkError):
             receive_subband(sig, sc, 0, cal)
 
@@ -377,7 +377,7 @@ class TestReceiveSubband:
                      n_symbols=4, seed=8)
         cal = calibrate(sc, 0)
         payloads = seeded_payloads(sc, seed=8)
-        sig = build_composite(sc, payloads)
+        sig = build_composite(sc, payloads).signal()
         off = ComplexSignal(np.concatenate([np.zeros(2 * 70), sig.samples]),
                             sig.rate_hz)
         rx = receive_subband(off, sc, 0, cal)

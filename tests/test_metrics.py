@@ -1,20 +1,25 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
-from mixnum import config, waveform
+from mixnum import config, dsp, waveform
 from mixnum.cli import EXIT_CONFIG, main
 from mixnum.config import F0_HZ
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
-from mixnum.metrics import (WELCH_OVERLAP, WELCH_SEGMENT_LEN, MetricsError,
+from mixnum.metrics import (WELCH_CHUNK_SEGMENTS, WELCH_OVERLAP,
+                            WELCH_SEGMENT_LEN, MetricsError,
                             ebn0_at_target_ber, ebn0_for_target, evm_db,
                             monte_carlo_ber, monte_carlo_curves,
                             semianalytic_run, welch_psd)
-from mixnum.waveform import payload_symbols
-from oracles import qam_ber_awgn, qfunc
+from mixnum.waveform import build_composite, payload_symbols, random_payload
+from oracles import qam_ber_awgn, qfunc, stream_in_pieces
 
 
 def scipy_welch(x, fs):
@@ -119,6 +124,86 @@ class TestWelchPsd:
     def test_resolution(self):
         sig = ComplexSignal(np.ones(2 ** 14), 61.44e6)
         assert welch_psd(sig).resolution_hz == pytest.approx(61.44e6 / 4096)
+
+
+def welch_by_groups(x, fs):
+    """welch_psd's dB curve the direct way: every segment of the whole
+    signal windowed at once, and each group of WELCH_CHUNK_SEGMENTS
+    segments FFT'd and summed with np.sum before it joins the total."""
+    step = WELCH_SEGMENT_LEN - int(WELCH_SEGMENT_LEN * WELCH_OVERLAP)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WELCH_SEGMENT_LEN)
+                             / WELCH_SEGMENT_LEN)
+    segs = sliding_window_view(x, WELCH_SEGMENT_LEN)[::step]
+    acc = np.zeros(WELCH_SEGMENT_LEN)
+    for k in range(0, len(segs), WELCH_CHUNK_SEGMENTS):
+        spec = np.fft.fft(segs[k:k + WELCH_CHUNK_SEGMENTS] * win, axis=1)
+        acc += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+    p = np.fft.fftshift(acc / (len(segs) * fs * np.sum(win ** 2)))
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(p / p.max())
+
+
+# tracemalloc peak of welch_psd(build_composite(...)) on table1, beyond the
+# payloads, whatever the length: Welch's few frames, compose's chunks and
+# each band's piece. 10.8-16.3 MB was measured at 64 symbols and
+# 12.8-19.9 MB at 512 (f-OFDM the largest), so the whole composite (35.7 MB
+# at 512 symbols) breaks it.
+PSD_WORK_BYTES = 11 * 16 * dsp._OLA_CHUNK
+
+
+class TestStreamedWelch:
+    """welch_psd reads a stream once, in order, a few segments at a time,
+    and gives the bytes of the whole signal's estimate."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_segs=st.integers(1, 140),
+           partial=st.integers(0, 2047),
+           sizes=st.lists(st.one_of(st.integers(1, 5000),
+                                    st.integers(1, 3 * 64 * 2048)),
+                          max_size=12))
+    @example(0, 1, 0, [1] * 12)
+    @example(1, 63, 0, [4096, 1, 2047, 131072])
+    @example(2, 64, 0, [131072 + 2048])
+    @example(3, 65, 2047, [1, 131071, 2048, 1])
+    @example(4, 128, 1000, [262144, 1, 7])
+    def test_stream_in_any_pieces_gives_the_same_bytes(self, seed, n_segs,
+                                                       partial, sizes):
+        # n_segs segments of WELCH_SEGMENT_LEN at half overlap, and a
+        # partial last segment of `partial` samples that is dropped
+        n = (n_segs - 1) * 2048 + 4096 + partial
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fs = 61.44e6
+        edges = np.cumsum(sizes)
+        stream = stream_in_pieces(x, edges[edges < n], fs)
+        whole = welch_psd(ComplexSignal(x, fs))
+        streamed = welch_psd(stream)
+        assert streamed.psd_db.tobytes() == whole.psd_db.tobytes()
+        assert streamed.freq_hz.tobytes() == whole.freq_hz.tobytes()
+        assert whole.psd_db.tobytes() == welch_by_groups(x, fs).tobytes()
+
+    def test_short_stream_rejected(self):
+        stream = stream_in_pieces(np.zeros(4095, dtype=complex), [], 1.0)
+        with pytest.raises(MetricsError):
+            welch_psd(stream)
+
+    @pytest.mark.parametrize("n_symbols", [64, 512])
+    def test_psd_peak_beyond_the_payloads_is_bounded(self, n_symbols):
+        for wf in ("cp-ofdm", "f-ofdm", "w-ofdm"):
+            sc = replace(config.get_preset("table1"), waveform=wf,
+                         n_symbols=n_symbols)
+            rng = np.random.default_rng(11)
+            payloads = [random_payload(sc, i, rng)[1]
+                        for i in range(len(sc.subbands))]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                welch_psd(build_composite(sc, payloads))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= PSD_WORK_BYTES, wf
 
 
 class TestEvm:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixnum.config import get_preset
-from mixnum.modem import (ModemError, bit_error_probabilities,
-                          bit_error_tables, bits_to_symbols, constellation,
-                          qam_demodulate, qam_modulate)
+from mixnum.modem import (_KERNEL_CHUNK, ModemError,
+                          bit_error_probabilities, bit_error_tables,
+                          bits_to_symbols, constellation, qam_demodulate,
+                          qam_modulate)
 from mixnum.waveform import random_payload
 from oracles import bit_error_probabilities_one_shot, qam_ber_awgn, qfunc
 
@@ -182,10 +184,12 @@ class TestBitErrorKernel:
         cm = constellation(M)
         rx = cm.points * (1.1 - 0.2j)
         tables = bit_error_tables(rx, cm.points, M)
+        distances, levels_sent = tables
+        assert distances.shape == (2, M, len(cm.thresholds))
+        assert levels_sent.shape == (2, M)
+        assert levels_sent.dtype == np.uint8
         for table in tables:
-            assert table.shape == (2, M, len(cm.thresholds))
             assert not table.flags.writeable
-        distances, weights = tables
         for d, part in enumerate(("real", "imag")):
             x = getattr(rx, part)
             sent = np.searchsorted(cm.thresholds,
@@ -193,7 +197,48 @@ class TestBitErrorKernel:
             np.testing.assert_array_equal(
                 distances[d],
                 cm.tail_sign[sent] * (cm.thresholds - x[:, None]))
-            np.testing.assert_array_equal(weights[d], cm.tail_weight[sent])
+            np.testing.assert_array_equal(levels_sent[d], sent)
+
+    @pytest.mark.parametrize("M", [16, 256])
+    def test_chunked_kernel_matches_the_one_shot_kernel_byte_for_byte(self,
+                                                                     M):
+        # more points than one chunk, the last chunk a ragged one
+        rng = np.random.default_rng(M)
+        n = 2 * _KERNEL_CHUNK + 37
+        tx = constellation(M).points[rng.integers(0, M, n)]
+        rx = tx + 0.1 * (rng.standard_normal(n)
+                         + 1j * rng.standard_normal(n)) / np.sqrt(M)
+        tables = bit_error_tables(rx, tx, M)
+        for sigma in (0.01, rng.uniform(0.005, 0.05, n)):
+            got = bit_error_probabilities(tables, M, sigma)
+            want = bit_error_probabilities_one_shot(rx, tx, M, sigma)
+            assert got.tobytes() == want.tobytes()
+
+    def test_tables_and_per_call_memory_are_bounded(self):
+        # the tables keep 8 bytes per threshold distance and 1 per sent
+        # level; the per-sigma half works _KERNEL_CHUNK points at a time,
+        # so beyond its result it needs a few times 240 bytes per chunk
+        # point at 256-QAM (the quotients and the gathered weight rows:
+        # 10.8 MB was measured), not a temporary as large as the distances
+        # (24 MB here, 79 MB at 300,000 points)
+        M, n = 256, 100_000
+        cm = constellation(M)
+        rng = np.random.default_rng(3)
+        tx = cm.points[rng.integers(0, M, n)]
+        tables = bit_error_tables(tx * 1.01, tx, M)
+        per_point = 2 * len(cm.thresholds) * 8 + 2
+        assert sum(t.nbytes for t in tables) == per_point * n
+        bit_error_probabilities(tables, M, 0.01)  # imports scipy.special
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            p = bit_error_probabilities(tables, M, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - p.nbytes <= 4 * 2 * len(cm.thresholds) * 8 \
+            * _KERNEL_CHUNK
 
     @pytest.mark.parametrize("M", ORDERS)
     def test_kernel_average_equals_closed_form(self, M):

@@ -69,13 +69,18 @@ def test_traced_psd_job_gives_layer_metrics(spans, tmp_path):
     m, _ = traced(spans, ["psd", "--scenario", "table1", "--waveform",
                           "f-ofdm", "--symbols", "64"], tmp_path / "psd.csv")
     assert m["cli.main.calls"] == 1
-    # compose makes each burst a chunk of symbols at a time as it reads it,
-    # so the bursts and their f-OFDM filters run inside its span, not as
-    # build_burst or convolve_full calls
+    # compose returns the composite as a stream that welch_psd reads a few
+    # segments at a time, so the bursts, their f-OFDM filters and the
+    # composite are made inside welch_psd's span, not as build_burst or
+    # convolve_full calls; compose's own span only lays the bands out
     assert m["waveform.build_burst.calls"] == 0
     assert m["waveform.compose.calls"] == 1
     assert m["dsp.convolve_full.calls"] == 0
+    sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                 n_symbols=64)
+    assert m["waveform.compose.samples_out"] == config.composite_length(sc)
     assert m["metrics.welch_psd.samples"] == m["waveform.compose.samples_out"]
+    assert m["metrics.welch_psd.self_s"] > m["waveform.compose.self_s"]
     assert m["link.spans"] == 0 and m["modem.spans"] == 0
 
 

@@ -37,6 +37,17 @@ its filter tail; table1 w-OFDM at 262 symbols, where a chunk starts inside
 the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at 339
 symbols, where a read of band 2 ends inside the suffix carried from one of
 its pieces into the next.
+Three more ``psd`` jobs put the composite's end at the edges of Welch's
+groups of 64 segments (welch_psd reads the streamed composite a few
+segments at a time and sums each group's periodograms apart): table1
+CP-OFDM at 91 symbols (396544 samples, 192 segments, three full groups),
+table1 CP-OFDM at 212 symbols (449 segments, so the last group holds one)
+and table1 f-OFDM at 242 symbols (513 segments); each also drops a partial
+last segment. The ``bypass`` and ``single-band`` ``psd`` jobs cover a
+composite in which every band passes through. One semi-analytic ``ber``
+job, table1 f-OFDM at 256-QAM and 130 symbols, gives every band more
+received points than one chunk of the bit-error kernel (2^14 points), so
+its chunk edges fall inside each band.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -176,6 +187,10 @@ def main(argv=None):
                                      "--waveform", "f-ofdm", "--method", "sa",
                                      "--mod", str(mod), "--ebn0", "0:2:20"]
            for mod in (4, 16, 64)},
+        "table1-ber-sa-m256-130": ["ber", "--scenario", "table1",
+                                   "--waveform", "f-ofdm", "--method", "sa",
+                                   "--mod", "256", "--ebn0", "0:2:30",
+                                   "--symbols", "130"],
         "single-band-psd": ["psd", "--scenario", "single-band"],
         "bypass-psd": ["psd", "--scenario", "bypass"],
         **{f"table1-psd-{wf}-64": ["psd", "--scenario", "table1",
@@ -184,7 +199,9 @@ def main(argv=None):
         **{f"table1-psd-{wf}-{n}": ["psd", "--scenario", "table1",
                                     "--waveform", wf, "--symbols", str(n)]
            for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130), ("f-ofdm", 262),
-                         ("f-ofdm", 67), ("w-ofdm", 262), ("w-ofdm", 339))}}
+                         ("f-ofdm", 67), ("w-ofdm", 262), ("w-ofdm", 339),
+                         ("cp-ofdm", 91), ("cp-ofdm", 212),
+                         ("f-ofdm", 242))}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
