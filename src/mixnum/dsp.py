@@ -259,32 +259,22 @@ def _per_chunk(width):
     return max(1, _OLA_CHUNK // width)
 
 
-def _piece(out, lo, hi):
-    """Samples lo..hi-1 of a result: a view of out, or a new array when
-    out is None."""
-    if out is None:
-        return np.empty(hi - lo, dtype=np.complex128)
-    return out[lo:hi]
-
-
 class _Stream:
-    """The n samples of a signal made in consecutive pieces, read in order:
-    x[k:k + m] gives samples k..k+m-1 for a k at or past the end of the
-    previous read, a view of one piece or, where the samples span pieces, a
-    copy. Pieces are made only when a read reaches them and dropped before
-    the next one is made, so only the piece being read is kept. rate_hz is
-    the sampling rate, where the stream carries one (the composite does).
-
-    pieces(out) is the generator function that makes them: pieces(None)
-    yields new arrays, to be read, and pieces(out) writes them as views of
-    an n-sample out, which whole() takes instead of any read."""
+    """The n samples of a signal made in consecutive pieces, read once and
+    in order: x[k:k + m] gives samples k..k+m-1 for a k at or past the end
+    of the previous read, a view of one piece or, where the samples span
+    pieces, a copy. pieces is the iterator that makes them, each a new
+    array; a piece is made only when a read reaches it and dropped before
+    the next one is made, so only the piece being read is kept. Instead of
+    any read, whole() takes all n samples at once. rate_hz is the sampling
+    rate, where the stream carries one (the composite does)."""
 
     def __init__(self, n, pieces, rate_hz=None):
         self._n = n
-        self._make = pieces
-        self._pieces = pieces(None)
+        self._pieces = pieces
         self._piece = np.zeros(0, dtype=np.complex128)
         self._at = 0  # the sample that _piece starts with
+        self._next = 0  # the first sample that a read may ask for
         self.rate_hz = rate_hz
 
     def __len__(self):
@@ -292,7 +282,11 @@ class _Stream:
 
     def __getitem__(self, cut):
         k, stop = cut.start, min(cut.stop, self._n)
-        taken = []
+        if k < self._next:
+            raise DspError(f"a stream is read once, in order: sample {k} "
+                           f"comes before {self._next}")
+        self._next = max(k, stop)
+        n, taken = max(stop - k, 0), []
         while k < stop:
             end = self._at + len(self._piece)
             if k >= end:
@@ -305,18 +299,35 @@ class _Stream:
             # view keeps this piece alive while the next one is made
             taken.append(self._piece[cut] if k == stop
                          else self._piece[cut].copy())
-        if len(taken) == 1:
-            return taken[0]
-        return np.concatenate(taken or [np.zeros(0, dtype=np.complex128)])
+        return _joined(n, taken)
 
     def whole(self):
-        """All n samples of a stream not yet read, as one array that the
-        pieces are written into as they are made."""
-        return _written(self._n, self._make)
+        """All n samples of a stream not yet read, as one array
+        (_joined)."""
+        if self._next:
+            raise DspError("a stream is taken whole only before any read")
+        self._next = self._n + 1  # no read or whole() after this one
+        return _joined(self._n, self._pieces)
 
     def signal(self):
         """whole() as a ComplexSignal at the stream's rate."""
         return ComplexSignal(self.whole(), self.rate_hz)
+
+
+def _joined(n, pieces):
+    """The n samples that pieces yields in order, as one array: a lone
+    piece as it is, else each piece copied into one new array and dropped
+    before the next one is made."""
+    out, k = None, 0
+    for piece in pieces:
+        if out is None:
+            out = (piece if len(piece) == n
+                   else np.empty(n, dtype=np.complex128))
+        if piece is not out:
+            out[k:k + len(piece)] = piece
+        k += len(piece)
+        del piece
+    return np.zeros(n, dtype=np.complex128) if out is None else out
 
 
 def _rows_into(out, rows, k, hop, add):
@@ -336,10 +347,10 @@ def _rows_into(out, rows, k, hop, add):
             dest[...] = src
 
 
-def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
+def _overlap_add(spectra, nfft, head, hop, n_out):
     """Yield n_out samples from sample head*hop on of the overlap-add of
-    block rows, row j starting at sample j*hop, in consecutive pieces, one
-    per chunk: views of out when it is given, else new arrays.
+    block rows, row j starting at sample j*hop, in consecutive new arrays,
+    one per chunk.
     spectra(r0, r1) gives the folded spectra of rows r0..r1-1, about
     _OLA_CHUNK block points of nfft at a time; each chunk is inverse FFT'd
     in place and added straight into its piece, and the width - hop tail
@@ -354,7 +365,7 @@ def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
         np.fft.ifft(acc, axis=1, out=acc)
         k = (r0 - head) * hop
         lo, hi = max(k, 0), min((r1 - head) * hop, n_out)
-        piece = _piece(out, lo, hi)
+        piece = np.empty(hi - lo, dtype=np.complex128)
         cut = int(r0 < head)  # row head - 1 reaches the output by its tail
         _rows_into(piece, acc[cut:, :hop], k + cut * hop - lo, hop, False)
         if carry is not None:
@@ -364,14 +375,6 @@ def _overlap_add(spectra, nfft, head, hop, n_out, out=None):
         del acc  # freed before the consumer, which may make more rows, runs
         yield piece
         del piece  # and the piece before the next one is made
-
-
-def _written(n, pieces):
-    """The n-sample array that pieces(out) fills with its views of out."""
-    out = np.empty(n, dtype=np.complex128)
-    for _ in pieces(out):
-        pass
-    return out
 
 
 def _taps_spectrum(taps, nfft, u, d):
@@ -395,16 +398,18 @@ def _fold_product(rows, spectrum, d):
     return acc
 
 
-def _block_spectra(n, fill, n_taps, start, n_out, d):
+def _block_spectra(n, fill, h, u):
     """The receive front end's FFT'd block rows of n samples, laid out by n,
-    n_taps, start, n_out and d alone, as _multirate lays out a lone part
-    with u = 1. fill(views) writes the samples into _block_rows' views."""
-    nfft = _ola_fft_len(n_taps, d)
-    step = (nfft - n_taps + 1) // d * d
+    len(h) and u alone, as _multirate lays out a lone part with u = 1 and
+    d = u. fill(views) writes the samples into _block_rows' views."""
+    start = h.group_delay
+    n_out = len(range(start, n + len(h) - 1, u))
+    nfft = _ola_fft_len(len(h), u)
+    step = (nfft - len(h) + 1) // u * u
     head = -(-start // step)
-    rows, _, views = _block_rows(min(n, start + (n_out - 1) * d + 1), step,
+    rows, _, views = _block_rows(min(n, start + (n_out - 1) * u + 1), step,
                                  nfft, head * step - start, 0,
-                                 head - (-n_out * d // step))
+                                 head - (-n_out * u // step))
     fill(views)
     np.fft.fft(rows, axis=1, out=rows)
     return rows
@@ -417,25 +422,24 @@ def _filter_spectra(rows, taps, start, n_out, d):
     nfft = rows.shape[1]
     hop = (nfft - len(taps) + 1) // d
     spectrum = _taps_spectrum(taps, nfft, d, d)
-    return _written(n_out, lambda out: _overlap_add(
+    return _joined(n_out, _overlap_add(
         lambda r0, r1: _fold_product(rows[r0:r1], spectrum, d), nfft,
-        -(-start // (hop * d)), hop, n_out, out))
+        -(-start // (hop * d)), hop, n_out))
 
 
 def _multirate(parts, n_out, d=1):
     """_multirate_pieces as one array."""
-    return _written(max(n_out, 0),
-                    lambda out: _multirate_pieces(parts, n_out, d, out))
+    return _joined(max(n_out, 0), _multirate_pieces(parts, n_out, d))
 
 
-def _multirate_pieces(parts, n_out, d=1, out=None):
+def _multirate_pieces(parts, n_out, d=1):
     """The sum over parts (x, taps, u, start, fill) of (z * taps)[start::d],
     where z is x with u-1 zeros after every sample, each cut or zero-padded
     to n_out samples, computed without z and without the samples d drops,
-    yielded in consecutive pieces as _overlap_add makes them (views of out
-    when it is given). x is an array or a _Stream, which is read once, in
-    order. fill(views, x, k) writes x from sample k on into _block_rows'
-    views: _fill copies it, and _fill_shifted shifts it as it goes in.
+    yielded in consecutive new arrays as _overlap_add makes them. x is an
+    array or a _Stream, which is read once, in order. fill(views, x, k)
+    writes x from sample k on into _block_rows' views: _fill copies it, and
+    _fill_shifted shifts it as it goes in.
 
     Every x is cut into blocks of step/u samples, one common step that is a
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled
@@ -512,7 +516,7 @@ def _multirate_pieces(parts, n_out, d=1, out=None):
             acc = acc.reshape(r1 - r0, d, nfft // d).sum(axis=1)
         return acc
 
-    yield from _overlap_add(spectra, nfft, head, step // d, n_out, out)
+    yield from _overlap_add(spectra, nfft, head, step // d, n_out)
 
 
 def _mix_through(taps, f_hz, rate_hz, u, origin):
@@ -543,24 +547,11 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
     The mixer moves onto the taps, h[k] exp(-j w (k - gd)) with
     w = 2 pi f_hz / fs, so the filter runs on x itself and decimates inside
     the overlap-add; the output is then shifted at fs/u by f_hz aliased into
-    that band. Its halves are _front_end_spectra and _mix_filter_spectra.
+    that band. Its halves are _block_spectra and _mix_filter_spectra.
     """
-    return _mix_filter_spectra(lambda: _front_end_spectra(x.samples, h, u),
+    fill = partial(_fill, x=x.samples, k=0)
+    return _mix_filter_spectra(lambda: _block_spectra(len(x), fill, h, u),
                                len(x), x.rate_hz, f_hz, h, u)
-
-
-def _front_end_spectra(x, h, u):
-    """The block spectra of x in mix_filter_decimate's layout, which depends
-    on len(x), len(h) and u only."""
-    return _front_end_filled(len(x), partial(_fill, x=x, k=0), h, u)
-
-
-def _front_end_filled(n, fill, h, u):
-    """_front_end_spectra of n samples that fill writes, as _block_spectra
-    takes them."""
-    gd = h.group_delay
-    return _block_spectra(n, fill, len(h), gd,
-                          len(range(gd, n + len(h) - 1, u)), u)
 
 
 def _mix_filter_spectra(spectra, n, rate_hz, f_hz, h, u):
@@ -578,11 +569,11 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> _Stream:
     """Interpolate, shift and sum: the sum over bands (x, u, h, f_hz, skip)
     of frequency_shift(convolve_full(z, h)[skip:], f_hz) at rate_hz, where z
     is x with u-1 zeros after every sample, each cut or zero-padded to n_out
-    samples, as a _Stream at rate_hz: the sum is made a piece at a time as
-    it is read, so it never exists whole unless it is taken whole. Each x is
-    taken to be sampled at rate_hz/u, with u a power of two; it is a
-    ComplexSignal or a _Stream of its samples, which is read once, in order,
-    so a band that is made in pieces never exists whole either.
+    samples, as a _Stream at rate_hz: the sum is made a new piece at a time
+    as it is read, so it never exists whole unless it is taken whole. Each
+    x is taken to be sampled at rate_hz/u, with u a power of two; it is a
+    ComplexSignal or a _Stream of its samples, which is read once, in
+    order, so a band that is made in pieces never exists whole either.
 
     The dual of mix_filter_decimate, computing neither z nor a shift at
     rate_hz. The mixer moves onto the taps, h[k] exp(j w (k - skip)) with
@@ -613,29 +604,25 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> _Stream:
                 len(x), f_rest, rate_hz / u))
         parts.append((x, taps, u, skip, fill))
     n_out = max(n_out, 0)
-    return _Stream(n_out, partial(_mix_sum_pieces, parts, direct, n_out),
-                   rate_hz)
+    return _Stream(n_out, _mix_sum_pieces(parts, direct, n_out), rate_hz)
 
 
-def _zeros(n, out=None):
-    """n zeros in pieces of _OLA_CHUNK samples, views of out when given."""
+def _zeros(n):
+    """n zeros in new arrays of _OLA_CHUNK samples, the last one shorter."""
     for k in range(0, n, _OLA_CHUNK):
-        piece = _piece(out, k, min(k + _OLA_CHUNK, n))
-        piece[...] = 0.0
-        yield piece
-        del piece
+        yield np.zeros(min(_OLA_CHUNK, n - k), dtype=np.complex128)
 
 
-def _mix_sum_pieces(parts, direct, n_out, out=None):
-    """interpolate_mix_sum's pieces, views of out when it is given:
+def _mix_sum_pieces(parts, direct, n_out):
+    """interpolate_mix_sum's pieces, each a new array:
     _multirate_pieces of the parts, or _zeros when there are none, each
     with the pass-through bands (x, skip, m, table) added over its samples
     below m (table None: no shift); a band's phasor sample k is the same
     product wherever the pieces are cut."""
     if parts:
-        pieces = _multirate_pieces(parts, n_out, 1, out)
+        pieces = _multirate_pieces(parts, n_out)
     else:
-        pieces = _zeros(n_out, out)
+        pieces = _zeros(n_out)
     k = 0
     for piece in pieces:
         for x, skip, m, table in direct:

@@ -30,7 +30,7 @@ import numpy as np
 from .config import (ScenarioConfig, center_frequencies, composite_length,
                      composite_rate, scenario_hash, symbols_per_band,
                      upsampling_factor)
-from .dsp import (ComplexSignal, FilterTaps, _fill, _front_end_filled,
+from .dsp import (ComplexSignal, FilterTaps, _block_spectra, _fill,
                   _mix_filter_spectra, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
@@ -205,7 +205,7 @@ def _noise_spectra(seed, i, n, h, u):
                            dtype=np.complex128)
             _complex_noise(parts + [cut], 1.0, rng)
 
-        spectra = _front_end_filled(n, draw, h, u)
+        spectra = _block_spectra(n, draw, h, u)
         spectra.flags.writeable = False
         _CAL_SPECTRA[key] = spectra
     return _CAL_SPECTRA[key]

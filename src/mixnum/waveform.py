@@ -11,8 +11,8 @@ from .config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                      interpolation_filter_len, subband_sample_rate,
                      symbols_per_band, upsampling_factor)
 from .dsp import (ComplexSignal, _fill, _multirate_pieces, _per_chunk,
-                  _piece, _Stream, design_interpolation_filter,
-                  design_subband_filter, interpolate_mix_sum, wofdm_window)
+                  _Stream, design_interpolation_filter, design_subband_filter,
+                  interpolate_mix_sum, wofdm_window)
 # not called here since the f-OFDM filter streams, but the benchmark's
 # recorder test calls convolve_full through this binding (ROADMAP item 1)
 from .dsp import convolve_full  # noqa: F401
@@ -50,17 +50,15 @@ def _cp_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     a piece per grid."""
     stride = nm.n_fft + nm.n_cp
 
-    def pieces(out):
-        k = 0
+    def pieces():
         for grid in grids:
-            piece = _piece(out, k, k + len(grid) * stride)
+            piece = np.empty(len(grid) * stride, dtype=np.complex128)
             _cp_symbols(grid, nm.n_cp, piece.reshape(len(grid), stride))
-            k += len(piece)
             del grid
             yield piece
             del piece  # dropped before the next piece is made
 
-    return _Stream(n_sym * stride, pieces)
+    return _Stream(n_sym * stride, pieces())
 
 
 def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
@@ -71,8 +69,8 @@ def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
     n = n_sym * (nm.n_fft + nm.n_cp) + len(taps) - 1
-    return _Stream(n, lambda out: _multirate_pieces(
-        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n, 1, out))
+    return _Stream(n, _multirate_pieces(
+        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n))
 
 
 def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
@@ -96,12 +94,12 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
                        nm.n_transition)
     edge = nm.n_prefix + nm.n_transition // 2
 
-    def pieces(out):
+    def pieces():
         done, carry = 0, None
         for grid in grids:
-            piece = _piece(out, done * stride, (done + len(grid)) * stride
-                           + overlap * (done + len(grid) == n_sym))
             done += len(grid)
+            piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
+                             dtype=np.complex128)
             rows = piece[:len(grid) * stride].reshape(len(grid), stride)
             _cp_symbols(grid, nm.n_cp, rows)
             del grid
@@ -113,13 +111,12 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
             rows[1:, :overlap] += suffix[:-1]
             carry = suffix[-1]
             if done == n_sym:
-                tail = piece[len(rows) * stride:]
-                tail[...] = 0.0
-                tail += carry
+                # the last suffix added onto zeros (-0.0 reads 0.0)
+                piece[len(rows) * stride:] = carry + 0.0
             yield piece
             del piece, rows, suffix
 
-    return _Stream(n_sym * stride + overlap, pieces)
+    return _Stream(n_sym * stride + overlap, pieces())
 
 
 _STREAMS = {
@@ -164,7 +161,8 @@ def interpolation_filter(sc: ScenarioConfig, i: int):
 def compose(bursts, sc: ScenarioConfig) -> _Stream:
     """Interpolate, shift and sum the per-band bursts into the composite:
     a _Stream of composite_length(sc) samples at the composite rate, made a
-    piece at a time as it is read (welch_psd) or taken whole (signal()).
+    new piece at a time as it is read in order (welch_psd), or joined into
+    one array when it is taken whole (signal()); either is done once.
 
     bursts holds one signal per sub-band, a ComplexSignal or a _Stream of
     its samples that is read once, in order. Group delays (band filter and

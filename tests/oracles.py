@@ -4,22 +4,15 @@ and a stream cut where a test chooses."""
 import numpy as np
 from scipy.special import erfc
 
-from mixnum.dsp import (ComplexSignal, DspError, _piece, _Stream,
-                        _windowed_sinc)
+from mixnum.dsp import ComplexSignal, DspError, _Stream, _windowed_sinc
 from mixnum.modem import ModemError, _decide_levels, constellation
 
 
 def stream_in_pieces(x, edges, rate_hz=None) -> _Stream:
     """x as a _Stream whose pieces end at the given edges (ascending, each
-    inside x)."""
-    def pieces(out):
-        lo = 0
-        for part in np.split(x, edges):
-            piece = _piece(out, lo, lo + len(part))
-            piece[...] = part
-            lo += len(part)
-            yield piece
-    return _Stream(len(x), pieces, rate_hz)
+    inside x), each a new array."""
+    return _Stream(len(x), (part.copy() for part in np.split(x, edges)),
+                   rate_hz)
 
 
 def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixnum
-from mixnum import config, dsp, link
+from mixnum import config, link
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
                         _parse_m_range, _sweep_workers, build_parser, main)
@@ -210,7 +210,7 @@ class TestSweepCommand:
             return draw(views, variance, rng)
 
         transforms = []
-        block_spectra = dsp._block_spectra
+        block_spectra = link._block_spectra
 
         def counted_spectra(*args):
             # the noise is drawn into the block rows it transforms
@@ -221,7 +221,7 @@ class TestSweepCommand:
             return spectra
 
         monkeypatch.setattr(link, "_complex_noise", counted)
-        monkeypatch.setattr(dsp, "_block_spectra", counted_spectra)
+        monkeypatch.setattr(link, "_block_spectra", counted_spectra)
         monkeypatch.setattr(link, "_CAL_SPECTRA", {})
         argv = ["sweep", "--scenario", "single-band", "--symbols", "4",
                 "--m", "0..2", "--out"]

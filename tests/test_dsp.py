@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ from mixnum.dsp import (ComplexSignal, DspError, FilterTaps,
                         mix_filter_decimate, wofdm_window)
 from mixnum import dsp
 from mixnum.link import receive_filter
+from mixnum.waveform import _burst_stream, random_payload
 from oracles import (interpolation_taps, response_at, stream_in_pieces,
                      upsample_zero_stuff)
 
@@ -568,6 +570,48 @@ class TestMultirateCore:
             patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * nfft)
             chunked = dsp._multirate(parts, n_out, d)
         assert chunked.tobytes() == whole.tobytes()
+
+
+class TestStreamIsReadOnce:
+    """A _Stream is read once, in order: a read that needs samples of a
+    piece already dropped, or that goes back, raises instead of giving
+    other samples."""
+
+    @staticmethod
+    def _burst():
+        # table1 band 3 at 256 symbols: pieces of 120, 120 and 16 symbols
+        sc = replace(get_preset("table1"), n_symbols=256)
+        qam = random_payload(sc, 2, np.random.default_rng(256))[1]
+        nm = sc.subbands[2]
+        return _burst_stream(qam, nm, "cp-ofdm"), nm.n_fft + nm.n_cp
+
+    @pytest.mark.parametrize("take", ["whole", "signal"])
+    def test_taken_whole_only_before_any_read(self, take):
+        s, _ = self._burst()
+        s[0:10]
+        with pytest.raises(DspError):
+            getattr(s, take)()
+
+    def test_taken_whole_once(self):
+        s, _ = self._burst()
+        assert len(s.whole()) == len(s)
+        with pytest.raises(DspError):
+            s.whole()
+        with pytest.raises(DspError):
+            s[0:10]
+
+    def test_a_read_that_goes_back_raises(self):
+        s, _ = self._burst()
+        s[100:200]
+        with pytest.raises(DspError):
+            s[150:160]
+
+    def test_a_read_from_before_the_piece_raises(self):
+        s, stride = self._burst()
+        s[0:10]
+        s[130 * stride:130 * stride + 10]
+        with pytest.raises(DspError):
+            s[10:20]
 
 
 class TestStreamedBands:

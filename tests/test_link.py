@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from mixnum import config, link
 from mixnum.config import (F0_HZ, center_frequencies, composite_length,
                            composite_rate, scenario_hash, symbols_per_band,
                            upsampling_factor, with_gap)
-from mixnum.dsp import (ComplexSignal, FilterTaps, _front_end_spectra,
+from mixnum.dsp import (ComplexSignal, FilterTaps, _block_spectra, _fill,
                         convolve_full, frequency_shift)
 from mixnum.link import (CAL_MIN_SYMBOLS, LinkError, _calibration_scenario,
                          _complex_noise, _noise_spectra, awgn_from_rng,
@@ -133,6 +134,11 @@ def band_noise(seed, i, n):
     return complex_noise(n, 1.0, np.random.default_rng(ss.spawn(2)[1]))
 
 
+def front_end_spectra(x, h, u):
+    """The receive front end's block spectra of the samples x."""
+    return _block_spectra(len(x), partial(_fill, x=x, k=0), h, u)
+
+
 class TestCalibrationNoise:
     """The memo of the noise run's front-end block spectra."""
 
@@ -149,7 +155,7 @@ class TestCalibrationNoise:
             spectra[0, 0] = 0.0
 
     def test_is_the_second_child_of_the_band_stream(self):
-        want = _front_end_spectra(band_noise(3, 1, 100), self.H, 2)
+        want = front_end_spectra(band_noise(3, 1, 100), self.H, 2)
         got = _noise_spectra(3, 1, 100, self.H, 2)
         assert got.tobytes() == want.tobytes()
 
@@ -159,7 +165,7 @@ class TestCalibrationNoise:
         # one, so the rows hold fewer than n samples: the imaginary parts
         # still follow all n real parts
         h = FilterTaps(np.ones(1))
-        want = _front_end_spectra(band_noise(3, 1, n), h, 4)
+        want = front_end_spectra(band_noise(3, 1, n), h, 4)
         got = _noise_spectra(3, 1, n, h, 4)
         assert got.tobytes() == want.tobytes()
 

@@ -549,6 +549,45 @@ class TestStreamedBursts:
             assert any(ends[-1] - overlap < r < ends[-1] for r in reads)
 
 
+def _read_in_order(stream, rng):
+    """All of a stream, read in order between a dozen random cuts."""
+    cuts = [0, *np.sort(rng.integers(0, len(stream), 12)), len(stream)]
+    return np.concatenate([stream[a:b] for a, b in zip(cuts, cuts[1:])])
+
+
+class TestStreamJoins:
+    """whole() joins a stream's pieces into the bytes that reads in order
+    give, wherever they are cut."""
+
+    @pytest.mark.parametrize("scenario", ["bypass", "single-band"])
+    @pytest.mark.parametrize("n_symbols", [121, 130])
+    def test_pass_through_composite(self, scenario, n_symbols):
+        # every band passes through, so the composite's pieces are _zeros'
+        # pieces with the bands added: past _OLA_CHUNK samples, two of them
+        sc = replace(config.get_preset(scenario), n_symbols=n_symbols)
+        rng = np.random.default_rng(n_symbols)
+        payloads = [random_payload(sc, i, rng)[1]
+                    for i in range(len(sc.subbands))]
+        assert len(_piece_ends(build_composite(sc, payloads))) == 2
+        whole = build_composite(sc, payloads).whole()
+        assert len(whole) == composite_length(sc)
+        read = _read_in_order(build_composite(sc, payloads), rng)
+        bursts = [build_burst(qam, nm, sc.waveform)
+                  for qam, nm in zip(payloads, sc.subbands)]
+        assert whole.tobytes() == read.tobytes()
+        assert whole.tobytes() == compose(bursts, sc).whole().tobytes()
+
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_burst_stream(self, waveform):
+        # table1 bursts at 256 symbols are three to nine pieces each
+        sc, payloads = _table1(waveform, 256)
+        rng = np.random.default_rng(7)
+        for qam, nm in zip(payloads, sc.subbands):
+            whole = _burst_stream(qam, nm, waveform).whole()
+            read = _read_in_order(_burst_stream(qam, nm, waveform), rng)
+            assert whole.tobytes() == read.tobytes()
+
+
 class TestPayloadSymbols:
     def test_table1_counts(self):
         sc = replace(config.get_preset("table1"), n_symbols=8)

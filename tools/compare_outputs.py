@@ -48,6 +48,12 @@ composite in which every band passes through. One semi-analytic ``ber``
 job, table1 f-OFDM at 256-QAM and 130 symbols, gives every band more
 received points than one chunk of the bit-error kernel (2^14 points), so
 its chunk edges fall inside each band.
+Two more jobs join and stream a composite of more than one piece of zeros
+(compose starts from zeros, pieces of 2^17 samples, when every band passes
+through, and adds the bands into them): a Monte Carlo ``ber`` on ``bypass``
+at 130 symbols takes its 141440-sample composite whole, two pieces joined
+into one array, and a ``psd`` on ``single-band`` at 130 symbols streams
+the same two pieces into Welch.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -191,7 +197,11 @@ def main(argv=None):
                                    "--waveform", "f-ofdm", "--method", "sa",
                                    "--mod", "256", "--ebn0", "0:2:30",
                                    "--symbols", "130"],
+        "bypass-ber-mc-130": ["ber", "--scenario", "bypass", "--method", "mc",
+                              "--ebn0", "0:4:8", "--symbols", "130"],
         "single-band-psd": ["psd", "--scenario", "single-band"],
+        "single-band-psd-130": ["psd", "--scenario", "single-band",
+                                "--symbols", "130"],
         "bypass-psd": ["psd", "--scenario", "bypass"],
         **{f"table1-psd-{wf}-64": ["psd", "--scenario", "table1",
                                    "--waveform", wf, "--symbols", "64"]
