@@ -32,7 +32,7 @@ from .config import (ConfigError, F0_HZ, MOD_ORDERS, PRESETS,
 from .link import calibrate
 from .metrics import (WELCH_SEGMENT_LEN, ebn0_at_target_ber,
                       monte_carlo_curves, semianalytic_run, welch_psd)
-from .waveform import build_composite, random_payload
+from .waveform import _payload_streams, build_composite
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -155,6 +155,12 @@ def _parse_m_range(spec):
 
 
 def cmd_psd(args):
+    """Welch PSD of one composite burst. Its payloads are the bits of the
+    psd stream, SeedSequence(seed, spawn_key=(0x5D,)), in band order: band
+    i's are drawn from a generator on that stream positioned after the bits
+    of bands 0..i-1, one PCG64 step per 8 bits, a burst piece at a time as
+    the composite is read (waveform._payload_streams). They are the bytes
+    of one draw per band in turn from one generator."""
     sc = _load_scenario_arg(args.scenario, args.waveform, args.mod, args.seed,
                             n_symbols=args.symbols)
     asked = sc.n_symbols
@@ -165,10 +171,8 @@ def cmd_psd(args):
             f"psd needs a composite of at least one {WELCH_SEGMENT_LEN}-"
             f"sample Welch segment; this one holds {n} samples at "
             f"n_symbols {sc.n_symbols}")
-    rng = np.random.default_rng(np.random.SeedSequence(sc.seed,
-                                                       spawn_key=(0x5D,)))
-    payloads = [random_payload(sc, i, rng)[1]
-                for i in range(len(sc.subbands))]
+    payloads = _payload_streams(
+        sc, np.random.SeedSequence(sc.seed, spawn_key=(0x5D,)))
     curve = welch_psd(build_composite(sc, payloads))
     rows = zip(curve.freq_hz.tolist(), curve.psd_db.tolist())
     manifest = _write_outputs(args.out, "psd", sc, ["freq_hz", "psd_db"],

@@ -231,10 +231,12 @@ def _block_rows(n, hop, width, lead, j0, j1):
 
 def _fill(views, x, k):
     """Copy x from sample k on into the views in order, as far as they
-    reach."""
+    reach, a row at a time: a _Stream x is then read a row at a time, so
+    no read joins copies of the pieces that a whole view spans."""
     for view in views:
-        view[...] = x[k:k + view.size].reshape(view.shape)
-        k += view.size
+        for row in view:
+            row[...] = x[k:k + len(row)]
+            k += len(row)
 
 
 def _fill_shifted(views, x, k, table):
@@ -286,6 +288,8 @@ class _Stream:
             raise DspError(f"a stream is read once, in order: sample {k} "
                            f"comes before {self._next}")
         self._next = max(k, stop)
+        if stop <= self._at + len(self._piece):  # within the current piece
+            return self._piece[k - self._at:stop - self._at]
         n, taken = max(stop - k, 0), []
         while k < stop:
             end = self._at + len(self._piece)

@@ -126,15 +126,26 @@ _STREAMS = {
 }
 
 
+def _symbols_per_piece(nm: SubbandNumerology, waveform: str) -> int:
+    """Symbols in each piece of band nm's streamed burst and payload: as
+    many as make one overlap-add chunk, or for f-OFDM a quarter of that.
+    The f-OFDM filter holds its own chunk of rows and output while it reads
+    the CP-OFDM pieces, so each of those, and the subcarrier grid it is made
+    from, is kept to a quarter of a chunk beside them."""
+    stride = nm.n_fft + nm.n_cp
+    return _per_chunk(stride * (4 if waveform == "f-ofdm" else 1))
+
+
 def _burst_stream(qam, nm: SubbandNumerology, waveform: str,
                   per=None) -> _Stream:
     """Band burst of the QAM payload qam as a _Stream, made per symbols at a
-    time (by default as many as make one overlap-add chunk): each piece's
-    subcarrier grid is mapped from its slice of qam only when a read
-    reaches it, and qam itself is only read."""
-    qam = np.asarray(qam, dtype=np.complex128)
-    stride = nm.n_fft + nm.n_cp
-    step = (per or _per_chunk(stride)) * nm.n_used
+    time (by default _symbols_per_piece): each piece's subcarrier grid is
+    mapped from its slice of qam only when a read reaches it. qam is a
+    sequence, which is only read, or a _Stream of the symbols, read once
+    and in order: _payload_streams gives each band one whose pieces are
+    these slices, drawn from its own generator, which starts on the one
+    payload stream where the bits of the bands before it end."""
+    step = (per or _symbols_per_piece(nm, waveform)) * nm.n_used
     grids = (map_to_subcarriers(qam[k:k + step], nm)
              for k in range(0, len(qam), step))
     return _STREAMS[waveform](grids, nm, len(qam) // nm.n_used)
@@ -185,7 +196,9 @@ def build_composite(sc: ScenarioConfig, payloads) -> _Stream:
     """Build every band's burst from its QAM payload and combine them: the
     composite as compose's _Stream. Each burst is made a chunk of symbols
     at a time as compose reads it, so no whole burst or subcarrier grid
-    exists at once, nor the composite unless it is taken whole."""
+    exists at once, nor the composite unless it is taken whole. A payload
+    is an array or a _Stream of its symbols (_payload_streams), and then
+    no whole payload exists either."""
     return compose([_burst_stream(payloads[i], nm, sc.waveform)
                     for i, nm in enumerate(sc.subbands)], sc)
 
@@ -204,3 +217,37 @@ def random_payload(sc: ScenarioConfig, i: int, rng, mod_order=None):
     k = int(np.log2(M))
     bits = rng.integers(0, 2, k * payload_symbols(sc, i), dtype=np.uint8)
     return bits, qam_modulate(bits, M)
+
+
+def _payload_streams(sc: ScenarioConfig, seed_seq) -> list:
+    """Every band's QAM payload as a _Stream, with the bytes that
+    random_payload gives for bands 0, 1, ... in turn from one
+    default_rng(seed_seq). Each band draws its bits from its own generator
+    and maps them a burst piece (_symbols_per_piece) at a time, only when a
+    read reaches them, so the bands can be read side by side and no whole
+    payload exists.
+
+    Band i's generator is positioned on seed_seq's stream after the bits of
+    bands 0..i-1, one PCG64 step per 8 bits: integers(0, 2, n, dtype=uint8)
+    takes one byte per bit from numpy's buffered 32-bit outputs, a 64-bit
+    step giving two, and never rejects. Every band's bit count, and every
+    piece's, is k * n_used per symbol, a multiple of 8 as n_used is a
+    multiple of 12 and k >= 2, so each uses up whole steps.
+    """
+    k = int(np.log2(sc.mod_order))
+
+    def pieces(rng, n, step):
+        for a in range(0, n, step):
+            bits = rng.integers(0, 2, k * min(step, n - a), dtype=np.uint8)
+            yield qam_modulate(bits, sc.mod_order)
+
+    streams, steps = [], 0
+    for i, nm in enumerate(sc.subbands):
+        n = payload_symbols(sc, i)
+        bitgen = np.random.PCG64(seed_seq)
+        bitgen.advance(steps)
+        streams.append(_Stream(n, pieces(
+            np.random.Generator(bitgen), n,
+            _symbols_per_piece(nm, sc.waveform) * nm.n_used)))
+        steps += k * n // 8
+    return streams

@@ -866,7 +866,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        for name in ("random_payload", "build_composite", "calibrate",
+        for name in ("_payload_streams", "build_composite", "calibrate",
                      "ebn0_at_target_ber"):
             mp.setattr(f"mixnum.cli.{name}", stop)
         mp.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)

@@ -18,7 +18,8 @@ from mixnum.metrics import (WELCH_CHUNK_SEGMENTS, WELCH_OVERLAP,
                             ebn0_at_target_ber, ebn0_for_target, evm_db,
                             monte_carlo_ber, monte_carlo_curves,
                             semianalytic_run, welch_psd)
-from mixnum.waveform import build_composite, payload_symbols, random_payload
+from mixnum.waveform import (_payload_streams, build_composite,
+                             payload_symbols, random_payload)
 from oracles import qam_ber_awgn, qfunc, stream_in_pieces
 
 
@@ -145,10 +146,20 @@ def welch_by_groups(x, fs):
 
 # tracemalloc peak of welch_psd(build_composite(...)) on table1, beyond the
 # payloads, whatever the length: Welch's few frames, compose's chunks and
-# each band's piece. 10.8-16.3 MB was measured at 64 symbols and
-# 12.8-19.9 MB at 512 (f-OFDM the largest), so the whole composite (35.7 MB
+# each band's piece. 10.9-11.8 MB was measured at 64 symbols and
+# 12.8-14.2 MB at 512 (f-OFDM the largest), so the whole composite (35.7 MB
 # at 512 symbols) breaks it.
 PSD_WORK_BYTES = 11 * 16 * dsp._OLA_CHUNK
+
+
+# how far the tracemalloc peak of psd's welch_psd(build_composite(...)) on
+# table1 f-OFDM, payload streams included, may rise above its peak at 128
+# symbols, the first length at which every band fills a chunk of its
+# overlap-adds: it rose 0.2 MB up to 2048 symbols (14.4 to 14.6 MB), and
+# read 12.9 MB at 64. Payloads drawn whole take about 4.6 bytes per
+# composite sample (QPSK symbols as complex128: 10.3 MB at 512 symbols,
+# 41.3 MB at 2048) and break it.
+PSD_GROWTH_BYTES = 1 << 20
 
 
 class TestStreamedWelch:
@@ -204,6 +215,22 @@ class TestStreamedWelch:
             finally:
                 tracemalloc.stop()
             assert peak <= PSD_WORK_BYTES, wf
+
+    def test_psd_peak_does_not_grow_with_the_length(self):
+        peaks = {}
+        for n_symbols in (64, 128, 2048):
+            sc = replace(config.get_preset("table1"), waveform="f-ofdm",
+                         n_symbols=n_symbols)
+            seed_seq = np.random.SeedSequence(11, spawn_key=(0x5D,))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                welch_psd(build_composite(sc, _payload_streams(sc, seed_seq)))
+                peaks[n_symbols] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) - peaks[128] <= PSD_GROWTH_BYTES, peaks
 
 
 class TestEvm:

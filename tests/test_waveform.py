@@ -16,10 +16,10 @@ from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         mix_filter_decimate, wofdm_window)
 from mixnum.link import receive_filter
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (_burst_stream, build_burst, build_composite,
-                             compose, interpolation_filter, random_payload,
-                             map_to_subcarriers, payload_symbols,
-                             used_subcarrier_bins)
+from mixnum.waveform import (_burst_stream, _payload_streams, build_burst,
+                             build_composite, compose, interpolation_filter,
+                             random_payload, map_to_subcarriers,
+                             payload_symbols, used_subcarrier_bins)
 from oracles import upsample_zero_stuff
 
 
@@ -331,9 +331,9 @@ class TestComposeMatchesChain:
 WAVEFORMS = ["cp-ofdm", "f-ofdm", "w-ofdm"]
 
 # tracemalloc peak of build_composite on table1 at 64 symbols, in bytes per
-# composite sample: 66.0-67.1 measured for the three waveforms, so one more
+# composite sample: 51.9-55.3 measured for the three waveforms, so one more
 # composite-length array (16 bytes a sample) breaks it
-PEAK_BYTES_PER_COMPOSITE_SAMPLE = 72
+PEAK_BYTES_PER_COMPOSITE_SAMPLE = 64
 # tracemalloc peak of one compose or convolve_full call beyond its inputs
 # and its result, whatever the length: the overlap-add works a chunk of
 # dsp._OLA_CHUNK block points (16 bytes each) at a time. 4.3-5.8 MB was
@@ -343,8 +343,8 @@ CHUNK_WORK_BYTES = 4 * 16 * dsp._OLA_CHUNK
 # tracemalloc peak of build_composite beyond its result, whatever the
 # length: compose's chunks, and for each of the three bands the piece it is
 # reading and the chunk that makes the next one (its subcarrier grid, or
-# for f-OFDM the filter's rows and output). 8.0-13.3 MB was measured on
-# table1 at 64 symbols and 11.9-18.0 MB at 512; the whole bursts (62.5 MB
+# for f-OFDM the filter's rows and output). 10.0-11.0 MB was measured on
+# table1 at 64 symbols and 12.0-13.4 MB at 512; the whole bursts (62.5 MB
 # at 512 symbols) break it.
 STREAM_WORK_BYTES = 10 * 16 * dsp._OLA_CHUNK
 
@@ -586,6 +586,56 @@ class TestStreamJoins:
             whole = _burst_stream(qam, nm, waveform).whole()
             read = _read_in_order(_burst_stream(qam, nm, waveform), rng)
             assert whole.tobytes() == read.tobytes()
+
+
+class TestFOfdmPieces:
+    """An f-OFDM burst's CP-OFDM pieces may be any number of symbols: the
+    filter reads them across its block rows and chunks alike."""
+
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, None])
+    def test_pieces_of_a_few_symbols_match_one_piece(self, per,
+                                                      chunk_rows):
+        sc, payloads = _table1("f-ofdm", 30)
+        whole = [build_burst(qam, nm, "f-ofdm").samples.tobytes()
+                 for qam, nm in zip(payloads, sc.subbands)]
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_rows:
+                patch.setattr(dsp, "_OLA_CHUNK",
+                              chunk_rows * TABLE1_ROW_POINTS)
+            streamed = [_burst_stream(qam, nm, "f-ofdm", per).whole()
+                        for qam, nm in zip(payloads, sc.subbands)]
+        assert [b.tobytes() for b in streamed] == whole
+
+
+class TestPayloadStreams:
+    """psd's payload streams hold the symbols that random_payload draws for
+    each band in turn from one generator, read side by side. This pins
+    numpy's bit stream: integers(0, 2, n, dtype=uint8) takes one byte of
+    its buffered 32-bit outputs per bit, so a band starts one PCG64 step
+    per 8 bits of the bands before it, and a numpy that draws them
+    otherwise fails here."""
+
+    @pytest.mark.parametrize("name", sorted(config.PRESETS))
+    @pytest.mark.parametrize("mod", config.MOD_ORDERS)
+    @pytest.mark.parametrize("waveform", ["cp-ofdm", "f-ofdm"])
+    @pytest.mark.parametrize("n_symbols", [120, 130])
+    def test_streams_are_one_draw_per_band_in_turn(self, name, mod,
+                                                   waveform, n_symbols):
+        # bursts are drawn 120 table1 symbols (f-OFDM 30) a piece: at 130
+        # symbols every band's last piece is partial, at 120 none is
+        sc = replace(config.get_preset(name), waveform=waveform,
+                     mod_order=mod, n_symbols=n_symbols)
+        seed_seq = np.random.SeedSequence(11, spawn_key=(0x5D,))
+        rng = np.random.default_rng(seed_seq)
+        drawn = [random_payload(sc, i, rng)[1].tobytes()
+                 for i in range(len(sc.subbands))]
+        streams = _payload_streams(sc, seed_seq)
+        read = [[] for _ in streams]
+        for a in range(0, max(map(len, streams)), 5000):
+            for parts, stream in zip(read, streams):
+                parts.append(stream[a:a + 5000])
+        assert [np.concatenate(p).tobytes() for p in read] == drawn
 
 
 class TestPayloadSymbols:

@@ -28,13 +28,14 @@ carried into that row, and table1 f-OFDM at 130 symbols, whose output ends
 inside it. At 78 symbols the last chunk also reads less than one row of
 bands 1 and 3, so their bursts end just past a chunk edge.
 Four more ``psd`` jobs put a compose chunk edge where a streamed burst
-carries something across it (bursts are made 120 symbols, 130560 samples,
-at a time; band 2 passes through at the composite rate and is read in
-phasor pieces): table1 f-OFDM at 262 symbols, where a chunk starts inside
-the f-OFDM filter tail of bands 1 and 3 and both bursts end in a chunk's
-first row; table1 f-OFDM at 67 symbols, where a read of band 2 ends inside
-its filter tail; table1 w-OFDM at 262 symbols, where a chunk starts inside
-the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at 339
+carries something across it (CP-OFDM and w-OFDM bursts are made 120
+symbols, 130560 samples, at a time, f-OFDM bursts a chunk of their filter's
+overlap-add at a time; band 2 passes through at the composite rate and is
+read in phasor pieces): table1 f-OFDM at 262 symbols, where a chunk starts
+inside the f-OFDM filter tail of bands 1 and 3 and both bursts end in a
+chunk's first row; table1 f-OFDM at 67 symbols, where a read of band 2 ends
+inside its filter tail; table1 w-OFDM at 262 symbols, where a chunk starts
+inside the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at 339
 symbols, where a read of band 2 ends inside the suffix carried from one of
 its pieces into the next.
 Three more ``psd`` jobs put the composite's end at the edges of Welch's
@@ -54,6 +55,12 @@ through, and adds the bands into them): a Monte Carlo ``ber`` on ``bypass``
 at 130 symbols takes its 141440-sample composite whole, two pieces joined
 into one array, and a ``psd`` on ``single-band`` at 130 symbols streams
 the same two pieces into Welch.
+Twenty more ``psd`` jobs draw the payload at every modulation order that
+the benchmark's QPSK ``psd`` jobs do not: table1 at 16-, 64- and 256-QAM
+for each waveform at 130 and 262 symbols, and ``single-band`` and
+``bypass`` at 256-QAM and 130 symbols. psd draws each band's bits a burst
+piece at a time (120 table1 symbols, 30 for f-OFDM), and at these lengths
+every band's last piece is partial.
 For each CSV the script prints
 ``identical``, or for each column the largest absolute difference (numeric
 columns) or the number of rows that differ (other columns). Each
@@ -88,7 +95,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
 # argv: src directory, JSON list of CLI argument lists; prints one JSON list
-# of exit codes (null for a job that raised) as its last line
+# of exit codes (null for a job that raised) as its last line. A job that
+# the CLI's parser rejects exits through SystemExit: that job's code is
+# recorded and the next job runs.
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -97,6 +106,9 @@ codes = []
 for argv in json.loads(sys.argv[2]):
     try:
         codes.append(main(argv))
+    except SystemExit as exc:
+        print(f"{argv}: exited {exc.code}", file=sys.stderr)
+        codes.append(exc.code)
     except Exception as exc:
         print(f"{argv}: raised {type(exc).__name__}: {exc}", file=sys.stderr)
         codes.append(None)
@@ -211,7 +223,14 @@ def main(argv=None):
            for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130), ("f-ofdm", 262),
                          ("f-ofdm", 67), ("w-ofdm", 262), ("w-ofdm", 339),
                          ("cp-ofdm", 91), ("cp-ofdm", 212),
-                         ("f-ofdm", 242))}}
+                         ("f-ofdm", 242))},
+        **{f"table1-psd-{wf}-m{mod}-{n}": ["psd", "--scenario", "table1",
+                                           "--waveform", wf, "--mod",
+                                           str(mod), "--symbols", str(n)]
+           for wf in WAVEFORMS for mod in (16, 64, 256) for n in (130, 262)},
+        **{f"{name}-psd-m256-130": ["psd", "--scenario", name, "--mod", "256",
+                                    "--symbols", "130"]
+           for name in ("single-band", "bypass")}}
     names += [(f"{label}-s{seed}",
                argv + ["--seed", str(seed), "--threads", "1"])
               for label, argv in layouts.items() for seed in args.seeds]
