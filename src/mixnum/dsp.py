@@ -288,8 +288,6 @@ class _Stream:
             raise DspError(f"a stream is read once, in order: sample {k} "
                            f"comes before {self._next}")
         self._next = max(k, stop)
-        if stop <= self._at + len(self._piece):  # within the current piece
-            return self._piece[k - self._at:stop - self._at]
         n, taken = max(stop - k, 0), []
         while k < stop:
             end = self._at + len(self._piece)

@@ -214,8 +214,14 @@ def random_payload(sc: ScenarioConfig, i: int, rng, mod_order=None):
     mod_order defaults to the scenario's. Returns (bits, qam).
     """
     M = sc.mod_order if mod_order is None else mod_order
-    k = int(np.log2(M))
-    bits = rng.integers(0, 2, k * payload_symbols(sc, i), dtype=np.uint8)
+    return _draw_qam(rng, payload_symbols(sc, i), M)
+
+
+def _draw_qam(rng, n_symbols, M):
+    """Fair random bits for n_symbols M-QAM symbols, drawn from rng, and
+    their symbols: (bits, qam). The one draw of random_payload and of
+    _payload_streams' pieces, so that the two give the same bytes."""
+    bits = rng.integers(0, 2, int(np.log2(M)) * n_symbols, dtype=np.uint8)
     return bits, qam_modulate(bits, M)
 
 
@@ -238,8 +244,7 @@ def _payload_streams(sc: ScenarioConfig, seed_seq) -> list:
 
     def pieces(rng, n, step):
         for a in range(0, n, step):
-            bits = rng.integers(0, 2, k * min(step, n - a), dtype=np.uint8)
-            yield qam_modulate(bits, sc.mod_order)
+            yield _draw_qam(rng, min(step, n - a), sc.mod_order)[1]
 
     streams, steps = [], 0
     for i, nm in enumerate(sc.subbands):
