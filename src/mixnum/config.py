@@ -25,7 +25,7 @@ MOD_ORDERS = (4, 16, 64, 256)
 # the numerology before anything is built. What it bounds depends on the
 # command (fresh processes on table1, README): psd draws its payload and
 # reads the composite as streams and holds no whole payload, burst, grid or
-# composite, so it does not grow with the length (51.7-53.9 MB at 512 to
+# composite, so it does not grow with the length (51.7-54.4 MB at 512 to
 # 2048 symbols, each waveform): its pieces are a chunk or one symbol, which
 # the n_fft bound below keeps under the cap. ber and sweep receive the whole
 # composite and calibrate at the job's length, about 62 bytes per sample

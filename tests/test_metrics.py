@@ -156,7 +156,7 @@ PSD_WORK_BYTES = 11 * 16 * dsp._OLA_CHUNK
 # table1 f-OFDM, payload streams included, may rise above its peak at 128
 # symbols, the first length at which every band fills a chunk of its
 # overlap-adds: it rose 0.2 MB up to 2048 symbols (14.4 to 14.6 MB), and
-# read 12.9 MB at 64. Payloads drawn whole take about 4.6 bytes per
+# read 12.1 MB at 64. Payloads drawn whole take about 4.6 bytes per
 # composite sample (QPSK symbols as complex128: 10.3 MB at 512 symbols,
 # 41.3 MB at 2048) and break it.
 PSD_GROWTH_BYTES = 1 << 20
