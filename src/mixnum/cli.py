@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, link
 from .config import (ConfigError, F0_HZ, MOD_ORDERS, PRESETS,
                      ScenarioConfig, WAVEFORMS, composite_length, get_preset,
                      load_scenario, scenario_hash, with_gap)
@@ -190,6 +190,8 @@ def cmd_ber(args):
     grid = _parse_grid(args.ebn0)
     method = {"mc": "monte-carlo", "sa": "semi-analytic"}[args.method]
     cals = {i: calibrate(sc, i) for i in range(len(sc.subbands))}
+    # no trial or point reads the last band's kept calibration noise
+    link._CAL_SPECTRA.clear()
     if method == "semi-analytic":
         k = int(np.log2(sc.mod_order))
         rows = [(i + 1, db, run.ber(db), method, len(run.noise_gain) * k, 0)

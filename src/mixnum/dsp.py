@@ -137,11 +137,11 @@ def wofdm_window(n_fft, n_cp_star, n_prefix, n_tr):
 def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
     """Multiply by exp(+j 2 pi f n / fs); magnitudes unchanged.
 
-    The one mixer of the chain. mix_filter_decimate() shifts the receiver's
-    band-rate output back down with it, and interpolate_mix_sum() applies
-    the same phasor to each band at the band's own rate as it writes the
-    band into its block rows; both move the composite-rate part of the
-    shift onto their filter taps. The phasor is the outer product of about
+    The one mixer of the chain. mix_filter_decimate() shifts its output
+    back down with it, into a copy, and interpolate_mix_sum() applies the
+    same phasor to each band at the band's own rate as it writes the band
+    into its block rows; both move the composite-rate part of the shift
+    onto their filter taps. The phasor is the outer product of about
     sqrt(n) block-start phasors and about sqrt(n) in-block phasors
     (_phasor_table), made a few rows at a time (_phasor_pieces), so it costs
     two short exp tables and one complex multiply per sample instead of an
@@ -349,17 +349,16 @@ def _rows_into(out, rows, k, hop, add):
             dest[...] = src
 
 
-def _overlap_add(spectra, nfft, head, hop, n_out):
+def _overlap_add(spectra, nfft, head, hop, n_rows, n_out):
     """Yield n_out samples from sample head*hop on of the overlap-add of
-    block rows, row j starting at sample j*hop, in consecutive new arrays,
-    one per chunk.
+    block rows 0..n_rows-1, row j starting at sample j*hop, in consecutive
+    new arrays, one per chunk.
     spectra(r0, r1) gives the folded spectra of rows r0..r1-1, about
     _OLA_CHUNK block points of nfft at a time; each chunk is inverse FFT'd
     in place and added straight into its piece, and the width - hop tail
     of its last row is carried into the next piece. Rows before head - 1
     reach no output sample and are not asked for."""
     per = _per_chunk(nfft)
-    n_rows = head - (-n_out // hop)
     carry = None
     for r0 in range(max(head - 1, 0), n_rows, per):
         r1 = min(r0 + per, n_rows)
@@ -400,41 +399,48 @@ def _fold_product(rows, spectrum, d):
     return acc
 
 
-def _block_spectra(n, fill, h, u):
-    """The receive front end's FFT'd block rows of n samples, laid out by n,
-    len(h) and u alone, as _multirate lays out a lone part with u = 1 and
-    d = u. fill(views) writes the samples into _block_rows' views."""
-    start = h.group_delay
-    n_out = len(range(start, n + len(h) - 1, u))
-    nfft = _ola_fft_len(len(h), u)
-    step = (nfft - len(h) + 1) // u * u
-    head = -(-start // step)
-    rows, _, views = _block_rows(min(n, start + (n_out - 1) * u + 1), step,
-                                 nfft, head * step - start, 0,
-                                 head - (-n_out * u // step))
-    fill(views)
-    np.fft.fft(rows, axis=1, out=rows)
-    return rows
-
-
-def _filter_spectra(rows, taps, start, n_out, d):
-    """The front end's second half, which only reads the rows: their
-    product with the taps' spectrum, folded d times, inverse FFT'd and
-    added, a chunk of rows at a time."""
-    nfft = rows.shape[1]
-    hop = (nfft - len(taps) + 1) // d
-    spectrum = _taps_spectrum(taps, nfft, d, d)
-    return _joined(n_out, _overlap_add(
-        lambda r0, r1: _fold_product(rows[r0:r1], spectrum, d), nfft,
-        -(-start // (hop * d)), hop, n_out))
-
-
-def _multirate(parts, n_out, d=1):
+def _multirate(parts, n_out, d=1, rows=None):
     """_multirate_pieces as one array."""
-    return _joined(max(n_out, 0), _multirate_pieces(parts, n_out, d))
+    return _joined(max(n_out, 0), _multirate_pieces(parts, n_out, d, rows))
 
 
-def _multirate_pieces(parts, n_out, d=1):
+def _layout(parts, n_out, d):
+    """_multirate_pieces' block layout: the FFT length, the common step,
+    the row that holds kept sample 0, the rows that reach the output and,
+    per part, (x, n, taps, u, fill, lead, row0, n_rows): the samples of x
+    that reach the output, its taps delayed onto the u grid, its lead
+    zeros, the common row of its row 0 and its row count."""
+    staged = []
+    for x, taps, u, start, fill in parts:
+        delay = -start % u
+        taps = np.concatenate([np.zeros(delay), taps])
+        a = (start + delay) // u
+        # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
+        staged.append((x, min(len(x), a - (-((n_out - 1) * d + 1) // u)),
+                       taps, u, a, fill))
+    n_taps = max(len(part[2]) for part in staged)
+    m = max([d] + [part[3] for part in staged])
+    nfft = _ola_fft_len(n_taps, m)
+    step = (nfft - n_taps + 1) // m * m
+    early = [-(-a * u // step) for _, _, _, u, a, _ in staged]
+    head = max(early)
+    laid = [(x, n, taps, u, fill,
+             b * step // u - a, head - b,
+             -(-(b * step // u - a + n) // (step // u)))
+            for (x, n, taps, u, a, fill), b in zip(staged, early)]
+    return nfft, step, head, head - (-n_out * d // step), laid
+
+
+def _part_spectra(part, nfft, step, j0, j1):
+    """A laid part's rows j0..j1-1 (_layout), written by its fill and
+    FFT'd."""
+    x, n, _, u, fill, lead, _, _ = part
+    rows, k, views = _block_rows(n, step // u, nfft // u, lead, j0, j1)
+    fill(views, x, k)
+    return np.fft.fft(rows, axis=1, out=rows)
+
+
+def _multirate_pieces(parts, n_out, d=1, rows=None):
     """The sum over parts (x, taps, u, start, fill) of (z * taps)[start::d],
     where z is x with u-1 zeros after every sample, each cut or zero-padded
     to n_out samples, computed without z and without the samples d drops,
@@ -458,7 +464,8 @@ def _multirate_pieces(parts, n_out, d=1):
     the chunk, which reads its x a chunk further, the chunk goes straight
     into its piece of the result, and its last row's tail is carried into
     the next chunk. Memory beyond the inputs and the result is then a few
-    chunks, whatever the length.
+    chunks, whatever the length. Given rows, all of a lone part's FFT'd
+    block rows at u = 1 (_block_spectra), are read in place of its own.
 
     A start off the u grid is moved onto it by delaying the taps by
     -start mod u samples. Input sample a = start/u then lands on kept sample
@@ -468,57 +475,51 @@ def _multirate_pieces(parts, n_out, d=1):
     """
     if n_out <= 0:
         return
-    staged = []
-    for x, taps, u, start, fill in parts:
-        delay = -start % u
-        taps = np.concatenate([np.zeros(delay), taps])
-        a = (start + delay) // u
-        # inputs from a + ceil(((n_out-1)*d + 1)/u) on reach past the output
-        staged.append((x, min(len(x), a - (-((n_out - 1) * d + 1) // u)),
-                       taps, u, a, fill))
-    n_taps = max(len(part[2]) for part in staged)
-    m = max([d] + [part[3] for part in staged])
-    nfft = _ola_fft_len(n_taps, m)
-    step = (nfft - n_taps + 1) // m * m
-    early = [-(-a * u // step) for _, _, _, u, a, _ in staged]
-    head = max(early)
-    # per part: x, the samples of it that reach the output, its tiled
-    # spectrum, u, fill, its lead zeros, the common row of its row 0 and
-    # its row count
-    laid = [(x, n, _taps_spectrum(taps, nfft, u, d), u, fill,
-             b * step // u - a, head - b,
-             -(-(b * step // u - a + n) // (step // u)))
-            for (x, n, taps, u, a, fill), b in zip(staged, early)]
-
-    def transformed(x, n, u, fill, lead, j0, j1):
-        rows, k, views = _block_rows(n, step // u, nfft // u, lead, j0, j1)
-        fill(views, x, k)
-        return np.fft.fft(rows, axis=1, out=rows)
+    nfft, step, head, n_rows, laid = _layout(parts, n_out, d)
+    tiles = [_taps_spectrum(part[2], nfft, part[3], d) for part in laid]
 
     def spectra(r0, r1):
         if len(laid) == 1 and laid[0][3] == 1:
-            # a lone part at u = 1 takes the product in its own rows
-            x, n, tiles, u, fill, lead, _, _ = laid[0]
-            return _fold_product(transformed(x, n, u, fill, lead, r0, r1),
-                                 tiles.reshape(d, -1), d)
+            # a lone part at u = 1 takes the product in its own rows, or in
+            # new ones where its rows are given
+            own = (_part_spectra(laid[0], nfft, step, r0, r1)
+                   if rows is None else rows[r0:r1])
+            return _fold_product(own, tiles[0].reshape(d, -1), d)
         acc = np.zeros((r1 - r0, nfft), dtype=np.complex128)
-        for x, n, tiles, u, fill, lead, row0, n_rows in laid:
-            j0, j1 = max(r0 - row0, 0), min(r1 - row0, n_rows)
+        for part, spectrum in zip(laid, tiles):
+            _, _, _, u, _, _, row0, n_part = part
+            j0, j1 = max(r0 - row0, 0), min(r1 - row0, n_part)
             if j0 >= j1:
                 continue
-            rows = transformed(x, n, u, fill, lead, j0, j1)
+            own = _part_spectra(part, nfft, step, j0, j1)
             dest = acc[row0 + j0 - r0:row0 + j1 - r0].reshape(j1 - j0, u, -1)
             # a row at a time, and this part's rows go before the next
             # part's are made
             for r in range(j1 - j0):
                 for t in range(u):
-                    dest[r, t] += rows[r] * tiles[t]
-            del rows
+                    dest[r, t] += own[r] * spectrum[t]
+            del own
         if d > 1:
             acc = acc.reshape(r1 - r0, d, nfft // d).sum(axis=1)
         return acc
 
-    yield from _overlap_add(spectra, nfft, head, step // d, n_out)
+    yield from _overlap_add(spectra, nfft, head, step // d, n_rows, n_out)
+
+
+def _front_end(x, taps, h, u, fill=_fill):
+    """_multirate's arguments for mix_filter_decimate of the samples x,
+    which fill writes, with taps of h's length."""
+    gd = h.group_delay
+    return [(x, taps, 1, gd, fill)], len(range(gd, len(x) + len(h) - 1, u)), u
+
+
+def _block_spectra(x, h, u, fill):
+    """The FFT'd block rows of mix_filter_decimate of the samples x with h
+    at u, all made at once, for a fill that must write every row before
+    any is transformed; _mix_filter_decimate reads them."""
+    nfft, step, _, n_rows, [part] = _layout(*_front_end(x, h.taps, h, u,
+                                                        fill))
+    return _part_spectra(part, nfft, step, 0, n_rows)
 
 
 def _mix_through(taps, f_hz, rate_hz, u, origin):
@@ -548,22 +549,19 @@ def mix_filter_decimate(x: ComplexSignal, f_hz: float, h: FilterTaps,
 
     The mixer moves onto the taps, h[k] exp(-j w (k - gd)) with
     w = 2 pi f_hz / fs, so the filter runs on x itself and decimates inside
-    the overlap-add; the output is then shifted at fs/u by f_hz aliased into
-    that band. Its halves are _block_spectra and _mix_filter_spectra.
+    the overlap-add core (_multirate_pieces), which makes x's block rows a
+    chunk at a time; the output is then shifted at fs/u by f_hz aliased
+    into that band.
     """
-    fill = partial(_fill, x=x.samples, k=0)
-    return _mix_filter_spectra(lambda: _block_spectra(len(x), fill, h, u),
-                               len(x), x.rate_hz, f_hz, h, u)
+    return _mix_filter_decimate(x.samples, x.rate_hz, f_hz, h, u)
 
 
-def _mix_filter_spectra(spectra, n, rate_hz, f_hz, h, u):
-    """mix_filter_decimate of the n samples at rate_hz whose block spectra
-    spectra() gives; called in the filter's argument list, so that no frame
-    here keeps block rows the filter could free."""
-    gd = h.group_delay
-    taps, f_rest = _mix_through(h.taps, -f_hz, rate_hz, u, gd)
-    y = _filter_spectra(spectra(), taps, gd,
-                        len(range(gd, n + len(h) - 1, u)), u)
+def _mix_filter_decimate(x, rate_hz, f_hz, h, u, rows=None):
+    """mix_filter_decimate of the samples x at rate_hz. rows, if given,
+    are x's block rows (_block_spectra), read in place of its samples: x
+    then only gives their count."""
+    taps, f_rest = _mix_through(h.taps, -f_hz, rate_hz, u, h.group_delay)
+    y = _multirate(*_front_end(x, taps, h, u), rows)
     return frequency_shift(ComplexSignal(y, rate_hz / u), -f_rest)
 
 

@@ -14,10 +14,10 @@ the Eb/N0 convention at the demapper input. The noiseless run builds no
 composite: zero-stuffing, interpolation, the shift up and back down (which
 cancel), the receive filter and decimation are together one band-rate FIR
 on the band's own burst, and calibration shares the demodulation tail with
-traffic. Of the noise run's front end only the taps, which carry the
-mixer, change with the guard separation, so the kept item is the noise's
-block spectra, transformed once per band: a separation sweep applies each
-m's mixed receive taps to them.
+traffic. The noise run is traffic's front end with its block rows given:
+only its taps, which carry the mixer, change with the guard separation,
+so the kept item is the noise's block spectra, transformed once per band,
+and a separation sweep applies each m's mixed receive taps to them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (ScenarioConfig, center_frequencies, composite_length,
                      composite_rate, scenario_hash, symbols_per_band,
                      upsampling_factor)
 from .dsp import (ComplexSignal, FilterTaps, _block_spectra, _fill,
-                  _mix_filter_spectra, _multirate, convolve_full,
+                  _mix_filter_decimate, _multirate, convolve_full,
                   design_subband_filter, mix_filter_decimate)
 from .waveform import (build_burst, interpolation_filter, random_payload,
                        used_subcarrier_bins)
@@ -190,13 +190,13 @@ def _noise_spectra(seed, i, n, h, u):
     kept: a miss drops it before anything is drawn (lru_cache would evict
     after drawing), and calibrate drops it as it starts. The noise is drawn
     a few rows at a time straight into the block rows, so its samples never
-    exist on their own."""
+    exist on their own: range(n) stands for them."""
     key = _spectra_key(seed, i, n, h, u)
     if key not in _CAL_SPECTRA:
         _CAL_SPECTRA.clear()
         rng = _calibration_rng(seed, i, 1)
 
-        def draw(views):
+        def draw(views, x, k):
             parts = [part for view in views for part in
                      np.array_split(view, 1 + view.size // _DRAW_SAMPLES)]
             # samples the layout cuts are drawn all the same: the stream
@@ -205,7 +205,7 @@ def _noise_spectra(seed, i, n, h, u):
                            dtype=np.complex128)
             _complex_noise(parts + [cut], 1.0, rng)
 
-        spectra = _block_spectra(n, draw, h, u)
+        spectra = _block_spectra(range(n), h, u, draw)
         spectra.flags.writeable = False
         _CAL_SPECTRA[key] = spectra
     return _CAL_SPECTRA[key]
@@ -252,9 +252,8 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
         # noiseless run has released its burst
         _CAL_SPECTRA.clear()
     eq, es = _noiseless_run(sc_cal, i, sc.seed, sc.eq_mode)
-    spectra = _noise_spectra(sc.seed, i, n, h_r, u)
-    x = _mix_filter_spectra(lambda: spectra, n, fs,
-                            -center_frequencies(sc_cal)[i], h_r, u)
+    x = _mix_filter_decimate(range(n), fs, -center_frequencies(sc_cal)[i],
+                             h_r, u, _noise_spectra(sc.seed, i, n, h_r, u))
     out = _demodulate(x.samples, sc_cal, i) * eq[None, :]
     gain = np.mean(np.abs(out) ** 2, axis=0)
     return ReceiverCalibration(eq_coeffs=eq, es_per_subcarrier=es,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixnum
-from mixnum import config, link
+from mixnum import cli, config, link
 from mixnum.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, MAX_GRID_DB,
                         MAX_GRID_POINTS, PSD_MIN_SYMBOLS, _parse_grid,
                         _parse_m_range, _sweep_workers, build_parser, main)
@@ -179,6 +179,23 @@ class TestBerCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0].decode().splitlines()[1].startswith("1,-5,")
+
+    @pytest.mark.parametrize("method", ["sa", "mc"])
+    def test_trials_start_without_calibration_noise(self, tmp_path,
+                                                    monkeypatch, method):
+        # calibration keeps the last band's noise spectra for the next
+        # calibration, which ber makes none of: its trials and points
+        # start with the memo empty
+        kept = []
+        for name in ("semianalytic_run", "monte_carlo_curves"):
+            def counted(*args, run=getattr(cli, name)):
+                kept.append(len(link._CAL_SPECTRA))
+                return run(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["ber", "--scenario", "table1", "--symbols", "4",
+                     "--method", method, "--ebn0", "0:1:0",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert kept == [0]
 
 
 class TestSweepCommand:

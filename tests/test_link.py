@@ -1,10 +1,10 @@
+import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
-from mixnum import config, link
+from mixnum import config, dsp, link
 from mixnum.config import (F0_HZ, center_frequencies, composite_length,
                            composite_rate, scenario_hash, symbols_per_band,
                            upsampling_factor, with_gap)
@@ -136,7 +136,7 @@ def band_noise(seed, i, n):
 
 def front_end_spectra(x, h, u):
     """The receive front end's block spectra of the samples x."""
-    return _block_spectra(len(x), partial(_fill, x=x, k=0), h, u)
+    return _block_spectra(x, h, u, _fill)
 
 
 class TestCalibrationNoise:
@@ -234,6 +234,35 @@ def test_noise_run_matches_receive_subband(sc, band, monkeypatch):
         want = receive_subband(noise, sc_cal, band)
         assert runs[-1].tobytes() == want.tobytes()
     assert len(link._CAL_SPECTRA) == 1
+
+
+# how far receive_subband's tracemalloc peak beyond twice its front end's
+# output (that output beside its shifted copy, or beside demodulation's
+# FFT of it) may grow from 130 to 512 table1 symbols: the front end makes
+# its block rows a chunk of dsp._OLA_CHUNK points at a time. 0.1-2.8 MB
+# was measured; making every block row at once grows it by 5.6-22.4 MB.
+RECEIVE_GROWTH_BYTES = 2 * 16 * dsp._OLA_CHUNK
+
+
+def test_receive_subband_peak_beyond_its_output_does_not_grow():
+    residual = {}
+    for n_symbols in (130, 512):
+        sc = replace(config.get_preset("table1"), n_symbols=n_symbols)
+        y = build_composite(sc, seeded_payloads(sc, 11)).signal()
+        for i in range(len(sc.subbands)):
+            h, u = receive_filter(sc, i), upsampling_factor(sc, i)
+            n_out = len(range(h.group_delay, len(y) + len(h) - 1, u))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                receive_subband(y, sc, i)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            residual[n_symbols, u] = peak - 2 * 16 * n_out
+    for u in (1, 2, 4):
+        assert residual[512, u] - residual[130, u] <= RECEIVE_GROWTH_BYTES, u
 
 
 def _composite_path_calibration(sc, i):

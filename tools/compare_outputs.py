@@ -49,6 +49,11 @@ composite in which every band passes through. One semi-analytic ``ber``
 job, table1 f-OFDM at 256-QAM and 130 symbols, gives every band more
 received points than one chunk of the bit-error kernel (2^14 points), so
 its chunk edges fall inside each band.
+Three more semi-analytic ``ber`` jobs run the traffic front end over
+several of its overlap-add chunks (2^17 block points, 8 rows of band 3's
+16384-point blocks), where the benchmark's 16-symbol ``ber`` jobs fit in
+one: table1 CP-OFDM and w-OFDM at 16-QAM and 130 symbols, and table1
+f-OFDM at 256-QAM and 512 symbols.
 Two more jobs join and stream a composite of more than one piece of zeros
 (compose starts from zeros, pieces of 2^17 samples, when every band passes
 through, and adds the bands into them): a Monte Carlo ``ber`` on ``bypass``
@@ -209,6 +214,15 @@ def main(argv=None):
                                    "--waveform", "f-ofdm", "--method", "sa",
                                    "--mod", "256", "--ebn0", "0:2:30",
                                    "--symbols", "130"],
+        **{f"table1-ber-sa-{wf}-m16-130": ["ber", "--scenario", "table1",
+                                           "--waveform", wf, "--method",
+                                           "sa", "--mod", "16", "--ebn0",
+                                           "0:2:20", "--symbols", "130"]
+           for wf in ("cp-ofdm", "w-ofdm")},
+        "table1-ber-sa-m256-512": ["ber", "--scenario", "table1",
+                                   "--waveform", "f-ofdm", "--method", "sa",
+                                   "--mod", "256", "--ebn0", "0:2:30",
+                                   "--symbols", "512"],
         "bypass-ber-mc-130": ["ber", "--scenario", "bypass", "--method", "mc",
                               "--ebn0", "0:4:8", "--symbols", "130"],
         "single-band-psd": ["psd", "--scenario", "single-band"],
