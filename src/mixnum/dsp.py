@@ -139,13 +139,13 @@ def frequency_shift(x: ComplexSignal, f_hz: float) -> ComplexSignal:
 
     The one mixer of the chain. mix_filter_decimate() shifts its output
     back down with it, into a copy, and interpolate_mix_sum() applies the
-    same phasor to each band at the band's own rate as it writes the band
-    into its block rows; both move the composite-rate part of the shift
-    onto their filter taps. The phasor is the outer product of about
-    sqrt(n) block-start phasors and about sqrt(n) in-block phasors
-    (_phasor_table), made a few rows at a time (_phasor_pieces), so it costs
-    two short exp tables and one complex multiply per sample instead of an
-    exp per sample, for any |f_hz| up to fs/2.
+    same phasor to each band at the band's own rate as it writes or adds
+    the band; both move the composite-rate part of the shift onto their
+    filter taps. The phasor is the outer product of about sqrt(n)
+    block-start phasors and about sqrt(n) in-block phasors (_phasor_table),
+    in pieces of at most _PHASOR_PIECE samples (_phasor_pieces), so it
+    costs two short exp tables and one complex multiply per sample instead
+    of an exp per sample, for any |f_hz| up to fs/2.
     """
     if f_hz == 0.0:
         return x
@@ -171,21 +171,19 @@ def _phasor_table(n, f_hz, rate_hz):
 
 def _phasor_pieces(table, k, m):
     """Yield (j, p) in order, p being the phasor's samples k+j onwards, until
-    the pieces cover samples k..k+m-1. Whole rows of the table come as one
-    outer product, at most _PHASOR_PIECE samples at a time, and part rows
-    from their start phasor times a slice of the steps: each sample is the
-    one product that frequency_shift's outer product forms for it."""
+    the pieces cover samples k..k+m-1. Each p is at most _PHASOR_PIECE
+    samples cut from the outer product of the table's rows that it spans, and
+    ends at the last row end within that reach, if there is one: each sample
+    is the one product starts[r] * steps[c] wherever the pieces are cut."""
     starts, steps = table
     block = len(steps)
     j = 0
     while j < m:
         r, c = divmod(k + j, block)
-        rows = (m - j) // block
-        if c or not rows:
-            p = starts[r] * steps[c:c + m - j]
-        else:
-            rows = min(rows, max(1, _PHASOR_PIECE // block))
-            p = np.multiply(starts[r:r + rows, None], steps).reshape(-1)
+        rows = min(max(1, (c + _PHASOR_PIECE) // block),
+                   -(-(c + m - j) // block))
+        p = np.multiply.outer(starts[r:r + rows], steps).reshape(-1)
+        p = p[c:c + min(m - j, _PHASOR_PIECE)]
         yield j, p
         j += len(p)
 
@@ -332,32 +330,16 @@ def _joined(n, pieces):
     return np.zeros(n, dtype=np.complex128) if out is None else out
 
 
-def _rows_into(out, rows, k, hop, add):
-    """Write, or add, row i of rows into out from sample k + i*hop on, as
-    far as out reaches; rows are at most hop long and k >= 0."""
-    n, width = rows.shape
-    full = min(n, max(len(out) - k, 0) // hop)
-    pairs = [(out[k:k + full * hop].reshape(full, hop)[:, :width],
-              rows[:full])]
-    if full < n:
-        end = out[k + full * hop:k + full * hop + width]
-        pairs.append((end, rows[full, :len(end)]))
-    for dest, src in pairs:
-        if add:
-            dest += src
-        else:
-            dest[...] = src
-
-
 def _overlap_add(spectra, nfft, head, hop, n_rows, n_out):
     """Yield n_out samples from sample head*hop on of the overlap-add of
-    block rows 0..n_rows-1, row j starting at sample j*hop, in consecutive
-    new arrays, one per chunk.
-    spectra(r0, r1) gives the folded spectra of rows r0..r1-1, about
-    _OLA_CHUNK block points of nfft at a time; each chunk is inverse FFT'd
-    in place and added straight into its piece, and the width - hop tail
-    of its last row is carried into the next piece. Rows before head - 1
-    reach no output sample and are not asked for."""
+    block rows 0..n_rows-1, row j starting at sample j*hop, one new array
+    per chunk of about _OLA_CHUNK block points of nfft, rows r0..r1-1 of
+    which spectra(r0, r1) gives folded. A chunk is inverse FFT'd in place,
+    each row's tail (at most hop long, as nfft >= 2L-1) is added onto the
+    next row's head and the carried tail onto the first, and the heads that
+    reach the output are copied into its piece: every sample is one head
+    plus at most one tail. Rows before head - 1 reach no output sample and
+    are not asked for."""
     per = _per_chunk(nfft)
     carry = None
     for r0 in range(max(head - 1, 0), n_rows, per):
@@ -365,15 +347,20 @@ def _overlap_add(spectra, nfft, head, hop, n_rows, n_out):
         acc = spectra(r0, r1)
         np.fft.ifft(acc, axis=1, out=acc)
         k = (r0 - head) * hop
-        lo, hi = max(k, 0), min((r1 - head) * hop, n_out)
-        piece = np.empty(hi - lo, dtype=np.complex128)
-        cut = int(r0 < head)  # row head - 1 reaches the output by its tail
-        _rows_into(piece, acc[cut:, :hop], k + cut * hop - lo, hop, False)
+        # made at its own length while acc is alive: a view of a larger
+        # array put ber's peak RSS 7-9 MB higher (glibc heap trimming)
+        piece = np.empty(min((r1 - head) * hop, n_out) - max(k, 0),
+                         dtype=np.complex128)
+        tail = acc.shape[1] - hop
         if carry is not None:
-            _rows_into(piece, carry[None], k - lo, hop, True)
-        _rows_into(piece, acc[:-1, hop:], k + hop - lo, hop, True)
+            acc[0, :tail] += carry
+        acc[1:, :tail] += acc[:-1, hop:]
         carry = acc[-1, hop:].copy()
-        del acc  # freed before the consumer, which may make more rows, runs
+        heads = acc[int(k < 0):, :hop]  # row head - 1 adds only its tail
+        full, rest = divmod(len(piece), hop)
+        piece[:full * hop].reshape(full, hop)[...] = heads[:full]
+        piece[full * hop:] = heads[full:].reshape(-1)[:rest]
+        del acc, heads  # freed before the consumer, which may make rows, runs
         yield piece
         del piece  # and the piece before the next one is made
 
@@ -585,8 +572,9 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> _Stream:
     tap passes straight through: it is read, shifted in the time domain and
     added into each piece of the overlap-add's result (or, where no band
     goes through the overlap-add, of zeros) a piece of the phasor at a time,
-    after that result and in band order. No shifted copy of a band is made,
-    and no band's samples are changed.
+    after that result and in band order (at f_hz = 0 too: its phasor is
+    exactly 1). No shifted copy of a band is made, and no band's samples
+    are changed.
     """
     direct, parts = [], []
     for x, u, h, f_hz, skip in bands:
@@ -594,8 +582,7 @@ def interpolate_mix_sum(bands, rate_hz: float, n_out: int) -> _Stream:
             x = x.samples  # read by the same slices as a _Stream
         if u == 1 and len(h) == 1 and h.taps[0] == 1.0:
             m = max(min(len(x) - skip, n_out), 0)
-            direct.append((x, skip, m, None if f_hz == 0.0
-                           else _phasor_table(m, f_hz, rate_hz)))
+            direct.append((x, skip, m, _phasor_table(m, f_hz, rate_hz)))
             continue
         taps, f_rest = _mix_through(h.taps, f_hz, rate_hz, u, skip)
         fill = _fill
@@ -616,9 +603,9 @@ def _zeros(n):
 def _mix_sum_pieces(parts, direct, n_out):
     """interpolate_mix_sum's pieces, each a new array:
     _multirate_pieces of the parts, or _zeros when there are none, each
-    with the pass-through bands (x, skip, m, table) added over its samples
-    below m (table None: no shift); a band's phasor sample k is the same
-    product wherever the pieces are cut."""
+    with the pass-through bands (x, skip, m, table) shifted and added over
+    its samples below m, a phasor piece at a time; a band's phasor sample k
+    is the same product wherever the pieces are cut."""
     if parts:
         pieces = _multirate_pieces(parts, n_out)
     else:
@@ -626,15 +613,10 @@ def _mix_sum_pieces(parts, direct, n_out):
     k = 0
     for piece in pieces:
         for x, skip, m, table in direct:
-            end = min(k + len(piece), m)
-            if table is None:
-                for j in range(k, end, _PHASOR_PIECE):
-                    stop = min(j + _PHASOR_PIECE, end)
-                    piece[j - k:stop - k] += x[skip + j:skip + stop]
-                continue
-            for j, p in _phasor_pieces(table, k, max(end - k, 0)):
+            for j, p in _phasor_pieces(table, k, min(len(piece), m - k)):
                 p *= x[skip + k + j:skip + k + j + len(p)]
                 piece[j:j + len(p)] += p
         k += len(piece)
+        p = None  # the last phasor piece is not kept while piece is read
         yield piece
         del piece

@@ -28,7 +28,6 @@ DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 2_000_000
 EVM_FLOOR_DB = -300.0
 WELCH_SEGMENT_LEN = 4096
-WELCH_OVERLAP = 0.5         # fraction of a segment shared with the next
 WELCH_CHUNK_SEGMENTS = 64   # segments summed apart before the total
 # segments that welch_psd reads, windows and FFTs at a time; it divides
 # WELCH_CHUNK_SEGMENTS, and bounds welch_psd's memory and a read that
@@ -59,7 +58,7 @@ def welch_psd(x) -> PsdCurve:
     """Averaged-periodogram PSD, FFT-shifted to span (-fs/2, fs/2].
 
     Welch's method over WELCH_SEGMENT_LEN-sample segments overlapping by
-    WELCH_OVERLAP, with a periodic Hann window, no detrending and density
+    half, with a periodic Hann window, no detrending and density
     scaling 1/(fs * sum(w^2)); a partial last segment is dropped.
 
     x is a ComplexSignal or a _Stream of its samples with its rate (the
@@ -71,7 +70,7 @@ def welch_psd(x) -> PsdCurve:
     its segment array need exist whole.
     """
     segment_len = WELCH_SEGMENT_LEN
-    step = segment_len - int(segment_len * WELCH_OVERLAP)
+    step = segment_len // 2
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len)
                              / segment_len)
     n_segs = (len(x) - segment_len) // step + 1
@@ -79,8 +78,8 @@ def welch_psd(x) -> PsdCurve:
         raise MetricsError(f"welch_psd needs at least {segment_len} "
                            f"samples, got {len(x)}")
     samples = x.samples if isinstance(x, ComplexSignal) else x
-    # WELCH_OVERLAP is 1/2, so segment i is samples i*step.. in two halves
-    # of step: the previous segment's second half and one new half
+    # segment i is samples i*step.. in two halves of step: the previous
+    # segment's second half and one new half
     frames = np.empty((min(_WELCH_BATCH, n_segs), segment_len),
                       dtype=np.complex128)
     acc = np.zeros(segment_len)

@@ -288,6 +288,26 @@ class TestResampling:
         np.testing.assert_allclose(back.samples, x.samples, rtol=0,
                                    atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 100_000), f=st.floats(-0.5, 0.5),
+           data=st.data())
+    def test_phasor_pieces_cut_the_full_outer_product(self, n, f, data):
+        # the pieces of samples k..k+m-1, joined, are those samples of the
+        # table's whole outer product byte for byte, and none is longer
+        # than _PHASOR_PIECE
+        k = data.draw(st.integers(0, n), label="k")
+        m = data.draw(st.integers(0, n - k), label="m")
+        table = dsp._phasor_table(n, f, 1.0)
+        full = np.multiply.outer(*table).reshape(-1)
+        at, pieces = 0, []
+        for j, p in dsp._phasor_pieces(table, k, m):
+            assert j == at and 0 < len(p) <= dsp._PHASOR_PIECE
+            at += len(p)
+            pieces.append(p)
+        joined = np.concatenate(pieces) if pieces else full[:0]
+        assert at == m
+        assert joined.tobytes() == full[k:k + m].tobytes()
+
 
 class TestConvolveFull:
     def _direct(self, x, h):

@@ -13,11 +13,10 @@ from mixnum.cli import EXIT_CONFIG, main
 from mixnum.config import F0_HZ
 from mixnum.dsp import ComplexSignal
 from mixnum.link import calibrate
-from mixnum.metrics import (WELCH_CHUNK_SEGMENTS, WELCH_OVERLAP,
-                            WELCH_SEGMENT_LEN, MetricsError,
-                            ebn0_at_target_ber, ebn0_for_target, evm_db,
-                            monte_carlo_ber, monte_carlo_curves,
-                            semianalytic_run, welch_psd)
+from mixnum.metrics import (WELCH_CHUNK_SEGMENTS, WELCH_SEGMENT_LEN,
+                            MetricsError, ebn0_at_target_ber,
+                            ebn0_for_target, evm_db, monte_carlo_ber,
+                            monte_carlo_curves, semianalytic_run, welch_psd)
 from mixnum.waveform import (_payload_streams, build_composite,
                              payload_symbols, random_payload)
 from oracles import qam_ber_awgn, qfunc, stream_in_pieces
@@ -26,7 +25,7 @@ from oracles import qam_ber_awgn, qfunc, stream_in_pieces
 def scipy_welch(x, fs):
     """scipy's estimate with welch_psd's settings, FFT-shifted like it."""
     f, p = signal.welch(x, fs=fs, window="hann", nperseg=WELCH_SEGMENT_LEN,
-                        noverlap=int(WELCH_SEGMENT_LEN * WELCH_OVERLAP),
+                        noverlap=WELCH_SEGMENT_LEN // 2,
                         detrend=False, return_onesided=False,
                         scaling="density")
     return np.fft.fftshift(f), np.fft.fftshift(p)
@@ -91,7 +90,8 @@ class TestWelchPsd:
         (2 ** 16, 4096, 0.5),
     ])
     def test_matches_scipy_welch(self, n, segment_len, overlap):
-        assert (segment_len, overlap) == (WELCH_SEGMENT_LEN, WELCH_OVERLAP)
+        # welch_psd's segments overlap by half
+        assert (segment_len, overlap) == (WELCH_SEGMENT_LEN, 0.5)
         rng = np.random.default_rng(n)
         fs = 61.44e6
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -131,7 +131,7 @@ def welch_by_groups(x, fs):
     """welch_psd's dB curve the direct way: every segment of the whole
     signal windowed at once, and each group of WELCH_CHUNK_SEGMENTS
     segments FFT'd and summed with np.sum before it joins the total."""
-    step = WELCH_SEGMENT_LEN - int(WELCH_SEGMENT_LEN * WELCH_OVERLAP)
+    step = WELCH_SEGMENT_LEN // 2
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WELCH_SEGMENT_LEN)
                              / WELCH_SEGMENT_LEN)
     segs = sliding_window_view(x, WELCH_SEGMENT_LEN)[::step]

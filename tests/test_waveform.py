@@ -496,8 +496,8 @@ class TestStreamedBursts:
     @example("f-ofdm", 41, 1)
     @example("f-ofdm", 53, 1)
     @example("cp-ofdm", 17, 2)
-    @example("w-ofdm", 48, 1)
-    @example("w-ofdm", 4, 1)
+    @example("w-ofdm", 51, 5)
+    @example("w-ofdm", 50, 20)
     def test_streamed_bursts_are_byte_identical(self, waveform, n_symbols,
                                                 chunk_rows):
         sc, payloads = _table1(waveform, n_symbols)
@@ -520,14 +520,17 @@ class TestStreamedBursts:
         ("f-ofdm", 41, 1, "filter tail"),
         ("f-ofdm", 53, 1, "pass-through end"),
         ("cp-ofdm", 17, 2, "pass-through end"),
-        ("w-ofdm", 48, 1, "suffix"),
-        ("w-ofdm", 4, 1, "last suffix")])
+        ("w-ofdm", 51, 5, "suffix"),
+        ("w-ofdm", 50, 20, "last suffix")])
     def test_examples_put_an_edge_where_they_say(self, waveform, n_symbols,
                                                  chunk_rows, edge):
         # the examples above stay the cases they were chosen for: a piece
         # of band 3 ends inside its f-OFDM filter's tail; compose's last
         # read of band 2 spans its last two pieces; a read of band 2 ends
-        # inside a suffix carried into its next piece, or inside the last
+        # inside a suffix carried into its next piece, or inside the last.
+        # Band 2 is read at phasor row ends only within composite pieces
+        # longer than _PHASOR_PIECE, so the w-OFDM cases take chunks of 5
+        # and 20 rows
         sc, payloads = _table1(waveform, n_symbols)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dsp, "_OLA_CHUNK", chunk_rows * TABLE1_ROW_POINTS)

@@ -33,11 +33,13 @@ symbols, 130560 samples, at a time, f-OFDM bursts a chunk of their filter's
 overlap-add at a time; band 2 passes through at the composite rate and is
 read in phasor pieces): table1 f-OFDM at 262 symbols, where a chunk starts
 inside the f-OFDM filter tail of bands 1 and 3 and both bursts end in a
-chunk's first row; table1 f-OFDM at 67 symbols, where a read of band 2 ends
-inside its filter tail; table1 w-OFDM at 262 symbols, where a chunk starts
-inside the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at 339
-symbols, where a read of band 2 ends inside the suffix carried from one of
-its pieces into the next.
+chunk's first row; table1 f-OFDM at 220 symbols, where a read of band 2
+ends inside its filter tail; table1 w-OFDM at 262 symbols, where a chunk
+starts inside the last w-OFDM suffix of bands 1 and 3; and table1 w-OFDM at
+459 symbols, where a read of band 2 ends inside the suffix carried from one
+of its pieces into the next. A read of band 2 ends at a composite piece's
+end or at a phasor row's end, the last that a phasor piece of at most 2^14
+samples reaches.
 Three more ``psd`` jobs put the composite's end at the edges of Welch's
 groups of 64 segments (welch_psd reads the streamed composite a few
 segments at a time and sums each group's periodograms apart): table1
@@ -235,7 +237,7 @@ def main(argv=None):
         **{f"table1-psd-{wf}-{n}": ["psd", "--scenario", "table1",
                                     "--waveform", wf, "--symbols", str(n)]
            for wf, n in (("cp-ofdm", 78), ("f-ofdm", 130), ("f-ofdm", 262),
-                         ("f-ofdm", 67), ("w-ofdm", 262), ("w-ofdm", 339),
+                         ("f-ofdm", 220), ("w-ofdm", 262), ("w-ofdm", 459),
                          ("cp-ofdm", 91), ("cp-ofdm", 212),
                          ("f-ofdm", 242))},
         **{f"table1-psd-{wf}-m{mod}-{n}": ["psd", "--scenario", "table1",
