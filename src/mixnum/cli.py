@@ -353,7 +353,7 @@ def main(argv=None):
     args = build_parser().parse_args(_glue_negative_grids(argv))
     try:
         return args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError) as e:
         _print_error(e)
         return EXIT_CONFIG
     except ValueError as e:  # LinkError and MetricsError among them

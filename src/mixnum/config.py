@@ -267,14 +267,14 @@ def interpolation_filter_len(u, n_cp):
     return min(8 * u * max(n_cp, 8) + 1, MAX_INTERP_TAPS)
 
 
-def _burst_layout(sc: ScenarioConfig, i: int):
-    """Leading delay and length in samples of band i's burst, from the
-    numerology and the scenario's waveform."""
-    nm = sc.subbands[i]
-    n = symbols_per_band(sc, i) * (nm.n_fft + nm.n_cp)
-    if sc.waveform == "f-ofdm":
+def _burst_layout(nm: SubbandNumerology, waveform: str, n_sym: int):
+    """Leading delay and length in samples of a burst of n_sym symbols of
+    numerology nm in the given waveform: what composite_length counts and
+    what the waveform module's burst streams hold."""
+    n = n_sym * (nm.n_fft + nm.n_cp)
+    if waveform == "f-ofdm":
         return (nm.filter_len - 1) // 2, n + nm.filter_len - 1
-    if sc.waveform == "w-ofdm":
+    if waveform == "w-ofdm":
         return 0, n + nm.n_prefix + 1
     return 0, n
 
@@ -286,7 +286,8 @@ def composite_length(sc: ScenarioConfig) -> int:
     total = 0
     for i, nm in enumerate(sc.subbands):
         u = upsampling_factor(sc, i)
-        delay, length = _burst_layout(sc, i)
+        delay, length = _burst_layout(nm, sc.waveform,
+                                      symbols_per_band(sc, i))
         gd = (interpolation_filter_len(u, nm.n_cp) - 1) // 2
         total = max(total, u * (length - delay) + gd)
     return total
@@ -360,8 +361,13 @@ def save_scenario(sc: ScenarioConfig, path):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    """Scenario from a UTF-8 JSON file; unreadable JSON is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            d = json.load(fh)
+        except (ValueError, RecursionError) as e:  # bytes, syntax, depth
+            raise ConfigError(f"{path}: not a JSON scenario: {e}") from None
+    return scenario_from_dict(d)
 
 
 @lru_cache(maxsize=256)

@@ -211,30 +211,13 @@ def _ola_fft_len(n_taps, u=1):
     return nfft
 
 
-def _block_rows(n, hop, width, lead, j0, j1):
-    """Rows j0..j1-1 of the overlap-add block layout of n samples: zeroed
-    rows of width, row j holding the samples from j*hop - lead on, hop to
-    a row (row 0 opens with lead < hop zeros). Returns the rows, the first
-    sample k that they hold and three views of them, which samples k, k+1,
-    ... fill in order, each view row by row."""
-    k = min(max(j0 * hop - lead, 0), n)
-    m = min(max(j1 * hop - lead, 0), n) - k
-    lead = lead if j0 == 0 else 0
-    rows = np.zeros((j1 - j0, width), dtype=np.complex128)
-    first = min(hop - lead, m)
-    full, last = divmod(m - first, hop)
-    return rows, k, (rows[:1, lead:lead + first], rows[1:1 + full, :hop],
-                     rows[1 + full:2 + full, :last])
-
-
 def _fill(views, x, k):
     """Copy x from sample k on into the views in order, as far as they
-    reach, a row at a time: a _Stream x is then read a row at a time, so
-    no read joins copies of the pieces that a whole view spans."""
+    reach: one view per block row, so a _Stream x is read a row at a time
+    and no read joins copies of the pieces that several rows span."""
     for view in views:
-        for row in view:
-            row[...] = x[k:k + len(row)]
-            k += len(row)
+        view[...] = x[k:k + len(view)]
+        k += len(view)
 
 
 def _fill_shifted(views, x, k, table):
@@ -242,9 +225,8 @@ def _fill_shifted(views, x, k, table):
     written row by row: no shifted copy of x is made, and phasor sample k
     is the same product wherever the rows are cut."""
     for view in views:
-        for row in view:
-            _shift_into(row, x[k:k + len(row)], table, k)
-            k += len(row)
+        _shift_into(view, x[k:k + len(view)], table, k)
+        k += len(view)
 
 
 # block points of overlap-add rows made at a time: a chunk's rows stay
@@ -419,11 +401,16 @@ def _layout(parts, n_out, d):
 
 
 def _part_spectra(part, nfft, step, j0, j1):
-    """A laid part's rows j0..j1-1 (_layout), written by its fill and
-    FFT'd."""
+    """A laid part's rows j0..j1-1 (_layout), FFT'd: row j, nfft/u points,
+    holds samples j*hop - lead on (hop = step/u, lead < hop), written by
+    fill(views, x, k) from sample k on through a list of one view per row,
+    in order; the view of a row past the samples is empty."""
     x, n, _, u, fill, lead, _, _ = part
-    rows, k, views = _block_rows(n, step // u, nfft // u, lead, j0, j1)
-    fill(views, x, k)
+    hop = step // u
+    rows = np.zeros((j1 - j0, nfft // u), dtype=np.complex128)
+    fill([row[max(lead - j * hop, 0):max(min(n + lead - j * hop, hop), 0)]
+          for j, row in enumerate(rows, j0)],
+         x, min(max(j0 * hop - lead, 0), n))
     return np.fft.fft(rows, axis=1, out=rows)
 
 
@@ -433,8 +420,8 @@ def _multirate_pieces(parts, n_out, d=1, rows=None):
     to n_out samples, computed without z and without the samples d drops,
     yielded in consecutive new arrays as _overlap_add makes them. x is an
     array or a _Stream, which is read once, in order. fill(views, x, k)
-    writes x from sample k on into _block_rows' views: _fill copies it, and
-    _fill_shifted shifts it as it goes in.
+    writes x from sample k on into _part_spectra's block rows, a view per
+    row: _fill copies it, and _fill_shifted shifts it as it goes in.
 
     Every x is cut into blocks of step/u samples, one common step that is a
     multiple of every u and of d, and a block's FFT of nfft/u points, tiled

@@ -46,7 +46,8 @@ class LinkError(ValueError):
 def _complex_noise(views, variance, rng):
     """Fill the views, in order, with circular complex Gaussian noise of the
     given variance: the real parts of all of them are drawn before the
-    imaginary parts, so any split of n samples gives the same noise."""
+    imaginary parts, so any split of n samples gives the same noise. Each
+    view's normals are drawn as one array (one block row in calibration)."""
     for view in views:
         view.real = rng.standard_normal(view.shape)
     for view in views:
@@ -176,8 +177,6 @@ def _calibration_rng(seed, i, child):
 
 # the last noise run's spectra by (seed, band, length, filter length, u)
 _CAL_SPECTRA: dict = {}
-# noise samples per draw into the block rows, split at row boundaries
-_DRAW_SAMPLES = 1 << 14
 
 
 def _spectra_key(seed, i, n, h, u):
@@ -189,21 +188,17 @@ def _noise_spectra(seed, i, n, h, u):
     noise for len(h) receive taps at decimation u. Only the last entry is
     kept: a miss drops it before anything is drawn (lru_cache would evict
     after drawing), and calibrate drops it as it starts. The noise is drawn
-    a few rows at a time straight into the block rows, so its samples never
-    exist on their own: range(n) stands for them."""
+    straight into the block rows, through one view per row, so its samples
+    never exist on their own: range(n) stands for them."""
     key = _spectra_key(seed, i, n, h, u)
     if key not in _CAL_SPECTRA:
         _CAL_SPECTRA.clear()
         rng = _calibration_rng(seed, i, 1)
 
         def draw(views, x, k):
-            parts = [part for view in views for part in
-                     np.array_split(view, 1 + view.size // _DRAW_SAMPLES)]
-            # samples the layout cuts are drawn all the same: the stream
-            # stays n real parts, then n imaginary parts
-            cut = np.empty(n - sum(part.size for part in parts),
-                           dtype=np.complex128)
-            _complex_noise(parts + [cut], 1.0, rng)
+            # samples the layout cuts are drawn too, so the stream is unchanged
+            cut = np.empty(n - sum(map(len, views)), dtype=np.complex128)
+            _complex_noise(views + [cut], 1.0, rng)
 
         spectra = _block_spectra(range(n), h, u, draw)
         spectra.flags.writeable = False

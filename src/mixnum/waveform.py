@@ -58,7 +58,7 @@ def _cp_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
             yield piece
             del piece  # dropped before the next piece is made
 
-    return _Stream(n_sym * stride, pieces())
+    return _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], pieces())
 
 
 def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
@@ -68,7 +68,7 @@ def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     chunks."""
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    n = n_sym * (nm.n_fft + nm.n_cp) + len(taps) - 1
+    n = _burst_layout(nm, "f-ofdm", n_sym)[1]
     return _Stream(n, _multirate_pieces(
         [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n))
 
@@ -116,7 +116,7 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
             yield piece
             del piece, rows, suffix
 
-    return _Stream(n_sym * stride + overlap, pieces())
+    return _Stream(_burst_layout(nm, "w-ofdm", n_sym)[1], pieces())
 
 
 _STREAMS = {
@@ -163,10 +163,10 @@ def interpolation_filter(sc: ScenarioConfig, i: int):
     rate: the upsampling factor, the anti-image filter (a unit tap at u = 1)
     and the samples it drops from the front, the taps' group delay plus u
     times the burst's leading delay."""
-    u = upsampling_factor(sc, i)
-    taps = design_interpolation_filter(
-        u, interpolation_filter_len(u, sc.subbands[i].n_cp))
-    return u, taps, taps.group_delay + u * _burst_layout(sc, i)[0]
+    nm, u = sc.subbands[i], upsampling_factor(sc, i)
+    taps = design_interpolation_filter(u, interpolation_filter_len(u, nm.n_cp))
+    delay = _burst_layout(nm, sc.waveform, symbols_per_band(sc, i))[0]
+    return u, taps, taps.group_delay + u * delay
 
 
 def compose(bursts, sc: ScenarioConfig) -> _Stream:

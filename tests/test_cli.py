@@ -396,6 +396,22 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000,
+        b'{"waveform": "f-ofdm\xff"}',
+        b'{"n_symbols": ' + b"1" * 5000 + b"}",
+    ], ids=["nested-too-deep", "not-utf-8", "integer-too-long"])
+    def test_unreadable_scenario_json_exits_2(self, tmp_path, capsys,
+                                              content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        rc = main(["psd", "--scenario", str(path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_unknown_scenario_field(self, tmp_path):
         sc = config.get_preset("single-band")
         d = config.scenario_to_dict(sc)

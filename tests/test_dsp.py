@@ -592,6 +592,52 @@ class TestMultirateCore:
         assert chunked.tobytes() == whole.tobytes()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.sampled_from([1, 2, 4]), hop=st.integers(1, 40),
+           data=st.data())
+    def test_part_rows_give_one_view_per_row(self, u, hop, data):
+        # _part_spectra hands its fill one view per block row, in order:
+        # row j holds samples j*hop - lead on, row 0 opens with lead zeros,
+        # the views cover samples k.. of x once each, and a row past the
+        # samples gets an empty view
+        lead = data.draw(st.integers(0, hop - 1), label="lead")
+        width = hop + data.draw(st.integers(0, 8), label="tail")
+        n = data.draw(st.integers(0, 12 * hop), label="n")
+        j0 = data.draw(st.integers(0, 12), label="j0")
+        j1 = data.draw(st.integers(j0 + 1, 14), label="j1")
+        x = np.arange(1, n + 1) * (1 + 2j)
+        calls = []
+
+        def recording(views, x, k):
+            calls.append(k)
+            rows = views[0].base
+            assert rows.shape == (j1 - j0, width)
+            assert len(views) == j1 - j0
+            at = k
+            for i, view in enumerate(views):
+                first = (j0 + i) * hop - lead  # row j0 + i's first sample
+                assert (len(view) > 0) == (max(first, 0) < n)
+                if len(view):
+                    r, c = divmod((view.ctypes.data - rows.ctypes.data)
+                                  // view.itemsize, width)
+                    assert r == i and first + c == at
+                    assert c == (lead if j0 + i == 0 else 0)
+                    assert c + len(view) <= hop
+                at += len(view)
+            assert at == min(max(j1 * hop - lead, 0), n)
+            dsp._fill(views, x, k)
+
+        part = (x, n, None, u, recording, lead, 0, j1)
+        got = dsp._part_spectra(part, u * width, u * hop, j0, j1)
+        assert calls == [min(max(j0 * hop - lead, 0), n)]
+        want = np.zeros((j1 - j0, width), dtype=np.complex128)
+        for j in range(j0, j1):
+            for c in range(hop):
+                if 0 <= j * hop - lead + c < n:
+                    want[j - j0, c] = x[j * hop - lead + c]
+        assert got.tobytes() == np.fft.fft(want, axis=1).tobytes()
+
+
 class TestStreamIsReadOnce:
     """A _Stream is read once, in order: a read that needs samples of a
     piece already dropped, or that goes back, raises instead of giving

@@ -169,6 +169,15 @@ class TestCalibrationNoise:
         got = _noise_spectra(3, 1, n, h, 4)
         assert got.tobytes() == want.tobytes()
 
+    def test_rows_longer_than_2_14_samples_keep_the_stream(self):
+        # 8191 receive taps at u = 2 give block rows of 61441 samples, far
+        # longer than any preset's: the noise stream must not depend on
+        # where a draw is cut within a row
+        h = FilterTaps(np.hanning(8191))
+        want = front_end_spectra(band_noise(3, 1, 150_000), h, 2)
+        got = _noise_spectra(3, 1, 150_000, h, 2)
+        assert got.tobytes() == want.tobytes()
+
     def test_memo_holds_at_most_one_entry(self):
         first = _noise_spectra(3, 0, 64, self.H, 2)
         # equal taps of another value are the same layout

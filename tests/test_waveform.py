@@ -10,7 +10,8 @@ from mixnum import config, dsp
 from mixnum.config import (ScenarioConfig, SubbandNumerology, _burst_layout,
                            center_frequencies, composite_length,
                            composite_rate, scenario_from_dict,
-                           subband_sample_rate, upsampling_factor)
+                           subband_sample_rate, symbols_per_band,
+                           upsampling_factor)
 from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         frequency_shift, interpolate_mix_sum,
                         mix_filter_decimate, wofdm_window)
@@ -62,8 +63,7 @@ class TestCpOfdm:
         nm = SubbandNumerology(n_fft=1024, n_cp=64, scs_hz=15e3, n_used=180)
         sig = build_burst(payload(nm, 3), nm, "cp-ofdm")
         assert len(sig) == 3 * (1024 + 64) == 3264
-        sc = ScenarioConfig(subbands=(nm,), n_symbols=3)
-        assert _burst_layout(sc, 0) == (0, 3264)
+        assert _burst_layout(nm, "cp-ofdm", 3) == (0, 3264)
 
     def test_cyclic_prefix_is_cyclic(self):
         nm = small_band()
@@ -100,8 +100,7 @@ class TestFOfdm:
         nm = small_band()
         sig = build_burst(payload(nm, 3), nm, "f-ofdm")
         assert len(sig) == 3 * (64 + 8) + 33 - 1
-        sc = ScenarioConfig(subbands=(nm,), waveform="f-ofdm", n_symbols=3)
-        assert _burst_layout(sc, 0) == (16, len(sig))
+        assert _burst_layout(nm, "f-ofdm", 3) == (16, len(sig))
 
     def test_is_filtered_cp_ofdm(self):
         nm = small_band()
@@ -132,9 +131,7 @@ class TestFOfdm:
         nm = small_band(filter_len=2 * half + 1)
         sig = build_burst(payload(nm, n_sym), nm, "f-ofdm")
         assert len(sig) == n_sym * (64 + 8) + 2 * half
-        sc = ScenarioConfig(subbands=(nm,), waveform="f-ofdm",
-                            n_symbols=n_sym)
-        assert _burst_layout(sc, 0) == (half, len(sig))
+        assert _burst_layout(nm, "f-ofdm", n_sym) == (half, len(sig))
 
 
 class TestWOfdm:
@@ -142,8 +139,7 @@ class TestWOfdm:
         nm = small_band(n_prefix=4, n_transition=4)
         sig = build_burst(payload(nm, 3), nm, "w-ofdm")
         assert len(sig) == 3 * (64 + 8) + 4 + 1
-        sc = ScenarioConfig(subbands=(nm,), waveform="w-ofdm", n_symbols=3)
-        assert _burst_layout(sc, 0) == (0, len(sig))
+        assert _burst_layout(nm, "w-ofdm", 3) == (0, len(sig))
 
     def test_toy_hand_construction(self):
         # N=16, Ng=4, prefix 2, transition 2, one symbol, built by hand
@@ -208,9 +204,7 @@ class TestWOfdm:
                         n_transition=2 * (n_prefix // 2))
         sig = build_burst(payload(nm, n_sym), nm, "w-ofdm")
         assert len(sig) == n_sym * (64 + 8) + n_prefix + 1
-        sc = ScenarioConfig(subbands=(nm,), waveform="w-ofdm",
-                            n_symbols=n_sym)
-        assert _burst_layout(sc, 0) == (0, len(sig))
+        assert _burst_layout(nm, "w-ofdm", n_sym) == (0, len(sig))
 
 
 class TestCompose:
@@ -296,7 +290,9 @@ def _compose_by_chain(bursts, sc):
         u = upsampling_factor(sc, i)
         _, h, _ = interpolation_filter(sc, i)
         y = convolve_full(upsample_zero_stuff(burst, u), h).samples
-        y = y[h.group_delay + u * _burst_layout(sc, i)[0]:]
+        delay = _burst_layout(sc.subbands[i], sc.waveform,
+                              symbols_per_band(sc, i))[0]
+        y = y[h.group_delay + u * delay:]
         y = frequency_shift(ComplexSignal(y, fs), freqs[i]).samples
         out[:len(y)] += y
     return out
