@@ -45,36 +45,31 @@ def _cp_symbols(grid, n_cp, rows):
     rows[:, :n_cp] = rows[:, rows.shape[1] - n_cp:]
 
 
-def _cp_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
-    """Plain CP-OFDM: per-symbol IFFT with the last n_cp samples prepended,
-    a piece per grid."""
+def _cp_ofdm(grids, nm: SubbandNumerology, *_):
+    """Plain CP-OFDM pieces: per-symbol IFFT with the last n_cp samples
+    prepended, a piece per grid."""
     stride = nm.n_fft + nm.n_cp
-
-    def pieces():
-        for grid in grids:
-            piece = np.empty(len(grid) * stride, dtype=np.complex128)
-            _cp_symbols(grid, nm.n_cp, piece.reshape(len(grid), stride))
-            del grid
-            yield piece
-            del piece  # dropped before the next piece is made
-
-    return _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], pieces())
+    for grid in grids:
+        piece = np.empty(len(grid) * stride, dtype=np.complex128)
+        _cp_symbols(grid, nm.n_cp, piece.reshape(len(grid), stride))
+        del grid
+        yield piece
+        del piece  # dropped before the next piece is made
 
 
-def _f_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
+def _f_ofdm(grids, nm: SubbandNumerology, n_sym, n):
     """CP-OFDM convolved with the band's windowed-sinc lowpass: the filter's
     overlap-add reads the CP-OFDM pieces as it needs them and gives its
     output a chunk of rows at a time, the row tail carried between
     chunks."""
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    n = _burst_layout(nm, "f-ofdm", n_sym)[1]
-    return _Stream(n, _multirate_pieces(
-        [(_cp_ofdm(grids, nm, n_sym), taps.taps, 1, 0, _fill)], n))
+    cp = _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], _cp_ofdm(grids, nm))
+    return _multirate_pieces([(cp, taps.taps, 1, 0, _fill)], n)
 
 
-def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
-    """Windowed OFDM with prefix/suffix extension and overlap-add.
+def _w_ofdm(grids, nm: SubbandNumerology, n_sym, _):
+    """Windowed OFDM pieces, with prefix/suffix extension and overlap-add.
 
     The CP budget is split into a prefix of n_prefix samples and an
     effective CP of n_cp - n_prefix samples, so the stride matches CP-OFDM.
@@ -93,33 +88,29 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym) -> _Stream:
     win = wofdm_window(nm.n_fft, nm.n_cp - nm.n_prefix, nm.n_prefix,
                        nm.n_transition)
     edge = nm.n_prefix + nm.n_transition // 2
-
-    def pieces():
-        done, carry = 0, None
-        for grid in grids:
-            done += len(grid)
-            piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
-                             dtype=np.complex128)
-            rows = piece[:len(grid) * stride].reshape(len(grid), stride)
-            _cp_symbols(grid, nm.n_cp, rows)
-            del grid
-            suffix = rows[:, nm.n_cp:nm.n_cp + overlap] * win[stride:]
-            rows[:, :edge] *= win[:edge]
-            rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
-            if carry is not None:
-                rows[0, :overlap] += carry
-            rows[1:, :overlap] += suffix[:-1]
-            carry = suffix[-1]
-            if done == n_sym:
-                # the last suffix added onto zeros (-0.0 reads 0.0)
-                piece[len(rows) * stride:] = carry + 0.0
-            yield piece
-            del piece, rows, suffix
-
-    return _Stream(_burst_layout(nm, "w-ofdm", n_sym)[1], pieces())
+    done, carry = 0, None
+    for grid in grids:
+        done += len(grid)
+        piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
+                         dtype=np.complex128)
+        rows = piece[:len(grid) * stride].reshape(len(grid), stride)
+        _cp_symbols(grid, nm.n_cp, rows)
+        del grid
+        suffix = rows[:, nm.n_cp:nm.n_cp + overlap] * win[stride:]
+        rows[:, :edge] *= win[:edge]
+        rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
+        if carry is not None:
+            rows[0, :overlap] += carry
+        rows[1:, :overlap] += suffix[:-1]
+        carry = suffix[-1]
+        if done == n_sym:
+            # the last suffix added onto zeros (-0.0 reads 0.0)
+            piece[len(rows) * stride:] = carry + 0.0
+        yield piece
+        del piece, rows, suffix
 
 
-_STREAMS = {
+_PIECES = {
     "cp-ofdm": _cp_ofdm,
     "f-ofdm": _f_ofdm,
     "w-ofdm": _w_ofdm,
@@ -148,7 +139,9 @@ def _burst_stream(qam, nm: SubbandNumerology, waveform: str,
     step = (per or _symbols_per_piece(nm, waveform)) * nm.n_used
     grids = (map_to_subcarriers(qam[k:k + step], nm)
              for k in range(0, len(qam), step))
-    return _STREAMS[waveform](grids, nm, len(qam) // nm.n_used)
+    n_sym = len(qam) // nm.n_used
+    n = _burst_layout(nm, waveform, n_sym)[1]
+    return _Stream(n, _PIECES[waveform](grids, nm, n_sym, n))
 
 
 def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
