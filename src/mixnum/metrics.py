@@ -99,14 +99,13 @@ def welch_psd(x) -> PsdCurve:
         np.square(re, out=re)
         re += np.square(im, out=im)
         # each group's rows are added in order, as np.sum(axis=0) adds
-        # them, and then the group to the total
-        for i, row in enumerate(re, k):
-            if i % WELCH_CHUNK_SEGMENTS:
-                group += row
-            else:
-                group = row.copy()
-            if (i + 1) % WELCH_CHUNK_SEGMENTS == 0 or i + 1 == n_segs:
-                acc += group
+        # them, and then the group to the total; a batch that continues a
+        # group starts from its sum so far, and no batch spans two groups
+        if k % WELCH_CHUNK_SEGMENTS:
+            re[0] += group
+        group = re.sum(axis=0)
+        if (k + len(re)) % WELCH_CHUNK_SEGMENTS == 0 or k + len(re) == n_segs:
+            acc += group
     p = np.fft.fftshift(acc / (n_segs * x.rate_hz * np.sum(win ** 2)))
     f = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / x.rate_hz))
     with np.errstate(divide="ignore"):

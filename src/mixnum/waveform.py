@@ -37,39 +37,33 @@ def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
     return grid
 
 
-def _cp_symbols(grid, n_cp, rows):
-    """IFFT each symbol of grid into the payload columns of rows, one row of
-    n_cp + n_fft samples per symbol, then copy each row's CP from its
-    tail."""
-    np.fft.ifft(grid, axis=1, out=rows[:, n_cp:])
-    rows[:, :n_cp] = rows[:, rows.shape[1] - n_cp:]
-
-
-def _cp_ofdm(grids, nm: SubbandNumerology, *_):
-    """Plain CP-OFDM pieces: per-symbol IFFT with the last n_cp samples
-    prepended, a piece per grid."""
+def _cp_ofdm(grids, nm: SubbandNumerology):
+    """Plain CP-OFDM pieces, a piece per grid: each symbol's IFFT in its row
+    of n_cp + n_fft samples, after a CP copied from the row's tail. Every
+    burst is made of these; f-OFDM filters them and w-OFDM windows them."""
     stride = nm.n_fft + nm.n_cp
     for grid in grids:
         piece = np.empty(len(grid) * stride, dtype=np.complex128)
-        _cp_symbols(grid, nm.n_cp, piece.reshape(len(grid), stride))
-        del grid
+        rows = piece.reshape(len(grid), stride)
+        np.fft.ifft(grid, axis=1, out=rows[:, nm.n_cp:])
+        rows[:, :nm.n_cp] = rows[:, nm.n_fft:]
+        del grid, rows
         yield piece
         del piece  # dropped before the next piece is made
 
 
-def _f_ofdm(grids, nm: SubbandNumerology, n_sym, n):
-    """CP-OFDM convolved with the band's windowed-sinc lowpass: the filter's
-    overlap-add reads the CP-OFDM pieces as it needs them and gives its
-    output a chunk of rows at a time, the row tail carried between
-    chunks."""
+def _f_ofdm(cp: _Stream, nm: SubbandNumerology, n):
+    """The CP-OFDM stream cp convolved with the band's windowed-sinc
+    lowpass, as n samples: the filter's overlap-add reads cp as it needs it
+    and gives its output a chunk of rows at a time, the row tail carried
+    between chunks."""
     taps = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                  nm.filter_len)
-    cp = _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], _cp_ofdm(grids, nm))
     return _multirate_pieces([(cp, taps.taps, 1, 0, _fill)], n)
 
 
-def _w_ofdm(grids, nm: SubbandNumerology, n_sym, _):
-    """Windowed OFDM pieces, with prefix/suffix extension and overlap-add.
+def _w_ofdm(pieces, nm: SubbandNumerology):
+    """Windowed OFDM: the CP-OFDM pieces windowed and overlap-added in place.
 
     The CP budget is split into a prefix of n_prefix samples and an
     effective CP of n_cp - n_prefix samples, so the stride matches CP-OFDM.
@@ -77,25 +71,20 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym, _):
     n_prefix + 1 samples overlap the head of the next symbol.
 
     An extended symbol is a CP-OFDM symbol followed by a suffix, its first
-    n_prefix + 1 samples. So each grid's CP-OFDM symbols are built in place
-    in its piece, one stride apart, and only the suffixes are kept apart and
-    then added; the last suffix is carried into the next piece, and after
-    the last symbol it is the burst's last n_prefix + 1 samples. The window
-    is exactly 1 between its edges, so only the edges are multiplied.
+    n_prefix + 1 samples. So only the suffixes are kept apart, windowed and
+    added onto the next symbol; the last suffix is carried into the next
+    piece, and after the last piece it is the burst's own last piece. The
+    window is exactly 1 between its edges, so only the edges are
+    multiplied.
     """
     stride = nm.n_fft + nm.n_cp
     overlap = nm.n_prefix + 1
     win = wofdm_window(nm.n_fft, nm.n_cp - nm.n_prefix, nm.n_prefix,
                        nm.n_transition)
     edge = nm.n_prefix + nm.n_transition // 2
-    done, carry = 0, None
-    for grid in grids:
-        done += len(grid)
-        piece = np.empty(len(grid) * stride + overlap * (done == n_sym),
-                         dtype=np.complex128)
-        rows = piece[:len(grid) * stride].reshape(len(grid), stride)
-        _cp_symbols(grid, nm.n_cp, rows)
-        del grid
+    carry = None
+    for piece in pieces:
+        rows = piece.reshape(-1, stride)
         suffix = rows[:, nm.n_cp:nm.n_cp + overlap] * win[stride:]
         rows[:, :edge] *= win[:edge]
         rows[:, len(win) - edge:] *= win[len(win) - edge:stride]
@@ -103,18 +92,9 @@ def _w_ofdm(grids, nm: SubbandNumerology, n_sym, _):
             rows[0, :overlap] += carry
         rows[1:, :overlap] += suffix[:-1]
         carry = suffix[-1]
-        if done == n_sym:
-            # the last suffix added onto zeros (-0.0 reads 0.0)
-            piece[len(rows) * stride:] = carry + 0.0
         yield piece
-        del piece, rows, suffix
-
-
-_PIECES = {
-    "cp-ofdm": _cp_ofdm,
-    "f-ofdm": _f_ofdm,
-    "w-ofdm": _w_ofdm,
-}
+        del piece, rows
+    yield carry + 0.0  # the last suffix added onto zeros (-0.0 reads 0.0)
 
 
 def _symbols_per_piece(nm: SubbandNumerology, waveform: str) -> int:
@@ -129,23 +109,30 @@ def _symbols_per_piece(nm: SubbandNumerology, waveform: str) -> int:
 
 def _burst_stream(qam, nm: SubbandNumerology, waveform: str,
                   per=None) -> _Stream:
-    """Band burst of the QAM payload qam as a _Stream, made per symbols at a
-    time (by default _symbols_per_piece): each piece's subcarrier grid is
-    mapped from its slice of qam only when a read reaches it. qam is a
-    sequence, which is only read, or a _Stream of the symbols, read once
-    and in order: _payload_streams gives each band one whose pieces are
-    these slices, drawn from its own generator, which starts on the one
-    payload stream where the bits of the bands before it end."""
+    """Band burst of the QAM payload qam as a _Stream: CP-OFDM pieces of per
+    symbols (by default _symbols_per_piece), then f-OFDM's filter or
+    w-OFDM's window. Each piece's subcarrier grid is mapped from its slice
+    of qam only when a read reaches it. qam is a sequence, which is only
+    read, or a _Stream of the symbols, read once and in order:
+    _payload_streams gives each band one whose pieces are these slices,
+    drawn from its own generator, started on the one payload stream where
+    the bits of the bands before it end."""
     step = (per or _symbols_per_piece(nm, waveform)) * nm.n_used
     grids = (map_to_subcarriers(qam[k:k + step], nm)
              for k in range(0, len(qam), step))
     n_sym = len(qam) // nm.n_used
     n = _burst_layout(nm, waveform, n_sym)[1]
-    return _Stream(n, _PIECES[waveform](grids, nm, n_sym, n))
+    pieces = _cp_ofdm(grids, nm)
+    if waveform == "f-ofdm":
+        cp = _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], pieces)
+        pieces = _f_ofdm(cp, nm, n)
+    elif waveform == "w-ofdm":
+        pieces = _w_ofdm(pieces, nm)
+    return _Stream(n, pieces)
 
 
 def build_burst(qam, nm: SubbandNumerology, waveform: str) -> ComplexSignal:
-    """Band burst of the QAM payload qam, made in one piece."""
+    """Band burst of the QAM payload qam, taken whole."""
     per = max(len(qam) // nm.n_used, 1)
     return ComplexSignal(_burst_stream(qam, nm, waveform, per).whole(),
                          subband_sample_rate(nm))
@@ -158,7 +145,8 @@ def interpolation_filter(sc: ScenarioConfig, i: int):
     times the burst's leading delay."""
     nm, u = sc.subbands[i], upsampling_factor(sc, i)
     taps = design_interpolation_filter(u, interpolation_filter_len(u, nm.n_cp))
-    delay = _burst_layout(nm, sc.waveform, symbols_per_band(sc, i))[0]
+    # the leading delay is the same at any symbol count
+    delay = _burst_layout(nm, sc.waveform, 0)[0]
     return u, taps, taps.group_delay + u * delay
 
 

@@ -1,5 +1,7 @@
 """Direct-form and closed-form references the tests hold the library to,
-and a stream cut where a test chooses."""
+a stream cut where a test chooses, and a call's traced memory peak."""
+
+import tracemalloc
 
 import numpy as np
 from scipy.special import erfc
@@ -13,6 +15,18 @@ def stream_in_pieces(x, edges, rate_hz=None) -> _Stream:
     inside x), each a new array."""
     return _Stream(len(x), (part.copy() for part in np.split(x, edges)),
                    rate_hz)
+
+
+def traced_peak(call):
+    """call()'s result and its tracemalloc peak above what was live."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def upsample_zero_stuff(x: ComplexSignal, u: int) -> ComplexSignal:

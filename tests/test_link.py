@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from mixnum.metrics import evm_db
 from mixnum.waveform import (build_burst, build_composite, compose,
                              payload_symbols, random_payload,
                              used_subcarrier_bins)
-from oracles import complex_noise, response_at
+from oracles import complex_noise, response_at, traced_peak
 
 
 def seeded_payloads(sc, seed=0, M=None):
@@ -261,14 +260,7 @@ def test_receive_subband_peak_beyond_its_output_does_not_grow():
         for i in range(len(sc.subbands)):
             h, u = receive_filter(sc, i), upsampling_factor(sc, i)
             n_out = len(range(h.group_delay, len(y) + len(h) - 1, u))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                receive_subband(y, sc, i)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: receive_subband(y, sc, i))
             residual[n_symbols, u] = peak - 2 * 16 * n_out
     for u in (1, 2, 4):
         assert residual[512, u] - residual[130, u] <= RECEIVE_GROWTH_BYTES, u

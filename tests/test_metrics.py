@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from mixnum.metrics import (WELCH_CHUNK_SEGMENTS, WELCH_SEGMENT_LEN,
                             monte_carlo_curves, semianalytic_run, welch_psd)
 from mixnum.waveform import (_payload_streams, build_composite,
                              payload_symbols, random_payload)
-from oracles import qam_ber_awgn, qfunc, stream_in_pieces
+from oracles import qam_ber_awgn, qfunc, stream_in_pieces, traced_peak
 
 
 def scipy_welch(x, fs):
@@ -206,14 +205,8 @@ class TestStreamedWelch:
             rng = np.random.default_rng(11)
             payloads = [random_payload(sc, i, rng)[1]
                         for i in range(len(sc.subbands))]
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                welch_psd(build_composite(sc, payloads))
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(
+                lambda: welch_psd(build_composite(sc, payloads)))
             assert peak <= PSD_WORK_BYTES, wf
 
     def test_psd_peak_does_not_grow_with_the_length(self):
@@ -222,14 +215,8 @@ class TestStreamedWelch:
             sc = replace(config.get_preset("table1"), waveform="f-ofdm",
                          n_symbols=n_symbols)
             seed_seq = np.random.SeedSequence(11, spawn_key=(0x5D,))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                welch_psd(build_composite(sc, _payload_streams(sc, seed_seq)))
-                peaks[n_symbols] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peaks[n_symbols] = traced_peak(lambda: welch_psd(
+                build_composite(sc, _payload_streams(sc, seed_seq))))
         assert max(peaks.values()) - peaks[128] <= PSD_GROWTH_BYTES, peaks
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,8 @@ from mixnum.modem import (_KERNEL_CHUNK, ModemError,
                           bits_to_symbols, constellation, qam_demodulate,
                           qam_modulate)
 from mixnum.waveform import random_payload
-from oracles import bit_error_probabilities_one_shot, qam_ber_awgn, qfunc
+from oracles import (bit_error_probabilities_one_shot, qam_ber_awgn, qfunc,
+                     traced_peak)
 
 ORDERS = (4, 16, 64, 256)
 
@@ -229,14 +229,8 @@ class TestBitErrorKernel:
         per_point = 2 * len(cm.thresholds) * 8 + 2
         assert sum(t.nbytes for t in tables) == per_point * n
         bit_error_probabilities(tables, M, 0.01)  # imports scipy.special
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            p = bit_error_probabilities(tables, M, 0.01)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(
+            lambda: bit_error_probabilities(tables, M, 0.01))
         assert peak - p.nbytes <= 4 * 2 * len(cm.thresholds) * 8 \
             * _KERNEL_CHUNK
 

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from mixnum.waveform import (_burst_stream, _payload_streams, build_burst,
                              build_composite, compose, interpolation_filter,
                              random_payload, map_to_subcarriers,
                              payload_symbols, used_subcarrier_bins)
-from oracles import upsample_zero_stuff
+from oracles import traced_peak, upsample_zero_stuff
 
 
 def small_band(**kw):
@@ -345,18 +344,6 @@ CHUNK_WORK_BYTES = 4 * 16 * dsp._OLA_CHUNK
 STREAM_WORK_BYTES = 10 * 16 * dsp._OLA_CHUNK
 
 
-def _traced_peak(call):
-    """call()'s result and its tracemalloc peak above what was live."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestTransmitChainMemory:
     @pytest.mark.parametrize("waveform", WAVEFORMS)
     def test_chain_leaves_every_argument_unchanged(self, waveform):
@@ -398,14 +385,7 @@ class TestTransmitChainMemory:
         rng = np.random.default_rng(11)
         payloads = [random_payload(sc, i, rng)[1]
                     for i in range(len(sc.subbands))]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            build_composite(sc, payloads).whole()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: build_composite(sc, payloads).whole())
         assert peak <= PEAK_BYTES_PER_COMPOSITE_SAMPLE * composite_length(sc)
 
     @pytest.mark.parametrize("n_symbols", [64, 512])
@@ -414,7 +394,7 @@ class TestTransmitChainMemory:
         rng = np.random.default_rng(11)
         bursts = [build_burst(random_payload(sc, i, rng)[1], nm, sc.waveform)
                   for i, nm in enumerate(sc.subbands)]
-        composite, peak = _traced_peak(lambda: compose(bursts, sc).whole())
+        composite, peak = traced_peak(lambda: compose(bursts, sc).whole())
         assert peak - composite.nbytes <= CHUNK_WORK_BYTES
 
     @pytest.mark.parametrize("n_symbols", [64, 512])
@@ -426,7 +406,7 @@ class TestTransmitChainMemory:
             rng = np.random.default_rng(11)
             payloads = [random_payload(sc, i, rng)[1]
                         for i in range(len(sc.subbands))]
-            composite, peak = _traced_peak(
+            composite, peak = traced_peak(
                 lambda: build_composite(sc, payloads).whole())
             assert peak - composite.nbytes <= STREAM_WORK_BYTES, \
                 waveform
@@ -441,7 +421,7 @@ class TestTransmitChainMemory:
         burst = build_burst(qam, nm, "cp-ofdm")
         h = design_subband_filter(nm.n_fft, nm.n_used, nm.r_subcarriers,
                                   nm.filter_len)
-        filtered, peak = _traced_peak(lambda: convolve_full(burst, h))
+        filtered, peak = traced_peak(lambda: convolve_full(burst, h))
         assert peak - filtered.samples.nbytes <= CHUNK_WORK_BYTES
 
 
@@ -587,22 +567,25 @@ class TestStreamJoins:
             assert whole.tobytes() == read.tobytes()
 
 
-class TestFOfdmPieces:
-    """An f-OFDM burst's CP-OFDM pieces may be any number of symbols: the
-    filter reads them across its block rows and chunks alike."""
+class TestBurstPieces:
+    """The CP-OFDM pieces that f-OFDM filters and w-OFDM windows may be any
+    number of symbols: the filter reads them across its block rows and
+    chunks alike, and the window carries each piece's last suffix into the
+    next."""
 
+    @pytest.mark.parametrize("waveform", ["f-ofdm", "w-ofdm"])
     @pytest.mark.parametrize("per", [1, 2, 3])
     @pytest.mark.parametrize("chunk_rows", [1, None])
-    def test_pieces_of_a_few_symbols_match_one_piece(self, per,
+    def test_pieces_of_a_few_symbols_match_one_piece(self, waveform, per,
                                                       chunk_rows):
-        sc, payloads = _table1("f-ofdm", 30)
-        whole = [build_burst(qam, nm, "f-ofdm").samples.tobytes()
+        sc, payloads = _table1(waveform, 30)
+        whole = [build_burst(qam, nm, waveform).samples.tobytes()
                  for qam, nm in zip(payloads, sc.subbands)]
         with pytest.MonkeyPatch.context() as patch:
             if chunk_rows:
                 patch.setattr(dsp, "_OLA_CHUNK",
                               chunk_rows * TABLE1_ROW_POINTS)
-            streamed = [_burst_stream(qam, nm, "f-ofdm", per).whole()
+            streamed = [_burst_stream(qam, nm, waveform, per).whole()
                         for qam, nm in zip(payloads, sc.subbands)]
         assert [b.tobytes() for b in streamed] == whole
 
