@@ -126,8 +126,9 @@ def _parse_grid(spec):
         raise ConfigError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ConfigError(f"bad grid {spec!r}")
-    # clamped before rounding: a tiny step can overflow the quotient to inf
-    n = round(min((b - a) / step, MAX_GRID_POINTS))
+    # the points up to b, within 1e-9 step (0:0.1:0.3 keeps 0.3); clamped
+    # first, as a tiny step can overflow the quotient to inf
+    n = math.floor(min((b - a) / step, MAX_GRID_POINTS) + 1e-9)
     if n + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} "
                           "points")

@@ -24,13 +24,13 @@ MOD_ORDERS = (4, 16, 64, 256)
 # Upper bound on composite samples (compose's output length), checked from
 # the numerology before anything is built. What it bounds depends on the
 # command (fresh processes on table1, README): psd draws its payload and
-# reads the composite as streams and holds no whole payload, burst, grid or
-# composite, so it does not grow with the length (51.7-54.4 MB at 512 to
+# reads the composite as streams and holds no whole payload, burst or
+# composite, so it does not grow with the length (49.6-50.5 MB at 512 and
 # 2048 symbols, each waveform): its pieces are a chunk or one symbol, which
 # the n_fft bound below keeps under the cap. ber and sweep receive the whole
 # composite and calibrate at the job's length, about 62 bytes per sample
-# with QPSK and 118-126 with 256-QAM semi-analytic (1150 MB at 2048
-# symbols). So the cap means about 1.2 GB for 256-QAM ber on table1, an
+# with QPSK and 85-104 with 256-QAM semi-analytic (861 MB at 2048
+# symbols). So the cap means about 0.9 GB for 256-QAM ber on table1, an
 # extrapolation.
 # table1 reaches it just past 2048 symbols, its former symbol cap.
 MAX_COMPOSITE_SAMPLES = 9_000_000

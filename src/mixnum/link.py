@@ -3,8 +3,8 @@
 The receiver has two halves. Its front end takes the composite signal down
 to the band's own rate in one step: the down-conversion rides on the
 band-select filter's taps, and the filter computes only the samples that
-decimation keeps (dsp.mix_filter_decimate). Its demodulation tail strips
-the prefixes, FFTs, extracts the used subcarriers and equalizes them.
+decimation keeps (dsp.mix_filter_decimate). Its demodulation tail FFTs
+each symbol in place, then extracts and equalizes the used subcarriers.
 
 The receiver is calibrated once per (scenario, band): a noiseless
 known-symbol run fixes the one-tap per-subcarrier equalizer, and a
@@ -97,17 +97,17 @@ def _receive_taps(sc: ScenarioConfig, i: int) -> FilterTaps:
 
 
 def _demodulate(x, sc: ScenarioConfig, i: int, eq=None):
-    """Used-subcarrier points of band i from its samples at the band's own
-    rate, symbol 0 at sample 0: strip each prefix, FFT, pick the used bins
-    in payload order and, if eq is given, equalize."""
+    """Used-subcarrier points of band i from its samples x at the band's own
+    rate, symbol 0 at sample 0: each symbol's window is FFT'd in place, over
+    x, and its used bins picked in payload order and, given eq, equalized."""
     nm = sc.subbands[i]
     n_sym = symbols_per_band(sc, i)
     stride = nm.n_fft + nm.n_cp
     segs = x[:n_sym * stride].reshape(n_sym, stride)[:, nm.n_cp:]
-    points = np.fft.fft(segs, axis=1)[:, used_subcarrier_bins(nm.n_fft,
-                                                              nm.n_used)]
+    np.fft.fft(segs, axis=1, out=segs)
+    points = segs[:, used_subcarrier_bins(nm.n_fft, nm.n_used)]
     if eq is not None:
-        points = points * eq[None, :]
+        points *= eq[None, :]
     return points
 
 
@@ -179,18 +179,14 @@ def _calibration_rng(seed, i, child):
 _CAL_SPECTRA: dict = {}
 
 
-def _spectra_key(seed, i, n, h, u):
-    return (seed, i, n, len(h), u)
-
-
 def _noise_spectra(seed, i, n, h, u):
     """Read-only front-end block spectra of n samples of band i's unit
     noise for len(h) receive taps at decimation u. Only the last entry is
     kept: a miss drops it before anything is drawn (lru_cache would evict
-    after drawing), and calibrate drops it as it starts. The noise is drawn
-    straight into the block rows, through one view per row, so its samples
-    never exist on their own: range(n) stands for them."""
-    key = _spectra_key(seed, i, n, h, u)
+    after drawing), the one place in this module that drops it. The noise
+    is drawn straight into the block rows, through one view per row, so
+    its samples never exist on their own: range(n) stands for them."""
+    key = (seed, i, n, len(h), u)
     if key not in _CAL_SPECTRA:
         _CAL_SPECTRA.clear()
         rng = _calibration_rng(seed, i, 1)
@@ -236,16 +232,12 @@ def calibrate(sc: ScenarioConfig, i: int) -> ReceiverCalibration:
     single scalar tap for the whole band (gain/phase only, leaving the
     filters' in-band shape uncompensated). The noise gain comes from unit
     white noise of the composite's length through the receiver; the kept
-    item is the noise's block spectra, transformed once per band.
+    item is the noise's block spectra, transformed once per band; another
+    band's stay through the noiseless run, until _noise_spectra misses.
     """
     sc_cal = _calibration_scenario(sc, i)
     n, fs = composite_length(sc_cal), composite_rate(sc_cal)
     h_r, u = _receive_taps(sc_cal, i), upsampling_factor(sc_cal, i)
-    if _spectra_key(sc.seed, i, n, h_r, u) not in _CAL_SPECTRA:
-        # another band's spectra go before this band's runs allocate
-        # anything; the noise, a stream of its own, is drawn after the
-        # noiseless run has released its burst
-        _CAL_SPECTRA.clear()
     eq, es = _noiseless_run(sc_cal, i, sc.seed, sc.eq_mode)
     x = _mix_filter_decimate(range(n), fs, -center_frequencies(sc_cal)[i],
                              h_r, u, _noise_spectra(sc.seed, i, n, h_r, u))

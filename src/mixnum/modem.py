@@ -111,7 +111,7 @@ def qam_demodulate(points, M: int) -> np.ndarray:
     q_idx = _decide_levels(pts.imag, cm)
     bits = np.concatenate(
         [cm.level_bits[i_idx], cm.level_bits[q_idx]], axis=1)
-    return bits.reshape(-1).astype(np.uint8)
+    return bits.reshape(-1)
 
 
 # points that bit_error_probabilities (and the tables' build) take at a

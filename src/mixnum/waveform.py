@@ -26,28 +26,20 @@ def used_subcarrier_bins(n_fft, n_used):
     return d % n_fft
 
 
-def map_to_subcarriers(qam, nm: SubbandNumerology) -> np.ndarray:
-    """Frequency-domain payload as an (n_sym, n_fft) array: one row per OFDM
-    symbol, natural FFT bin order, zeros outside the used bins."""
-    qam = np.asarray(qam, dtype=np.complex128)
-    n_sym = len(qam) // nm.n_used
-    mask = used_subcarrier_bins(nm.n_fft, nm.n_used)
-    grid = np.zeros((n_sym, nm.n_fft), dtype=np.complex128)
-    grid[:, mask] = qam.reshape(n_sym, nm.n_used)
-    return grid
-
-
-def _cp_ofdm(grids, nm: SubbandNumerology):
-    """Plain CP-OFDM pieces, a piece per grid: each symbol's IFFT in its row
-    of n_cp + n_fft samples, after a CP copied from the row's tail. Every
-    burst is made of these; f-OFDM filters them and w-OFDM windows them."""
+def _cp_ofdm(slices, nm: SubbandNumerology):
+    """Plain CP-OFDM pieces, a piece per payload slice: each symbol's used
+    bins are written into its row of n_cp + n_fft zeros past the CP, the
+    row's tail inverse-FFT'd in place and copied into the CP. Every burst
+    is made of these; f-OFDM filters them and w-OFDM windows them."""
     stride = nm.n_fft + nm.n_cp
-    for grid in grids:
-        piece = np.empty(len(grid) * stride, dtype=np.complex128)
-        rows = piece.reshape(len(grid), stride)
-        np.fft.ifft(grid, axis=1, out=rows[:, nm.n_cp:])
+    used = nm.n_cp + used_subcarrier_bins(nm.n_fft, nm.n_used)
+    for qam in slices:
+        piece = np.zeros(len(qam) // nm.n_used * stride, dtype=np.complex128)
+        rows = piece.reshape(-1, stride)
+        rows[:, used] = np.reshape(qam, (-1, nm.n_used))
+        np.fft.ifft(rows[:, nm.n_cp:], axis=1, out=rows[:, nm.n_cp:])
         rows[:, :nm.n_cp] = rows[:, nm.n_fft:]
-        del grid, rows
+        del qam, rows
         yield piece
         del piece  # dropped before the next piece is made
 
@@ -101,8 +93,8 @@ def _symbols_per_piece(nm: SubbandNumerology, waveform: str) -> int:
     """Symbols in each piece of band nm's streamed burst and payload: as
     many as make one overlap-add chunk, or for f-OFDM a quarter of that.
     The f-OFDM filter holds its own chunk of rows and output while it reads
-    the CP-OFDM pieces, so each of those, and the subcarrier grid it is made
-    from, is kept to a quarter of a chunk beside them."""
+    the CP-OFDM pieces, so each of those is kept to a quarter of a chunk
+    beside them: full chunks raise table1 psd's traced peak by 5.2 MB."""
     stride = nm.n_fft + nm.n_cp
     return _per_chunk(stride * (4 if waveform == "f-ofdm" else 1))
 
@@ -111,18 +103,17 @@ def _burst_stream(qam, nm: SubbandNumerology, waveform: str,
                   per=None) -> _Stream:
     """Band burst of the QAM payload qam as a _Stream: CP-OFDM pieces of per
     symbols (by default _symbols_per_piece), then f-OFDM's filter or
-    w-OFDM's window. Each piece's subcarrier grid is mapped from its slice
-    of qam only when a read reaches it. qam is a sequence, which is only
-    read, or a _Stream of the symbols, read once and in order:
-    _payload_streams gives each band one whose pieces are these slices,
-    drawn from its own generator, started on the one payload stream where
-    the bits of the bands before it end."""
+    w-OFDM's window. Each piece is made from its slice of qam only when a
+    read reaches it. qam is a sequence, which is only read, or a _Stream
+    of the symbols, read once and in order: _payload_streams gives each
+    band one whose pieces are these slices, drawn from its own generator,
+    started on the one payload stream where the bits of the bands before
+    it end."""
     step = (per or _symbols_per_piece(nm, waveform)) * nm.n_used
-    grids = (map_to_subcarriers(qam[k:k + step], nm)
-             for k in range(0, len(qam), step))
     n_sym = len(qam) // nm.n_used
     n = _burst_layout(nm, waveform, n_sym)[1]
-    pieces = _cp_ofdm(grids, nm)
+    pieces = _cp_ofdm((qam[k:k + step] for k in range(0, len(qam), step)),
+                      nm)
     if waveform == "f-ofdm":
         cp = _Stream(_burst_layout(nm, "cp-ofdm", n_sym)[1], pieces)
         pieces = _f_ofdm(cp, nm, n)
@@ -176,10 +167,10 @@ def compose(bursts, sc: ScenarioConfig) -> _Stream:
 def build_composite(sc: ScenarioConfig, payloads) -> _Stream:
     """Build every band's burst from its QAM payload and combine them: the
     composite as compose's _Stream. Each burst is made a chunk of symbols
-    at a time as compose reads it, so no whole burst or subcarrier grid
-    exists at once, nor the composite unless it is taken whole. A payload
-    is an array or a _Stream of its symbols (_payload_streams), and then
-    no whole payload exists either."""
+    at a time as compose reads it, so no whole burst exists at once, nor
+    the composite unless it is taken whole. A payload is an array or a
+    _Stream of its symbols (_payload_streams), and then no whole payload
+    exists either."""
     return compose([_burst_stream(payloads[i], nm, sc.waveform)
                     for i, nm in enumerate(sc.subbands)], sc)
 

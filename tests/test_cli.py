@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mixnum
 from mixnum import cli, config, link
@@ -34,6 +34,15 @@ class TestParsers:
     def test_grid_single_point(self):
         assert _parse_grid("3:1:3") == [3.0]
 
+    @pytest.mark.parametrize("spec,want", [
+        ("0:3:11", [0.0, 3.0, 6.0, 9.0]),
+        ("0:0.35:1", [0.0, 0.35, 0.7]),
+        ("994:4:1000", [994.0, 998.0]),
+        ("0:0.1:0.3", [0.0, 0.1, 0.2, 3 * 0.1])])
+    def test_grid_stops_at_or_before_its_end(self, spec, want):
+        # a step that does not divide the span adds no point past it
+        assert _parse_grid(spec) == want
+
     @pytest.mark.parametrize("bad", ["0:2", "0:-1:4", "4:1:0", "a:b:c",
                                      "0:1:inf", "nan:1:2"])
     def test_grid_rejects(self, bad):
@@ -45,6 +54,7 @@ class TestParsers:
             == [-MAX_GRID_DB, 0.0, MAX_GRID_DB]
 
     @settings(max_examples=300, deadline=None)
+    @example([0.0, 3.0, 11.0])
     @given(st.lists(st.one_of(st.floats(), st.floats(-1.1 * MAX_GRID_DB,
                                                      1.1 * MAX_GRID_DB)),
                     min_size=3, max_size=3))
@@ -56,6 +66,8 @@ class TestParsers:
             return
         assert 1 <= len(grid) <= MAX_GRID_POINTS
         assert all(math.isfinite(v) and abs(v) <= MAX_GRID_DB for v in grid)
+        a, step, b = values
+        assert grid[-1] <= b + 1e-9 * max(step, abs(b))
 
     def test_m_range(self):
         assert _parse_m_range("0..3") == [0, 1, 2, 3]
@@ -545,7 +557,7 @@ class TestErrorPaths:
     def test_fft_too_long_for_the_cap_exits_2(self, tmp_path, capsys,
                                               no_work, argv):
         # one 2**34-point symbol would not fit; before the cap this failed
-        # with a MemoryError traceback in map_to_subcarriers
+        # with a MemoryError traceback in the burst builder
         d = config.scenario_to_dict(config.get_preset("bypass"))
         d["subbands"][0]["n_fft"] = 2 ** 34
         path = tmp_path / "long_fft.json"
@@ -597,11 +609,11 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["4000:1:4000", "-3100:1:-3100",
-                                      "998:3:1000"])
+                                      "998:3:1001"])
     def test_grid_out_of_range_rejected_up_front(self, tmp_path, capsys,
                                                  no_work, grid):
         # 10 ** (dB / 10) overflows at 4000 dB and is zero at -3100 dB;
-        # 998:3:1000 reaches 1001 dB
+        # 998:3:1001 reaches 1001 dB
         out = tmp_path / "x.csv"
         rc = main(["ber", "--scenario", "bypass", f"--ebn0={grid}",
                    "--out", str(out)])

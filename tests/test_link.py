@@ -245,10 +245,10 @@ def test_noise_run_matches_receive_subband(sc, band, monkeypatch):
 
 
 # how far receive_subband's tracemalloc peak beyond twice its front end's
-# output (that output beside its shifted copy, or beside demodulation's
-# FFT of it) may grow from 130 to 512 table1 symbols: the front end makes
-# its block rows a chunk of dsp._OLA_CHUNK points at a time. 0.1-2.8 MB
-# was measured; making every block row at once grows it by 5.6-22.4 MB.
+# output (that output beside its shifted copy) may grow from 130 to 512
+# table1 symbols: the front end makes its block rows a chunk of
+# dsp._OLA_CHUNK points at a time. 0.1-2.8 MB was measured; making every
+# block row at once grows it by 5.6-22.4 MB.
 RECEIVE_GROWTH_BYTES = 2 * 16 * dsp._OLA_CHUNK
 
 
@@ -264,6 +264,17 @@ def test_receive_subband_peak_beyond_its_output_does_not_grow():
             residual[n_symbols, u] = peak - 2 * 16 * n_out
     for u in (1, 2, 4):
         assert residual[512, u] - residual[130, u] <= RECEIVE_GROWTH_BYTES, u
+
+
+def test_demodulate_peak_beyond_its_input_is_its_points():
+    # each symbol's window is FFT'd in place in the input: 0.3-1.4% over
+    # the points was measured, and an FFT of all the windows reads 6.7x
+    sc = replace(config.get_preset("table1"), n_symbols=128)
+    for i, nm in enumerate(sc.subbands):
+        n = symbols_per_band(sc, i) * (nm.n_fft + nm.n_cp)
+        x = np.random.default_rng(i).standard_normal(n) + 0j
+        points, peak = traced_peak(lambda: link._demodulate(x, sc, i))
+        assert peak <= 1.1 * points.nbytes, i
 
 
 def _composite_path_calibration(sc, i):

@@ -16,9 +16,9 @@ from mixnum.dsp import (ComplexSignal, convolve_full, design_subband_filter,
                         mix_filter_decimate, wofdm_window)
 from mixnum.link import receive_filter
 from mixnum.modem import qam_modulate
-from mixnum.waveform import (_burst_stream, _payload_streams, build_burst,
-                             build_composite, compose, interpolation_filter,
-                             random_payload, map_to_subcarriers,
+from mixnum.waveform import (_burst_stream, _cp_ofdm, _payload_streams,
+                             build_burst, build_composite, compose,
+                             interpolation_filter, random_payload,
                              payload_symbols, used_subcarrier_bins)
 from oracles import traced_peak, upsample_zero_stuff
 
@@ -41,20 +41,30 @@ class TestSubcarrierMapping:
         bins = used_subcarrier_bins(16, 4)
         np.testing.assert_array_equal(bins, [14, 15, 0, 1])
 
+    @staticmethod
+    def window_spectra(qam, nm):
+        """FFT of each symbol's window past its CP in the CP-OFDM pieces
+        made from qam, cut into a one-symbol slice and the rest."""
+        pieces = list(_cp_ofdm([qam[:nm.n_used], qam[nm.n_used:]], nm))
+        rows = np.concatenate(pieces).reshape(-1, nm.n_fft + nm.n_cp)
+        return np.fft.fft(rows[:, nm.n_cp:], axis=1)
+
     def test_round_trip(self):
         nm = small_band()
         qam = payload(nm, 3)
-        grid = map_to_subcarriers(qam, nm)
+        spectra = self.window_spectra(qam, nm)
         used = used_subcarrier_bins(nm.n_fft, nm.n_used)
-        np.testing.assert_array_equal(grid[:, used].reshape(-1), qam)
+        np.testing.assert_allclose(spectra[:, used].reshape(-1), qam,
+                                   rtol=0, atol=1e-15)
 
     def test_unused_bins_are_zero(self):
         nm = small_band()
-        grid = map_to_subcarriers(payload(nm, 2), nm)
-        assert grid.shape == (2, nm.n_fft)
+        spectra = self.window_spectra(payload(nm, 2), nm)
+        assert spectra.shape == (2, nm.n_fft)
         unused = np.setdiff1d(np.arange(nm.n_fft),
                               used_subcarrier_bins(nm.n_fft, nm.n_used))
-        assert np.all(grid[:, unused] == 0)
+        # zero to the round-off of an inverse FFT and its FFT
+        np.testing.assert_allclose(spectra[:, unused], 0, rtol=0, atol=1e-15)
 
 
 class TestCpOfdm:
@@ -185,7 +195,10 @@ class TestWOfdm:
         nm = small_band(n_prefix=n_prefix, n_transition=n_tr)
         qam = payload(nm, n_sym, seed=n_sym)
         n_cp_star = nm.n_cp - n_prefix
-        t = np.fft.ifft(map_to_subcarriers(qam, nm), axis=1)
+        grid = np.zeros((n_sym, nm.n_fft), dtype=np.complex128)
+        grid[:, used_subcarrier_bins(nm.n_fft, nm.n_used)] = \
+            qam.reshape(n_sym, nm.n_used)
+        t = np.fft.ifft(grid, axis=1)
         ext = np.concatenate([t[:, -nm.n_cp:], t, t[:, :n_prefix + 1]],
                              axis=1)
         ext = ext * wofdm_window(nm.n_fft, n_cp_star, n_prefix, n_tr)
@@ -335,12 +348,13 @@ PEAK_BYTES_PER_COMPOSITE_SAMPLE = 64
 # measured on table1 at 64 and 512 symbols, so one result-sized array
 # (35.7 MB at 512 symbols) breaks it.
 CHUNK_WORK_BYTES = 4 * 16 * dsp._OLA_CHUNK
+# tracemalloc peak of a CP-OFDM build_burst per byte of its result
+CP_OFDM_PEAK_PER_RESULT = 1.25
 # tracemalloc peak of build_composite beyond its result, whatever the
 # length: compose's chunks, and for each of the three bands the piece it is
-# reading and the chunk that makes the next one (its subcarrier grid, or
-# for f-OFDM the filter's rows and output). 10.0-11.0 MB was measured on
-# table1 at 64 symbols and 12.0-13.4 MB at 512; the whole bursts (62.5 MB
-# at 512 symbols) break it.
+# reading and the one being made next (for f-OFDM, with the filter's rows
+# and output). 9.6-10.5 MB was measured on table1 at 64 symbols and
+# 10.5-12.8 MB at 512; the whole bursts (62.5 MB at 512 symbols) break it.
 STREAM_WORK_BYTES = 10 * 16 * dsp._OLA_CHUNK
 
 
@@ -423,6 +437,16 @@ class TestTransmitChainMemory:
                                   nm.filter_len)
         filtered, peak = traced_peak(lambda: convolve_full(burst, h))
         assert peak - filtered.samples.nbytes <= CHUNK_WORK_BYTES
+
+    @pytest.mark.parametrize("band", range(3))
+    def test_cp_ofdm_burst_peak_is_near_its_result(self, band):
+        # each symbol is inverse-FFT'd in its own row of the burst: 1.06x
+        # was measured, and one more burst-sized array reads 2.0x
+        sc = replace(config.get_preset("table1"), n_symbols=256)
+        nm = sc.subbands[band]
+        qam = random_payload(sc, band, np.random.default_rng(11))[1]
+        burst, peak = traced_peak(lambda: build_burst(qam, nm, "cp-ofdm"))
+        assert peak <= CP_OFDM_PEAK_PER_RESULT * burst.samples.nbytes
 
 
 # table1 composites are overlap-added in block rows of 8192 points
